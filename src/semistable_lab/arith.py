@@ -1,15 +1,23 @@
-"""Small shared integer helpers: primality, factorization, divisors."""
+"""Small shared integer helpers: primality, factorization, divisors,
+valuations and prime powers."""
 
 from __future__ import annotations
 
 import math
 import random
 
-# deterministic Miller-Rabin witnesses for every n < 3.3 * 10^24
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The prime bases 2..41 make Miller-Rabin deterministic below psi_13, the
+# least strong pseudoprime to all of them (Sorenson & Webster, Math. Comp.
+# 86, 2017); the bases 2..37 alone pass psi_12 = 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981  # psi_13
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic primality for n < PRIMALITY_BOUND; larger n is refused."""
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(
+            f"primality is proven only below psi_13 = {PRIMALITY_BOUND}, got {n}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -59,7 +67,7 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    rng = random.Random(n)
+    rng = random.Random(n) if n > 1 else None  # seeding outcosts a small n
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -72,6 +80,31 @@ def factorize(n: int) -> dict[int, int]:
         stack.append(d)
         stack.append(m // d)
     return out
+
+
+def ord_at(n: int, p: int) -> int:
+    """Exponent of p in the nonzero integer n."""
+    if n == 0:
+        raise ValueError("valuation of 0")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, k) with n = p^k, p prime and k >= 1, or None.
+
+    Trial division stops at the least prime factor.
+    """
+    if n < 2:
+        return None
+    for p in range(2, math.isqrt(n) + 1):
+        if n % p == 0:
+            k = ord_at(n, p)
+            return (p, k) if n == p**k else None
+    return n, 1
 
 
 def divisors(n: int) -> list[int]:

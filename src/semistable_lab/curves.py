@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .arith import is_prime
+from .arith import factorize, is_prime, ord_at, prime_power
 from .polynomials import (
     GF,
     degree,
@@ -108,16 +108,6 @@ def invariants(e: WeierstrassCurve) -> CurveInvariants:
     )
 
 
-def _val(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of 0")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def local_data(e: WeierstrassCurve, p: int) -> LocalData:
     """Reduction type of a model assumed minimal at p."""
     if not is_prime(p):
@@ -127,7 +117,7 @@ def local_data(e: WeierstrassCurve, p: int) -> LocalData:
         return LocalData(p=p, kind="good", component_order=1)
     if inv.c4 % p:
         return LocalData(
-            p=p, kind="multiplicative", component_order=_val(inv.disc, p)
+            p=p, kind="multiplicative", component_order=ord_at(inv.disc, p)
         )
     return LocalData(p=p, kind="additive", component_order=1)
 
@@ -138,28 +128,14 @@ def local_data(e: WeierstrassCurve, p: int) -> LocalData:
 _COUNT_LIMIT = 10**6
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ValueError(f"not a prime power: {q}")
-    p = q
-    for d in range(2, isqrt(q) + 1):
-        if q % d == 0:
-            p = d
-            break
-    k = 0
-    while q % p == 0:
-        q //= p
-        k += 1
-    if q != 1:
-        raise ValueError("not a prime power")
-    return p, k
-
-
 def count_points(e: WeierstrassCurve, q: int) -> int:
     """Number of points over F_q, including infinity; good reduction only."""
     if q > _COUNT_LIMIT:
         raise ValueError(f"q exceeds the desk-scale limit {_COUNT_LIMIT}")
-    p, k = _prime_power(q)
+    pk = prime_power(q)
+    if pk is None:
+        raise ValueError(f"not a prime power: {q}")
+    p, k = pk
     if invariants(e).disc % p == 0:
         raise ValueError(f"bad reduction at {p}")
     h = (e.a3, e.a1)  # y-linear part
@@ -334,18 +310,11 @@ def _fraction_sqrt(v: Fraction):
     return None
 
 
-def has_rational_ell_torsion(e: WeierstrassCurve, ell: int):
-    """(found, witness point) for a rational point of exact order ell."""
-    if ell not in (2, 3, 5, 7):
-        raise ValueError("torsion search supports ell in {2, 3, 5, 7}")
-    if ell == 2:
-        for x in rational_roots(two_division_poly(e)):
-            y = Fraction(-(e.a1 * x + e.a3), 2)
-            pt = (x, y)
-            assert on_curve(e, pt)
-            return True, pt
-        return False, None
-    for x in rational_roots(division_poly(e, ell)):
+def _ell_torsion_points(e: WeierstrassCurve, ell: int):
+    """Rational points of exact order ell, one per rational root x of the
+    ell-division polynomial, in increasing x."""
+    poly = two_division_poly(e) if ell == 2 else division_poly(e, ell)
+    for x in rational_roots(poly):
         # y solves a monic quadratic; rational iff 4g + h^2 is a square at x
         hx = e.a1 * x + e.a3
         gx = x**3 + e.a2 * x * x + e.a4 * x + e.a6
@@ -353,10 +322,18 @@ def has_rational_ell_torsion(e: WeierstrassCurve, ell: int):
         if root is None:
             continue
         pt = (x, (root - hx) / 2)
-        assert on_curve(e, pt)
+        if not on_curve(e, pt):
+            raise AssertionError("lifted torsion point is not on the curve")
         if point_order(e, pt) == ell:
-            return True, pt
-    return False, None
+            yield pt
+
+
+def has_rational_ell_torsion(e: WeierstrassCurve, ell: int):
+    """(found, witness point) for a rational point of exact order ell."""
+    if ell not in (2, 3, 5, 7):
+        raise ValueError("torsion search supports ell in {2, 3, 5, 7}")
+    pt = next(_ell_torsion_points(e, ell), None)
+    return pt is not None, pt
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +399,7 @@ def _integralize(coeffs) -> WeierstrassCurve:
     """Scale up x = x'/u^2, y = y'/u^3 until all coefficients are integers."""
     needs: dict[int, int] = {}
     for c, weight in zip(coeffs, (1, 2, 3, 4, 6)):
-        den = Fraction(c).denominator
-        q = 2
-        while den > 1:
-            if den % q:
-                q += 1
-                continue
-            v = 0
-            while den % q == 0:
-                den //= q
-                v += 1
+        for q, v in factorize(Fraction(c).denominator).items():
             needs[q] = max(needs.get(q, 0), -(-v // weight))
     u = 1
     for q, n in needs.items():
@@ -482,10 +450,7 @@ def isogeny_class(e: WeierstrassCurve, depth: int = 3) -> list[WeierstrassCurve]
         nxt = []
         for cur in frontier:
             for ell in (2, 3, 5, 7):
-                for x in _torsion_x_coords(cur, ell):
-                    pt = _lift_x(cur, x)
-                    if pt is None or point_order(cur, pt) != ell:
-                        continue
+                for pt in _ell_torsion_points(cur, ell):
                     quo = velu_quotient(cur, pt)
                     key = quo.coefficients()
                     if key not in seen:
@@ -495,20 +460,6 @@ def isogeny_class(e: WeierstrassCurve, depth: int = 3) -> list[WeierstrassCurve]
         if not frontier:
             break
     return sorted(seen.values(), key=lambda c: c.coefficients())
-
-
-def _torsion_x_coords(e: WeierstrassCurve, ell: int):
-    poly = two_division_poly(e) if ell == 2 else division_poly(e, ell)
-    return rational_roots(poly)
-
-
-def _lift_x(e: WeierstrassCurve, x: Fraction) -> Point:
-    hx = e.a1 * x + e.a3
-    gx = x**3 + e.a2 * x * x + e.a4 * x + e.a6
-    root = _fraction_sqrt(hx * hx + 4 * gx)
-    if root is None:
-        return None
-    return (x, (root - hx) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +481,4 @@ def hyperelliptic_odd_disc(p_poly, q_poly) -> int:
     d = discriminant(combined)
     if d == 0:
         raise ValueError("model is not squarefree")
-    while d % 2 == 0:
-        d //= 2
-    return d
+    return d // 2 ** ord_at(d, 2)

@@ -17,6 +17,7 @@ of the cyclotomic polynomial in a finite field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import intlinalg
 from .arith import is_prime
@@ -166,7 +167,7 @@ def _local_places(ell: int, p: int):
     f = _mult_order(p, m)
     field = GF(p, equal_degree_factor(fp_trim(_cyclo_poly(ell), p), f, p))
     eta = field.element((0, 1))
-    units = [j for j in range(1, m) if _gcd(j, m) == 1]
+    units = [j for j in range(1, m) if gcd(j, m) == 1]
     reps = []
     seen: set[int] = set()
     for j in units:
@@ -180,12 +181,6 @@ def _local_places(ell: int, p: int):
                 break
             seen.add(orbit)
     return field, eta, reps
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _order_ell_character(field: GF, ell: int):
@@ -233,26 +228,6 @@ def unit_images(ell: int, p: int, extra_units: tuple = ()) -> list[tuple[int, ..
     return images
 
 
-def _fl_rank(vectors, ell: int) -> int:
-    rows = [list(v) for v in vectors]
-    rank, col, width = 0, 0, max((len(r) for r in rows), default=0)
-    while rank < len(rows) and col < width:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % ell), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, ell)
-        rows[rank] = [c * inv % ell for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % ell:
-                factor = rows[i][col]
-                rows[i] = [(c - factor * d) % ell for c, d in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def unit_image_rank(ell: int, p: int, extra_units: tuple = ()) -> GammaSReport:
     """Rank data of the congruence-unit image inside the local product."""
     images = unit_images(ell, p, extra_units)
@@ -263,7 +238,7 @@ def unit_image_rank(ell: int, p: int, extra_units: tuple = ()) -> GammaSReport:
         for exponent, img in zip(vec, images):
             combo = [(a + exponent * b) % ell for a, b in zip(combo, img)]
         span.append(tuple(combo))
-    rank = _fl_rank(span, ell)
+    rank = len(intlinalg.fl_echelon(span, ell))
     g2 = splitting(ell, p).g2
     report = GammaSReport(
         ell=ell, p=p, gamma_rank=g2, unit_image_rank=rank, bound=g2 - rank

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from math import isqrt
 
-from .arith import is_prime
+from .arith import is_prime, ord_at, prime_power
 from .curves import (
     SingularCurveError,
     WeierstrassCurve,
@@ -25,7 +25,7 @@ from .curves import (
     local_data,
     two_division_poly,
 )
-from .polynomials import discriminant, roots_mod
+from .polynomials import discriminant, fp_divmod, roots_mod
 
 EXCEPTIONAL_PRIME = 17
 EXCEPTIONAL_SEED = WeierstrassCurve(1, -1, 1, -1, -14)
@@ -61,16 +61,6 @@ class DaggerReport:
     unramified_signal: bool | None  # two-division proxy, ell = 2 only
 
 
-def ord_at(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of 0")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def ns_enumerate(bound: int) -> list[SquarePlus64Pair]:
     """All pairs for primes p = u^2 + 64 up to bound, smallest first.
 
@@ -96,17 +86,6 @@ def ns_enumerate(bound: int) -> list[SquarePlus64Pair]:
     return out
 
 
-def _prime_power_base(n: int) -> int | None:
-    """The prime p with n = p^k, or None.  n must be positive."""
-    for p in range(2, isqrt(n) + 1):
-        if n % p:
-            continue
-        while n % p == 0:
-            n //= p
-        return p if n == 1 else None
-    return n if n > 1 else None
-
-
 def miyawaki_search(ell: int, coeff_bound: int = 8) -> dict[int, list[WeierstrassCurve]]:
     """Box search for semistable prime-power-discriminant curves with a
     rational point of order ell.
@@ -128,9 +107,10 @@ def miyawaki_search(ell: int, coeff_bound: int = 8) -> dict[int, list[Weierstras
                             e = WeierstrassCurve(a1, a2, a3, a4, a6)
                         except SingularCurveError:
                             continue
-                        p = _prime_power_base(abs(invariants(e).disc))
-                        if p is None:
+                        pk = prime_power(abs(invariants(e).disc))
+                        if pk is None:
                             continue
+                        p = pk[0]
                         if local_data(e, p).kind != "multiplicative":
                             continue
                         if not has_rational_ell_torsion(e, ell)[0]:
@@ -149,10 +129,7 @@ def identify_dagger(members, ell: int, p: int) -> WeierstrassCurve:
     best: list[WeierstrassCurve] = []
     best_part = 0
     for e in members:
-        v = ord_at(abs(invariants(e).disc), p)
-        part = 1
-        while v % (part * ell) == 0:
-            part *= ell
+        part = ell ** ord_at(ord_at(invariants(e).disc, p), ell)
         if part > best_part:
             best, best_part = [e], part
         elif part == best_part:
@@ -183,27 +160,16 @@ def two_torsion_field_unramified_at(e: WeierstrassCurve, p: int) -> bool:
     if ord_at(discriminant(cubic), p) % 2:
         return False
     linear_count = 0
-    work = [c % p for c in cubic]
+    work = cubic
     for r in roots_mod(cubic, p):
         # peel (x - r) with multiplicity
         while True:
-            quot, rem = _fp_linear_div(work, r, p)
+            quot, rem = fp_divmod(work, (-r, 1), p)
             if rem:
                 break
             work = quot
             linear_count += 1
     return linear_count == 3
-
-
-def _fp_linear_div(poly, r: int, p: int) -> tuple[list[int], int]:
-    """Synthetic division of poly by (x - r) over F_p: (quotient, remainder)."""
-    acc = 0
-    quot = [0] * (len(poly) - 1)
-    for i in range(len(poly) - 1, 0, -1):
-        acc = (acc * r + poly[i]) % p
-        quot[i - 1] = acc
-    rem = (acc * r + poly[0]) % p
-    return quot, rem
 
 
 def load_seed_rows() -> list[SeedRow]:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 
+from .arith import ord_at
 from .padic import Lattice, PadicContext, PadicMatrix, intersect, lattice_sum
 
 
@@ -379,16 +381,10 @@ def quotient_group_structure(ell: int) -> QuotientBound:
     core_order = len(core_group)
     core_abelian = all(_compose(a, b) == _compose(b, a)
                        for a in core_group for b in core_group)
-    core_exponent = 1
-    for h in core_group:
-        o = _perm_order(h)
-        core_exponent = core_exponent * o // _gcd(core_exponent, o)
+    core_exponent = lcm(*(_perm_order(h) for h in core_group))
     core_rank = 0
     if core_abelian and core_exponent == ell:
-        n = core_order
-        while n > 1:
-            n //= ell
-            core_rank += 1
+        core_rank = ord_at(core_order, ell)
     elif core_order > 1:
         core_rank = 1
 
@@ -413,12 +409,6 @@ def quotient_group_structure(ell: int) -> QuotientBound:
         label = "(Z/5 x Z/5) : Z/4"
     return QuotientBound(ell, words, order, abelian, label, core_order,
                          core_abelian, core_exponent, core_rank, inverts)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _reduced(mat: PadicMatrix, ctx: PadicContext) -> PadicMatrix:

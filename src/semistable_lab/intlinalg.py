@@ -1,10 +1,12 @@
-"""Small exact integer matrix routines: Smith form and kernels.
+"""Small exact integer matrix routines: Smith form, kernels, F_l echelon.
 
 Matrices are lists of row lists of Python ints. Sizes here are tiny
 (ambient rank <= 8), so the plain gcd-driven eliminations below are fine.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 def _mat_copy(m: list[list[int]]) -> list[list[int]]:
@@ -13,21 +15,6 @@ def _mat_copy(m: list[list[int]]) -> list[list[int]]:
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += aik * bk[j]
-    return out
 
 
 def smith_diagonal(mat: list[list[int]]) -> list[int]:
@@ -222,38 +209,38 @@ def kernel_mod(mat: list[list[int]], modulus: int) -> list[list[int]]:
     for j in range(cols):
         dj = d[j][j] if j < rows else 0
         # Least s >= 1 with s*dj == 0 (mod modulus); dj == 0 means y_j is free.
-        scale = 1 if dj == 0 else modulus // _gcd(dj, modulus)
+        scale = 1 if dj == 0 else modulus // gcd(dj, modulus)
         col = [(v[i][j] * scale) % modulus for i in range(cols)]
         if any(col):
             gens.append(col)
     return gens
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def fl_echelon(vectors, ell: int) -> list[tuple[int, ...]]:
+    """Reduced echelon basis of the F_ell span of the vectors, by pivot.
 
-
-def solve_mod(mat: list[list[int]], target: list[int], modulus: int) -> list[int] | None:
-    """One solution x of mat*x == target (mod modulus), or None."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if rows == 0:
-        return [0] * cols
-    d, u, v = smith_with_transforms(mat)
-    t = [sum(u[i][k] * target[k] for k in range(rows)) % modulus for i in range(rows)]
-    y = [0] * cols
-    for i in range(rows):
-        di = d[i][i] if i < cols else 0
-        if di == 0:
-            if t[i] % modulus:
-                return None
+    Each basis vector has pivot entry 1 and is zero in every other pivot
+    column; the rank of the span is the length of the basis.
+    """
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for v in vectors:
+        v = [x % ell for x in v]
+        for b, p in zip(basis, pivots):
+            if v[p]:
+                c = v[p]
+                v = [(x - c * y) % ell for x, y in zip(v, b)]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
             continue
-        g = _gcd(di, modulus)
-        if t[i] % g:
-            return None
-        # Solve di * y == t[i] (mod modulus).
-        di_g, m_g, t_g = di // g, modulus // g, t[i] // g
-        y[i] = (t_g * pow(di_g, -1, m_g)) % m_g
-    return [sum(v[i][k] * y[k] for k in range(cols)) % modulus for i in range(cols)]
+        inv = pow(v[piv], -1, ell)
+        v = [(inv * x) % ell for x in v]
+        for b in basis:
+            if b[piv]:
+                c = b[piv]
+                for i in range(len(v)):
+                    b[i] = (b[i] - c * v[i]) % ell
+        basis.append(v)
+        pivots.append(piv)
+    order = sorted(range(len(basis)), key=lambda i: pivots[i])
+    return [tuple(basis[i]) for i in order]

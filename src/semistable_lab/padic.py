@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import intlinalg
-from .arith import is_prime
+from .arith import is_prime, ord_at
 
 
 class PrecisionLossError(ArithmeticError):
@@ -317,17 +317,7 @@ def _smith_valuations(cols: list[list[int]], ctx: PadicContext) -> list[int]:
     r = len(cols[0])
     mat = [[cols[j][i] for j in range(len(cols))] for i in range(r)]
     diag = intlinalg.smith_diagonal(mat)
-    out = []
-    for d in diag:
-        if d == 0:
-            out.append(ctx.precision)
-        else:
-            v = 0
-            while d % ctx.ell == 0:
-                d //= ctx.ell
-                v += 1
-            out.append(v)
-    return sorted(out)
+    return sorted(ord_at(d, ctx.ell) if d else ctx.precision for d in diag)
 
 
 @dataclass(frozen=True)
@@ -531,44 +521,13 @@ def lattice_sum(x: Lattice, y: Lattice) -> tuple[Lattice, bool, bool]:
 
 def project_mod_ell(x: Lattice) -> list[tuple[int, ...]]:
     """Basis (reduced echelon over F_l) of the image of X in F_l^r."""
-    ell = x.ctx.ell
-    vecs = [[c % ell for c in col] for col in x.basis]
-    return _fl_rref(vecs, ell, x.ambient_rank)
-
-
-def _fl_rref(vecs: list[list[int]], ell: int, r: int) -> list[tuple[int, ...]]:
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for v in vecs:
-        v = list(v)
-        for b, p in zip(basis, pivots):
-            if v[p]:
-                c = v[p]
-                v = [(x - c * y) % ell for x, y in zip(v, b)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            continue
-        inv = pow(v[piv], -1, ell)
-        v = [(inv * x) % ell for x in v]
-        for b, p in zip(basis, pivots):
-            if b[piv]:
-                c = b[piv]
-                for i in range(r):
-                    b[i] = (b[i] - c * v[i]) % ell
-        basis.append(v)
-        pivots.append(piv)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [tuple(basis[i]) for i in order]
+    return intlinalg.fl_echelon(x.basis, x.ctx.ell)
 
 
 def _fl_dim_intersection(a: list[tuple[int, ...]], b: list[tuple[int, ...]], ell: int) -> int:
     if not a or not b:
         return 0
-    r = len(a[0])
-    dim_a = len(a)
-    dim_b = len(b)
-    joint = _fl_rref([list(v) for v in a] + [list(v) for v in b], ell, r)
-    return dim_a + dim_b - len(joint)
+    return len(a) + len(b) - len(intlinalg.fl_echelon(a + b, ell))
 
 
 @dataclass(frozen=True)

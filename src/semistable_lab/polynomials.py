@@ -13,8 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .arith import is_prime
+from .arith import factorize, is_prime
 
 
 def trim(coeffs) -> tuple[int, ...]:
@@ -74,17 +75,7 @@ def pderiv(a):
 
 
 def content(a) -> int:
-    g = 0
-    for c in a:
-        g = _gcd(g, c)
-    return g
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
+    return gcd(*a)
 
 
 def pseudo_rem(a, b):
@@ -353,25 +344,11 @@ def is_irreducible(m, p) -> bool:
     x = (0, 1)
     if fp_powmod(x, p**k, m, p) != fp_divmod(x, m, p)[1]:
         return False
-    for d in _prime_divisors(k):
+    for d in factorize(k):
         h = psub(fp_powmod(x, p ** (k // d), m, p), x)
         if degree(fp_gcd(h, m, p)) != 0:
             return False
     return True
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def find_irreducible(p, k, seed=0):

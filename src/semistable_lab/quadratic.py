@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import is_prime, is_squarefree
+from .arith import is_prime, is_squarefree, ord_at
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,6 @@ def class_number(disc: int) -> int:
     return len(reduced_forms(disc))
 
 
-def _two_part(n: int) -> int:
-    part = 1
-    while n % 2 == 0:
-        part *= 2
-        n //= 2
-    return part
-
-
 @dataclass(frozen=True)
 class ControlledExtensionReport:
     """Shape of the maximal 2-extension controlled at the odd prime p."""
@@ -126,7 +118,7 @@ def controlled_two_extension(p: int) -> ControlledExtensionReport:
         raise ValueError(f"p must be prime, got {p}")
     disc = -p if p % 4 == 3 else -4 * p
     h = class_number(disc)
-    n = _two_part(h)
+    n = 2 ** ord_at(h, 2)
     return ControlledExtensionReport(
         p=p,
         disc=disc,

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
+from .arith import is_prime, ord_at
+
 
 @dataclass(frozen=True)
 class RamFiltration:
@@ -239,7 +241,7 @@ def check_tower_equivalence(t: TowerData, ell: int) -> TowerReport:
     the derived quotient); the report records each side and whether they
     agree, which must hold for every consistent tower.
     """
-    if ell < 2 or any(ell % d == 0 for d in range(2, ell)):
+    if not is_prime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
     tame = t.total.order(0) // t.total.order(1)
     if tame != ell - 1:
@@ -249,9 +251,7 @@ def check_tower_equivalence(t: TowerData, ell: int) -> TowerReport:
     span = len(t.total.orders)
     for x in range(1, span):
         o = t.total.order(x)
-        while o % ell == 0:
-            o //= ell
-        if o != 1:
+        if o != ell ** ord_at(o, ell):
             raise ValueError(
                 f"inconsistent tower orders: wild level {x} has order "
                 f"{t.total.order(x)} not a power of {ell}"

@@ -1,0 +1,139 @@
+"""Shared integer helpers: primality bound, valuations, prime powers, F_l
+echelon, and the CLI faults that the primality and big-integer paths had."""
+
+import random
+
+import pytest
+
+from semistable_lab import cli
+from semistable_lab.arith import (
+    PRIMALITY_BOUND,
+    factorize,
+    is_prime,
+    ord_at,
+    prime_power,
+)
+from semistable_lab.intlinalg import fl_echelon
+from test_padic import _fl_rank, _fl_span
+
+# strong pseudoprimes to the prime bases 2..37 and 2..41
+# (Sorenson & Webster, Math. Comp. 86, 2017)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def trial_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(-5, 5000) if is_prime(n)] == [
+            n for n in range(-5, 5000) if trial_prime(n)]
+
+    def test_psi_12_is_composite(self):
+        assert PSI_12 == 399165290221 * 798330580441
+        assert is_prime(PSI_12) is False
+
+    def test_bound_is_psi_13(self):
+        assert PRIMALITY_BOUND == PSI_13 == 1287836182261 * 2575672364521
+        assert is_prime(PSI_13 - 1) is False  # just below: answered
+
+    @pytest.mark.parametrize("n", [PSI_13, PSI_13 + 2, 10**30])
+    def test_refused_from_psi_13_on(self, n):
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            is_prime(n)
+
+    def test_factorize_small_inputs(self):
+        assert factorize(1) == {}
+        assert factorize(-360) == {2: 3, 3: 2, 5: 1}
+        assert factorize(10007 * 10009) == {10007: 1, 10009: 1}
+
+
+class TestOrdAt:
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError, match="valuation of 0"):
+            ord_at(0, 3)
+
+    @pytest.mark.parametrize("n,p,v", [(-24, 2, 3), (-81, 3, 4), (-7, 3, 0),
+                                       (-1, 5, 0), (-250, 5, 3)])
+    def test_negative_arguments(self, n, p, v):
+        assert ord_at(n, p) == v == ord_at(-n, p)
+
+    def test_matches_repeated_division(self):
+        for n in range(1, 3000):
+            for p in (2, 3, 5, 7):
+                m, v = n, 0
+                while m % p == 0:
+                    m, v = m // p, v + 1
+                assert ord_at(n, p) == v
+
+
+class TestPrimePower:
+    def test_matches_trial_division(self):
+        for n in range(1, 20001):
+            factors, m, d = [], n, 2
+            while d * d <= m:
+                while m % d == 0:
+                    factors.append(d)
+                    m //= d
+                d += 1
+            if m > 1:
+                factors.append(m)
+            expected = ((factors[0], len(factors))
+                        if factors and len(set(factors)) == 1 else None)
+            assert prime_power(n) == expected, n
+
+    @pytest.mark.parametrize("n", [0, -1, -8])
+    def test_below_two_is_not_a_prime_power(self, n):
+        assert prime_power(n) is None
+
+
+class TestFlEchelon:
+    @pytest.mark.parametrize("ell", [2, 3, 5, 7])
+    def test_rank_matches_oracle(self, ell):
+        rng = random.Random(f"fl-echelon:{ell}")
+        for _ in range(200):
+            r = rng.randint(1, 6)
+            vecs = [[rng.randrange(-3 * ell, 3 * ell) for _ in range(r)]
+                    for _ in range(rng.randint(0, 5))]
+            # redundant combinations keep the rank below the vector count
+            for _ in range(rng.randint(0, 3)):
+                if vecs:
+                    a, b = rng.choice(vecs), rng.choice(vecs)
+                    c = rng.randrange(ell)
+                    vecs.append([x + c * y for x, y in zip(a, b)])
+            basis = fl_echelon(vecs, ell)
+            assert len(basis) == _fl_rank(vecs, ell, r)
+            assert frozenset(basis) == _fl_span(vecs, ell, r)
+            pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+            assert pivots == sorted(set(pivots))
+            for b, p in zip(basis, pivots):
+                assert b[p] == 1
+                assert all(other[p] == 0 for other in basis if other is not b)
+
+
+class TestCliFaults:
+    @pytest.mark.parametrize("n", [PSI_12, PSI_13])
+    def test_pseudoprime_refused_without_report(self, n, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["curve-info", "--curve", "0,-1,1,-10,-20",
+                      "--primes", str(n)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_modulus_past_int_str_limit(self):
+        # 5^6200 has 4334 digits, past the default limit of 4300; the
+        # string is read back in chunks so the limit is never raised here
+        report, status = cli.run(["verify-identities", "--ell", "5", "--s",
+                                  "5", "--precision", "6200", "--d", "1"])
+        assert status == 0
+        assert report["checks"]
+        assert all(c["pass"] for c in report["checks"])
+        digits = report["results"]["modulus"]
+        assert len(digits) == 4334 and digits.isdigit()
+        value = 0
+        for i in range(0, len(digits), 1000):
+            chunk = digits[i:i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == 5**6200

@@ -21,7 +21,6 @@ def run_cli(argv):
 def run_proc(argv, env=None):
     import os
     merged = dict(os.environ)
-    merged.pop("SEMISTABLE_LAB_THREADS", None)
     if env:
         merged.update(env)
     return subprocess.run(
@@ -116,23 +115,6 @@ class TestUsageErrors:
         r = run_proc(["genus2-disc", "--p-coeffs", "0,0,0,0,0,1",
                       "--q-coeffs", "0,1"])
         assert r.returncode == 2
-
-
-class TestWorkerCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("SEMISTABLE_LAB_THREADS", raising=False)
-        assert cli.worker_count() == 1
-
-    def test_env_caps_workers(self, monkeypatch):
-        import os
-        monkeypatch.setenv("SEMISTABLE_LAB_THREADS", "3")
-        assert cli.worker_count() == min(3, os.cpu_count() or 1)
-
-    @pytest.mark.parametrize("bad", ["zebra", "0", "-2"])
-    def test_invalid_env_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("SEMISTABLE_LAB_THREADS", bad)
-        with pytest.raises(SystemExit):
-            cli.worker_count()
 
 
 class TestKnownValues:
@@ -279,9 +261,3 @@ class TestPaperSuite:
         assert report["results"]["passed"] == 20
         assert report["results"]["failed"] == []
         assert all(c["provenance"] == "paper" for c in report["checks"])
-
-    def test_worker_env_does_not_change_output(self, monkeypatch):
-        base, _ = run_cli(["paper-suite"])
-        monkeypatch.setenv("SEMISTABLE_LAB_THREADS", "2")
-        threaded, _ = run_cli(["paper-suite"])
-        assert threaded["checks"] == base["checks"]
