@@ -91,7 +91,7 @@ def _parse_curve(text: str) -> WeierstrassCurve:
 # ---------------------------------------------------------------- subcommands
 
 
-def _cmd_ns_enumerate(args) -> tuple[dict, dict, list[dict]]:
+def _cmd_ns_enumerate(args) -> tuple[dict, list[dict]]:
     pairs = families.ns_enumerate(args.bound)
     residues_ok = all(pr.p % 8 == 1 for pr in pairs)
     disc_ok = all(
@@ -120,10 +120,10 @@ def _cmd_ns_enumerate(args) -> tuple[dict, dict, list[dict]]:
         _check("discriminants-are-p-and-minus-p-squared", True, disc_ok, "paper"),
         _check("ordinary-at-two", True, ordinary_ok, "paper"),
     ]
-    return {"bound": args.bound}, results, checks
+    return results, checks
 
 
-def _cmd_miyawaki_search(args) -> tuple[dict, dict, list[dict]]:
+def _cmd_miyawaki_search(args) -> tuple[dict, list[dict]]:
     hits = families.miyawaki_search(args.ell, args.bound)
     defining_ok = True
     for p, curves in hits.items():
@@ -144,16 +144,14 @@ def _cmd_miyawaki_search(args) -> tuple[dict, dict, list[dict]]:
         checks.append(_check("prime-set-in-documented-box",
                              _MIYAWAKI_PRIMES[args.ell], sorted(hits),
                              "paper"))
-    return {"ell": args.ell, "bound": args.bound}, results, checks
+    return results, checks
 
 
-def _cmd_dagger(args) -> tuple[dict, dict, list[dict]]:
+def _cmd_dagger(args) -> tuple[dict, list[dict]]:
     rep = families.dagger_report(args.ell, args.p)
     expected_val = 4 if (args.ell, args.p) == (2, 17) else args.ell
-    closure_set = set()
-    for e in rep.members:
-        closure_set.update(q.coefficients() for q in isogeny_class(e))
-    closure = sorted(closure_set)
+    closure = sorted({q.coefficients() for e in rep.members
+                      for q in isogeny_class(e, 1)})
     members = sorted(e.coefficients() for e in rep.members)
     results = {
         "seed": rep.seed,
@@ -173,10 +171,10 @@ def _cmd_dagger(args) -> tuple[dict, dict, list[dict]]:
     if args.ell == 2:
         checks.append(_check("two-torsion-unramified-signal", True,
                              rep.unramified_signal, "derived"))
-    return {"ell": args.ell, "p": args.p}, results, checks
+    return results, checks
 
 
-def _cmd_verify_identities(args) -> tuple[dict, dict, list[dict]]:
+def _cmd_verify_identities(args) -> tuple[dict, list[dict]]:
     rep = galois.build_rep(args.ell, args.d, args.s, args.precision)
     flat = lambda mat: [x for row in mat.rows for x in row]
     checks = []
@@ -189,9 +187,7 @@ def _cmd_verify_identities(args) -> tuple[dict, dict, list[dict]]:
         "sigma": flat(rep.sigma),
         "tau": flat(rep.tau),
     }
-    inputs = {"ell": args.ell, "s": args.s, "precision": args.precision,
-              "d": args.d}
-    return inputs, results, checks
+    return results, checks
 
 
 def _node_payload(node: galois.MaximalNode) -> dict:
@@ -203,7 +199,7 @@ def _node_payload(node: galois.MaximalNode) -> dict:
     }
 
 
-def _cmd_isogeny_maximal(args) -> tuple[dict, dict, list[dict]]:
+def _cmd_isogeny_maximal(args) -> tuple[dict, list[dict]]:
     ell, s, n = args.ell, args.s, args.n
     precision = max(4, n + 2)
     rep1 = galois.build_rep(ell, 1, s, precision)
@@ -237,20 +233,20 @@ def _cmd_isogeny_maximal(args) -> tuple[dict, dict, list[dict]]:
         _check("product-transfer-multiplicative", True, multiplicative,
                "derived"),
     ]
-    return {"ell": ell, "s": s, "n": n}, results, checks
+    return results, checks
 
 
-def _cmd_class_number(args) -> tuple[dict, dict, list[dict]]:
+def _cmd_class_number(args) -> tuple[dict, list[dict]]:
     h = quadratic.class_number(args.disc)
     results = {"disc": args.disc, "class_number": h}
     checks = []
     if args.disc in _CLASS_NUMBER_TABLE:
         expected, tag = _CLASS_NUMBER_TABLE[args.disc]
         checks.append(_check("class-number", expected, h, tag))
-    return {"disc": args.disc}, results, checks
+    return results, checks
 
 
-def _cmd_controlled_degree(args) -> tuple[dict, dict, list[dict]]:
+def _cmd_controlled_degree(args) -> tuple[dict, list[dict]]:
     rep = quadratic.controlled_two_extension(args.p)
     results = {
         "p": rep.p, "disc": rep.disc, "class_number": rep.h,
@@ -265,10 +261,10 @@ def _cmd_controlled_degree(args) -> tuple[dict, dict, list[dict]]:
         h, degree, tag = _CONTROLLED_TABLE[args.p]
         checks.append(_check("class-number", h, rep.h, tag))
         checks.append(_check("degree-over-q", degree, rep.degree_over_Q, tag))
-    return {"p": args.p}, results, checks
+    return results, checks
 
 
-def _cmd_gamma_rank(args) -> tuple[dict, dict, list[dict]]:
+def _cmd_gamma_rank(args) -> tuple[dict, list[dict]]:
     rep = cyclotomic.unit_image_rank(args.ell, args.p)
     spl = cyclotomic.splitting(args.ell, args.p)
     results = {
@@ -290,10 +286,10 @@ def _cmd_gamma_rank(args) -> tuple[dict, dict, list[dict]]:
         checks.append(_check("quotient-rank", 3, rep.bound, "paper"))
     elif args.ell == 2 and args.p % 8 == 1:
         checks.append(_check("quotient-rank", 2, rep.bound, "derived"))
-    return {"ell": args.ell, "p": args.p}, results, checks
+    return results, checks
 
 
-def _cmd_ramification(args) -> tuple[dict, dict, list[dict]]:
+def _cmd_ramification(args) -> tuple[dict, list[dict]]:
     filt = ramification.RamFiltration(tuple(args.orders))
     jumps = ramification.upper_jumps(filt)
     cond = ramification.conductor_exponent(filt)
@@ -312,10 +308,10 @@ def _cmd_ramification(args) -> tuple[dict, dict, list[dict]]:
         "break_bound_ok": verdict,
     }
     checks = [_check("herbrand-roundtrip", True, roundtrip, "derived")]
-    return {"orders": list(args.orders), "ell": args.ell}, results, checks
+    return results, checks
 
 
-def _cmd_curve_info(args) -> tuple[dict, dict, list[dict]]:
+def _cmd_curve_info(args) -> tuple[dict, list[dict]]:
     e = args.curve
     inv = invariants(e)
     results = {
@@ -326,24 +322,20 @@ def _cmd_curve_info(args) -> tuple[dict, dict, list[dict]]:
         "j": inv.j,
     }
     if args.primes:
-        local = []
-        for p in args.primes:
-            ld = local_data(e, p)
-            local.append({"p": ld.p, "kind": ld.kind,
-                          "component_order": ld.component_order})
-        results["local"] = local
+        results["local"] = [
+            {"p": ld.p, "kind": ld.kind, "component_order": ld.component_order}
+            for ld in (local_data(e, p) for p in args.primes)]
     checks = [
         _check("b-invariant-relation", 4 * inv.b8,
                inv.b2 * inv.b6 - inv.b4**2, "trivial"),
         _check("discriminant-relation", 1728 * inv.disc,
                inv.c4**3 - inv.c6**2, "trivial"),
     ]
-    return {"curve": e, "primes": args.primes or []}, results, checks
+    return results, checks
 
 
-def _cmd_genus2_disc(args) -> tuple[dict, dict, list[dict]]:
-    p_poly = tuple(args.p_coeffs)
-    q_poly = tuple(args.q_coeffs)
+def _cmd_genus2_disc(args) -> tuple[dict, list[dict]]:
+    p_poly, q_poly = tuple(args.p_coeffs), tuple(args.q_coeffs)
     odd = hyperelliptic_odd_disc(p_poly, q_poly)
     factors = factorize(abs(odd)) if odd else {}
     results = {
@@ -356,99 +348,66 @@ def _cmd_genus2_disc(args) -> tuple[dict, dict, list[dict]]:
     if (p_poly, q_poly) == _GENUS2_REFERENCE:
         checks.append(_check("odd-part-is-power-of-277",
                              [277], sorted(factors), "paper"))
-    return {"p_coeffs": list(p_poly), "q_coeffs": list(q_poly)}, results, checks
+    return results, checks
 
 
 # ---------------------------------------------------------------- paper suite
 
-
-def _suite_controlled_degree() -> list[dict]:
-    rep = quadratic.controlled_two_extension(41)
-    return [
-        _check("controlled-degree-41-class-number", 8, rep.h, "paper"),
-        _check("controlled-degree-41-degree", 32, rep.degree_over_Q, "paper"),
-    ]
-
-
-def _suite_class_number() -> list[dict]:
-    return [_check("class-number-minus-164", 8,
-                   quadratic.class_number(-164), "paper")]
-
-
-def _suite_gamma_rank() -> list[dict]:
-    rep = cyclotomic.unit_image_rank(5, 31)
-    return [_check("gamma-rank-5-31-quotient-rank", 3, rep.bound, "paper")]
-
-
-def _suite_identities() -> list[dict]:
-    ok = True
-    for ell in (2, 3, 5):
-        for s in (ell, 2 * ell):
-            for precision in (4, 6):
-                for d in (1, 2):
-                    rep = galois.build_rep(ell, d, s, precision)
-                    ok &= galois.identities_pass(rep)
-    return [_check("identity-grid-exact", True, ok, "paper")]
-
-
-def _suite_ns_enumerate() -> list[dict]:
-    _, _, checks = _cmd_ns_enumerate(argparse.Namespace(bound=10000))
-    return [dict(c, name=f"ns-{c['name']}") for c in checks]
+# paper-suite is the `paper` checks of these command lines, renamed in order.
+# A row of several lines yields one check that passes when every `paper`
+# check of every line passes.
+_IDENTITY_GRID = [
+    f"verify-identities --ell {ell} --s {s} --precision {precision} --d {d}"
+    for ell in (2, 3, 5) for s in (ell, 2 * ell)
+    for precision in (4, 6) for d in (1, 2)]
+_PAPER_SUITE = [
+    (["controlled-degree --p 41"],
+     ["controlled-degree-41-class-number", "controlled-degree-41-degree"]),
+    (["class-number --disc -164"], ["class-number-minus-164"]),
+    (["gamma-rank --ell 5 --p 31"], ["gamma-rank-5-31-quotient-rank"]),
+    (_IDENTITY_GRID, ["identity-grid-exact"]),
+    (["ns-enumerate --bound 10000"],
+     ["ns-every-prime-is-1-mod-8",
+      "ns-discriminants-are-p-and-minus-p-squared", "ns-ordinary-at-two"]),
+    (["dagger --ell 2 --p 17"], ["dagger-valuation-2-17"]),
+    (["dagger --ell 2 --p 73"], ["dagger-valuation-2-73"]),
+    (["dagger --ell 3 --p 19"], ["dagger-valuation-3-19"]),
+    (["dagger --ell 3 --p 37"], ["dagger-valuation-3-37"]),
+    (["dagger --ell 5 --p 11"], ["dagger-valuation-5-11"]),
+    (["isogeny-maximal --ell 2 --s 2 --n 1"],
+     ["isogeny-maximal-part", "isogeny-sigma-trivial-exactly-on-maximal",
+      "isogeny-product-graph-maximal-part"]),
+    (["miyawaki-search --ell 3"], ["miyawaki-primes-ell-3"]),
+    (["miyawaki-search --ell 5"], ["miyawaki-primes-ell-5"]),
+    (["miyawaki-search --ell 7"], ["miyawaki-primes-ell-7"]),
+    (["genus2-disc --p-coeffs 0,-1,2,-2,0,1 --q-coeffs 1"],
+     ["genus2-odd-part-power-of-277"]),
+]
 
 
-def _suite_dagger() -> list[dict]:
-    out = []
-    for ell, p in ((2, 17), (2, 73), (3, 19), (3, 37), (5, 11)):
-        rep = families.dagger_report(ell, p)
-        expected = 4 if (ell, p) == (2, 17) else ell
-        out.append(_check(f"dagger-valuation-{ell}-{p}", expected,
-                          rep.dagger_valuation, "paper"))
-    return out
-
-
-def _suite_isogeny_maximal() -> list[dict]:
-    _, _, checks = _cmd_isogeny_maximal(argparse.Namespace(ell=2, s=2, n=1))
-    keep = {"maximal-part", "sigma-trivial-exactly-on-maximal",
-            "product-graph-maximal-part"}
-    return [dict(c, name=f"isogeny-{c['name']}") for c in checks
-            if c["name"] in keep]
-
-
-def _suite_miyawaki() -> list[dict]:
-    out = []
-    for ell, expected in sorted(_MIYAWAKI_PRIMES.items()):
-        hits = families.miyawaki_search(ell, 8)
-        out.append(_check(f"miyawaki-primes-ell-{ell}", expected,
-                          sorted(hits), "paper"))
-    return out
-
-
-def _suite_genus2() -> list[dict]:
-    odd = hyperelliptic_odd_disc(*_GENUS2_REFERENCE)
-    return [_check("genus2-odd-part-power-of-277", [277],
-                   sorted(factorize(abs(odd))), "paper")]
-
-
-def _cmd_paper_suite(args) -> tuple[dict, dict, list[dict]]:
-    units = [
-        _suite_controlled_degree,
-        _suite_class_number,
-        _suite_gamma_rank,
-        _suite_identities,
-        _suite_ns_enumerate,
-        _suite_dagger,
-        _suite_isogeny_maximal,
-        _suite_miyawaki,
-        _suite_genus2,
-    ]
-    checks = [c for unit in units for c in unit()]
+def _cmd_paper_suite(args) -> tuple[dict, list[dict]]:
+    parser = _build_parser()
+    checks = []
+    for lines, names in _PAPER_SUITE:
+        found = []
+        for line in lines:
+            sub = parser.parse_args(line.split())
+            found += [c for c in sub.handler(sub)[1]
+                      if c["provenance"] == "paper"]
+        if len(lines) > 1:
+            found = [_check(names[0], True, all(c["pass"] for c in found),
+                            "paper")]
+        if len(found) != len(names):
+            raise AssertionError(f"{lines[0]!r} has {len(found)} paper "
+                                 f"checks for {len(names)} suite names")
+        checks += [dict(c, name=name) for name, c in zip(names, found)]
     results = {
         "total": len(checks),
         "passed": sum(1 for c in checks if c["pass"]),
         "failed": [c["name"] for c in checks if not c["pass"]],
         "workers": 1,  # kept so that reports stay byte-identical
     }
-    return {}, results, checks
+    return results, checks
 
 
 # ------------------------------------------------------------------- wiring
@@ -529,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="Weierstrass invariants and reduction data")
     ci.add_argument("--curve", type=_parse_curve, required=True,
                     help="five comma-separated integers a1,a2,a3,a4,a6")
-    ci.add_argument("--primes", type=_int_list, default=None)
+    ci.add_argument("--primes", type=_int_list, default=[])
     ci.set_defaults(handler=_cmd_curve_info)
 
     g2 = sub.add_parser("genus2-disc",
@@ -552,9 +511,11 @@ def run(argv: list[str] | None = None) -> tuple[dict, int]:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        inputs, results, checks = args.handler(args)
+        results, checks = args.handler(args)
     except ValueError as exc:
         parser.error(str(exc))
+    inputs = {k: v for k, v in vars(args).items()
+              if k not in ("meta", "command", "handler")}
     report = {
         "schema": 1,
         "command": args.command,

@@ -186,7 +186,8 @@ def _local_places(ell: int, p: int):
 def _order_ell_character(field: GF, ell: int):
     """Map onto Z/ell with kernel the ell-th powers of the residue field."""
     e = (field.order - 1) // ell
-    t = 1
+    # for f > 1 every constant is an ell-th power, so start the scan at y
+    t = 1 if field.f == 1 else field.p
     while True:
         digits = []
         n = t

@@ -81,13 +81,16 @@ def build_rep(ell: int, d: int, s: int, precision: int) -> GaloisRep:
     omega = m - 1 if ell == 2 else teichmuller_unit(ctx, 2)
     sigma_block = PadicMatrix.from_rows(ctx, [[1, s], [0, 1]])
     tau_block = PadicMatrix.from_rows(ctx, [[0, -omega], [1, 1 + omega]])
-    assert tau_block.det() == omega
+    if tau_block.det() != omega:
+        raise AssertionError("tau block determinant is not omega")
     quad = (tau_block @ tau_block - tau_block.scale(1 + omega)
             + PadicMatrix.identity(ctx, 2).scale(omega))
-    assert not any(x for row in quad.rows for x in row)
+    if any(x for row in quad.rows for x in row):
+        raise AssertionError("tau block fails its quadratic relation")
     if ell == 2:
         # omega = -1 collapses the block to the plain swap
-        assert tau_block.rows == ((0, 1), (1, 0))
+        if tau_block.rows != ((0, 1), (1, 0)):
+            raise AssertionError("tau block at ell = 2 is not the swap")
     return GaloisRep(ctx, d, s % m, omega,
                      sigma_block.block_diag(d), tau_block.block_diag(d))
 
@@ -362,7 +365,8 @@ def quotient_group_structure(ell: int) -> QuotientBound:
     s_perm = tuple(row[0] for row in tbl)
     t_perm = tuple(row[2] for row in tbl)
     elements = _perm_closure([s_perm, t_perm])
-    assert len(elements) == len(tbl)
+    if len(elements) != len(tbl):
+        raise AssertionError("coset table and permutation group disagree")
     order = len(tbl)
     abelian = _compose(s_perm, t_perm) == _compose(t_perm, s_perm)
 
@@ -396,16 +400,22 @@ def quotient_group_structure(ell: int) -> QuotientBound:
                       for h in core_group)
 
     if ell == 2:
-        assert order == 4 and abelian
-        assert all(_perm_order(p) <= 2 for p in elements)
+        if not (order == 4 and abelian):
+            raise AssertionError("ell = 2 quotient is not abelian of order 4")
+        if any(_perm_order(p) > 2 for p in elements):
+            raise AssertionError("ell = 2 quotient has an element of order 4")
         label = "Z/2 x Z/2"
     elif ell == 3:
-        assert order == 6 and not abelian and core_order == 3
+        if not (order == 6 and not abelian and core_order == 3):
+            raise AssertionError("ell = 3 quotient is not S3")
         label = "S3"
     else:
-        assert order == 100 and core_order == 25
-        assert core_abelian and core_exponent == 5 and core_rank == 2
-        assert inverts
+        if not (order == 100 and core_order == 25):
+            raise AssertionError("ell = 5 quotient or core has wrong order")
+        if not (core_abelian and core_exponent == 5 and core_rank == 2):
+            raise AssertionError("ell = 5 core is not Z/5 x Z/5")
+        if not inverts:
+            raise AssertionError("t^2 does not invert the ell = 5 core")
         label = "(Z/5 x Z/5) : Z/4"
     return QuotientBound(ell, words, order, abelian, label, core_order,
                          core_abelian, core_exponent, core_rank, inverts)

@@ -417,7 +417,8 @@ def roots_mod(a, p) -> list[int]:
         lin = g if degree(g) == 1 else equal_degree_factor(g, 1, p)
         roots.append(-lin[0] * pow(lin[1], -1, p) % p)
         g, rem = fp_divmod(g, lin, p)
-        assert not rem
+        if rem:
+            raise AssertionError("split-off linear factor does not divide")
     return sorted(roots)
 
 

@@ -261,3 +261,40 @@ class TestPaperSuite:
         assert report["results"]["passed"] == 20
         assert report["results"]["failed"] == []
         assert all(c["provenance"] == "paper" for c in report["checks"])
+
+    def test_suite_reads_handler_tables(self, monkeypatch):
+        monkeypatch.setitem(cli._CLASS_NUMBER_TABLE, -164, (9, "paper"))
+        report, status = run_cli(["paper-suite"])
+        assert status == 1
+        assert report["inputs"] == {}
+        assert report["results"]["failed"] == ["class-number-minus-164"]
+        assert report["results"]["total"] == 20
+
+
+class TestInputs:
+    """`inputs` echoes every parsed option, defaults included, in order."""
+
+    @pytest.mark.parametrize("line,inputs", [
+        ("controlled-degree --p 41", {"p": 41}),
+        ("gamma-rank --ell 5 --p 31", {"ell": 5, "p": 31}),
+        ("class-number --disc -164", {"disc": -164}),
+        ("verify-identities --ell 5 --s 5 --precision 4 --d 1",
+         {"ell": 5, "s": 5, "precision": 4, "d": 1}),
+        ("isogeny-maximal --ell 2 --s 2 --n 1", {"ell": 2, "s": 2, "n": 1}),
+        ("ns-enumerate --bound 10000", {"bound": 10000}),
+        ("miyawaki-search --ell 3", {"ell": 3, "bound": 8}),
+        ("dagger --ell 3 --p 19", {"ell": 3, "p": 19}),
+        ("ramification --orders 4,2,1 --ell 2",
+         {"orders": [4, 2, 1], "ell": 2}),
+        ("curve-info --curve 0,-1,1,-10,-20 --primes 2,11",
+         {"curve": [0, -1, 1, -10, -20], "primes": [2, 11]}),
+        ("curve-info --curve 0,-1,1,-10,-20",
+         {"curve": [0, -1, 1, -10, -20], "primes": []}),
+        ("genus2-disc --p-coeffs 0,-1,2,-2,0,1 --q-coeffs 1",
+         {"p_coeffs": [0, -1, 2, -2, 0, 1], "q_coeffs": [1]}),
+        ("genus2-disc --p-coeffs 0,-1,2,-2,0,1",
+         {"p_coeffs": [0, -1, 2, -2, 0, 1], "q_coeffs": [0]}),
+    ])
+    def test_inputs(self, line, inputs):
+        report, _ = run_cli(line.split())
+        assert list(report["inputs"].items()) == list(inputs.items())

@@ -251,3 +251,19 @@ class TestUnitImageRank:
             cyclotomic.unit_image_rank(5, 5)
         with pytest.raises(ValueError):
             cyclotomic.gamma_rank(6, 7)
+
+    def test_character_search_skips_constants(self, monkeypatch):
+        """For f > 1 every constant is an ell-th power; the search for a
+        non-power must not walk through all p - 1 of them."""
+        from semistable_lab import polynomials
+        calls = []
+        pow_ = polynomials.GF.pow
+
+        def counted(self, u, k):
+            calls.append(k)
+            return pow_(self, u, k)
+
+        monkeypatch.setattr(polynomials.GF, "pow", counted)
+        assert cyclotomic.splitting(3, 1301).f == 2
+        cyclotomic.unit_image_rank(3, 1301)
+        assert 0 < len(calls) < 100
