@@ -1,5 +1,5 @@
 """Small shared integer helpers: primality, factorization, divisors,
-valuations and prime powers."""
+valuations, prime powers and square roots modulo a prime."""
 
 from __future__ import annotations
 
@@ -105,6 +105,47 @@ def prime_power(n: int) -> tuple[int, int] | None:
             k = ord_at(n, p)
             return (p, k) if n == p**k else None
     return n, 1
+
+
+def sqrt_mod(n: int, p: int) -> int | None:
+    """The least r in [0, p) with r^2 = n mod the prime p, or None.
+
+    Tonelli-Shanks; the non-residue it needs is the least one, found by
+    Euler's criterion, so the result is deterministic.  p must be prime;
+    a composite p is refused only where a loop would otherwise not end.
+    """
+    n %= p
+    if n == 0 or p == 2:
+        return n
+    half = (p - 1) // 2
+    if pow(n, half, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, half, p) != p - 1:
+        z += 1
+        if z == p:
+            raise ValueError(f"sqrt_mod needs a prime modulus, got {p}")
+    c = pow(z, q, p)
+    r = pow(n, (q + 1) // 2, p)
+    t = pow(n, q, p)
+    while t != 1:
+        # least i with t^(2^i) = 1; i < s because t has order dividing 2^s
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+            if i == s:
+                raise ValueError(f"sqrt_mod needs a prime modulus, got {p}")
+        b = pow(c, 1 << (s - i - 1), p)
+        r = r * b % p
+        c = b * b % p
+        t = t * c % p
+        s = i
+    return min(r, p - r)
 
 
 def divisors(n: int) -> list[int]:

@@ -5,7 +5,9 @@ All subcommands print one JSON report of the same shape:
     {"schema": 1, "command": ..., "inputs": {...}, "results": {...},
      "checks": [{"name", "expected", "actual", "pass", "provenance"}]}
 
-and exit nonzero exactly when some check fails.  Output is deterministic
+and exit 1 when some check fails, 0 when all pass.  A usage error exits 2;
+any other exception exits 3 after printing {"schema": 1, "error":
+{"type", "message"}} in place of a report.  Output is deterministic
 byte for byte for fixed inputs; --meta appends a "meta" object with a
 timestamp after the stable region, so consumers hashing reports must
 strip that key first.  Integers beyond 2^53 - 1 are serialized as
@@ -533,7 +535,17 @@ def run(argv: list[str] | None = None) -> tuple[dict, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    report, status = run(argv)
+    """Print the report; exit 0 if every check passes, 1 if one fails, 2 on
+    a usage error, 3 with a JSON error object if anything else is raised."""
+    try:
+        report, status = run(argv)
+    except Exception as exc:
+        import traceback  # the error path alone pays for this import
+
+        traceback.print_exc()
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        print(json.dumps({"schema": 1, "error": error}, indent=2))
+        return 3
     print(json.dumps(report, indent=2))
     return status
 

@@ -135,6 +135,27 @@ def reduced_form_census(bound):
     return census
 
 
+def reduced_forms_brute(disc):
+    """Reduced forms (a, b, c) of discriminant disc, scanning every b.
+
+    For each a up to sqrt(|D|/3), tries every b of the parity of D in
+    (-a, a] and keeps those with 4a | b^2 - D, c >= a and b >= 0 when
+    c = a.  O(|D|) per call; ordered by a, then b.
+    """
+    out = []
+    for a in range(1, math.isqrt(-disc // 3) + 1):
+        four_a = 4 * a
+        b = -a + 1
+        if (b - disc) % 2:
+            b += 1
+        while b <= a:
+            c, rem = divmod(b * b - disc, four_a)
+            if rem == 0 and c >= a and not (b < 0 and c == a):
+                out.append((a, b, c))
+            b += 2
+    return out
+
+
 def phi_by_integration(orders, u):
     """Transition function as a literal Riemann sum on an exact grid.
 

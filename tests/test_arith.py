@@ -1,5 +1,6 @@
-"""Shared integer helpers: primality bound, valuations, prime powers, F_l
-echelon, and the CLI faults that the primality and big-integer paths had."""
+"""Shared integer helpers: primality bound, valuations, prime powers,
+square roots mod p, F_l echelon, and the CLI faults that the primality and
+big-integer paths had."""
 
 import random
 
@@ -12,6 +13,7 @@ from semistable_lab.arith import (
     is_prime,
     ord_at,
     prime_power,
+    sqrt_mod,
 )
 from semistable_lab.intlinalg import fl_echelon
 from test_padic import _fl_rank, _fl_span
@@ -87,6 +89,43 @@ class TestPrimePower:
     @pytest.mark.parametrize("n", [0, -1, -8])
     def test_below_two_is_not_a_prime_power(self, n):
         assert prime_power(n) is None
+
+
+class TestSqrtMod:
+    def test_matches_brute_force_below_2000(self):
+        # p = 2, p = 3 mod 4, and p = 1 mod 8 (Tonelli loop with s >= 3)
+        primes = [p for p in range(2, 2000) if trial_prime(p)]
+        assert {p % 8 for p in primes} == {1, 2, 3, 5, 7}
+        for p in primes:
+            least = {}
+            for r in range(p - 1, -1, -1):
+                least[r * r % p] = r
+            assert [sqrt_mod(n, p) for n in range(p)] == [
+                least.get(n) for n in range(p)], p
+
+    @pytest.mark.parametrize("n,p", [(2, 5), (3, 7), (3, 17), (-1, 7)])
+    def test_non_residue_is_none(self, n, p):
+        assert sqrt_mod(n, p) is None
+
+    @pytest.mark.parametrize("p", [2, 3, 17, 1000000007])
+    def test_zero_has_root_zero(self, p):
+        assert sqrt_mod(0, p) == 0
+        assert sqrt_mod(5 * p, p) == 0
+
+    @pytest.mark.parametrize("n,p", [(1, 9), (16, 85)])
+    def test_composite_modulus_refused(self, n, p):
+        # (1, 9): no z < 9 passes as a non-residue; (16, 85): the order
+        # search for t runs past s
+        with pytest.raises(ValueError, match="prime modulus"):
+            sqrt_mod(n, p)
+
+    @pytest.mark.parametrize("p", [2**61 - 1, 998244353])  # s = 1, s = 23
+    def test_large_primes(self, p):
+        for n in (-1, 2, 3, 10**18, 123456789):
+            r = sqrt_mod(n, p)
+            residue = pow(n, (p - 1) // 2, p) == 1
+            assert (r is not None) == residue
+            assert r is None or (r * r - n) % p == 0 and 2 * r < p
 
 
 class TestFlEchelon:

@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from semistable_lab import cli
+from semistable_lab import cli, quadratic
 
 
 def run_cli(argv):
@@ -116,6 +117,30 @@ class TestUsageErrors:
                       "--q-coeffs", "0,1"])
         assert r.returncode == 2
 
+    def test_disc_past_limit_refused_at_once(self, capsys):
+        t0 = time.monotonic()
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["class-number", "--disc", "-1000000000007"])
+        assert exc.value.code == 2
+        assert time.monotonic() - t0 < 1.0
+        assert str(quadratic._DISC_LIMIT) in capsys.readouterr().err
+
+
+class TestInternalErrors:
+    def test_uncaught_exception_exits_3_with_error_object(self, monkeypatch,
+                                                          capsys):
+        def broken(args):
+            raise RuntimeError("invariant broke")
+
+        monkeypatch.setattr(cli, "_cmd_class_number", broken)
+        assert cli.main(["class-number", "--disc", "-4"]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "schema": 1,
+            "error": {"type": "RuntimeError", "message": "invariant broke"},
+        }
+        assert "Traceback" in captured.err
+
 
 class TestKnownValues:
     def test_controlled_degree_41(self):
@@ -139,6 +164,15 @@ class TestKnownValues:
         assert status == 0
         assert report["results"]["class_number"] == 2
         assert report["checks"] == []
+
+    def test_controlled_degree_past_a_billion(self):
+        # D = -p is a prime discriminant: one genus, so h is odd
+        report, status = run_cli(["controlled-degree", "--p", "1000000007"])
+        res = report["results"]
+        assert status == 0
+        assert res["disc"] == -1000000007
+        assert res["class_number"] % 2 == 1
+        assert (res["two_part"], res["degree_over_Q"]) == (1, 4)
 
     def test_gamma_rank_5_31(self):
         report, status = run_cli(["gamma-rank", "--ell", "5", "--p", "31"])

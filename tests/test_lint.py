@@ -1,6 +1,7 @@
 """Source rules that hold for every module of the package."""
 
 import ast
+import sys
 from pathlib import Path
 
 import semistable_lab
@@ -17,4 +18,22 @@ def test_no_bare_asserts():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert len(SOURCES) > 1
+    assert found == []
+
+
+def test_runtime_imports_are_stdlib():
+    """The package has no runtime dependency outside the standard library:
+    every import is relative or names a standard-library module."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
     assert found == []

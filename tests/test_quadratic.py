@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from semistable_lab import quadratic
 from semistable_lab.arith import is_prime
 from semistable_lab.quadratic import (
     QuadForm,
@@ -13,7 +14,7 @@ from semistable_lab.quadratic import (
     reduced_forms,
 )
 
-from oracles import reduced_form_census
+from oracles import reduced_form_census, reduced_forms_brute
 
 
 class TestQuadForm:
@@ -105,6 +106,58 @@ class TestCensusAgreement:
             assert class_number(d) == census[absd], d
             checked += 1
         assert checked > 30000
+
+
+def form_triples(disc):
+    return [(f.a, f.b, f.c) for f in reduced_forms(disc)]
+
+
+class TestRootEnumeration:
+    """reduced_forms (square roots of D mod 4a) against the scan over b."""
+
+    def test_every_fundamental_disc_to_20000(self):
+        checked = 0
+        for absd in range(3, 20001):
+            if is_fundamental_discriminant(-absd):
+                assert form_triples(-absd) == reduced_forms_brute(-absd), absd
+                checked += 1
+        assert checked == 6079
+
+    def test_prime_discriminants_near_a_million(self):
+        # D = -p for p = 3 mod 4 and D = -4p for p = 1 mod 4, |D| ~ 10^6
+        minus_p = [p for p in range(10**6, 10**6 + 400)
+                   if p % 4 == 3 and is_prime(p)][:10]
+        minus_4p = [p for p in range(250000, 250400)
+                    if p % 4 == 1 and is_prime(p)][:10]
+        discs = [-p for p in minus_p] + [-4 * p for p in minus_4p]
+        assert len(discs) == 20
+        for d in discs:
+            assert form_triples(d) == reduced_forms_brute(d), d
+
+    @pytest.mark.parametrize("disc,h", [(-10000019, 1275), (-10000036, 876)])
+    def test_frozen_values_near_ten_million(self, disc, h):
+        forms = form_triples(disc)
+        assert len(forms) == class_number(disc) == h
+        assert forms == reduced_forms_brute(disc)
+
+
+class TestDiscLimit:
+    def test_refused_before_squarefree_test(self, monkeypatch):
+        def never(n):
+            raise AssertionError("is_squarefree ran")
+
+        monkeypatch.setattr(quadratic, "is_squarefree", never)
+        with pytest.raises(ValueError, match=str(quadratic._DISC_LIMIT)):
+            class_number(-quadratic._DISC_LIMIT - 1)
+        with pytest.raises(ValueError, match="desk-scale limit"):
+            controlled_two_extension(1000000000039)
+
+    def test_prime_discriminant_has_odd_class_number(self):
+        # genus theory: D = -p has one genus, so h is odd and n = 1
+        rep = controlled_two_extension(1000000007)
+        assert rep.disc == -1000000007
+        assert rep.h % 2 == 1
+        assert (rep.n, rep.degree_over_Q) == (1, 4)
 
 
 class TestControlledExtension:
