@@ -203,6 +203,7 @@ def _node_payload(node: galois.MaximalNode) -> dict:
 
 def _cmd_isogeny_maximal(args) -> tuple[dict, list[dict]]:
     ell, s, n = args.ell, args.s, args.n
+    galois.require_searchable(ell, n, 2)
     precision = max(4, n + 2)
     rep1 = galois.build_rep(ell, 1, s, precision)
     rep2 = galois.build_rep(ell, 2, s, precision)
@@ -210,8 +211,9 @@ def _cmd_isogeny_maximal(args) -> tuple[dict, list[dict]]:
     product = galois.find_ell_maximal(rep2, ell * ell, n)
     filt1, filt2 = galois.filtration(rep1, 1), galois.filtration(rep2, 1)
     multiplicative = True
-    for k1 in galois.stable_submodules(rep1, 1):
-        for k2 in galois.stable_submodules(rep1, 1):
+    subs = galois.stable_submodules(rep1, 1)
+    for k1 in subs:
+        for k2 in subs:
             combined = galois.component_transfer(
                 galois.product_kernel(k1, k2), ell * ell, filt2)
             split = (galois.component_transfer(k1, ell, filt1)

@@ -7,6 +7,11 @@ quadratic character in its determinant.  Everything downstream is exact
 ring arithmetic: twisted commutation identities, word spans inside the
 matrix ring, the lattice of stable submodules, and the order-transfer
 formula across quotients by stable kernels.
+
+The stable submodules of (Z/l^n)^(2d) are found from their atoms, the
+stable closures of single vectors: one vector per orbit of the unit group
+is closed, by adding only the sigma and tau images that fall outside, and
+the atoms that are not sums of smaller ones are then summed in every way.
 """
 
 from __future__ import annotations
@@ -425,51 +430,94 @@ def _reduced(mat: PadicMatrix, ctx: PadicContext) -> PadicMatrix:
     return PadicMatrix.from_rows(ctx, mat.rows)
 
 
+def require_searchable(ell: int, n: int, d: int) -> None:
+    """Refuse a stable-submodule search outside desk scale, before any work."""
+    if n < 1:
+        raise ValueError("level must be at least 1")
+    # n > 3 already means l^n > 9, without building a huge power
+    if n > 3 or ell ** n > 9 or d > 2:
+        raise ValueError("stable submodule search needs l^n <= 9 and d <= 2")
+
+
+def _orbit_representatives(ell: int, n: int, rank: int):
+    """One nonzero vector of (Z/l^n)^rank per orbit of the unit group.
+
+    The representative's first entry of least valuation v is exactly l^v:
+    entries before it are multiples of l^(v+1), entries after it multiples
+    of l^v.  Scaling by a unit u fixes v and that position, and the vector
+    u*x depends only on u mod l^(n-v), so each orbit has one such vector.
+    """
+    q = ell ** n
+    for v in range(n):
+        step = ell ** v
+        for pos in range(rank):
+            head = itertools.product(range(0, q, step * ell), repeat=pos)
+            for before in head:
+                for after in itertools.product(range(0, q, step),
+                                               repeat=rank - pos - 1):
+                    yield before + (step,) + after
+
+
+def _contains_module(big: Lattice, small: Lattice) -> bool:
+    return all(big.contains(b) for b in small.basis)
+
+
 def stable_submodules(rep: GaloisRep, n: int) -> list[Lattice]:
     """Every sigma,tau-stable submodule of (Z/l^n)^(2d).
 
     Exhaustive at desk scale; the guard keeps the ambient module small.
-    Completeness holds because a stable module is the sum of the stable
-    closures of its own elements, and the pairwise-sum pass reaches every
-    finite sum of closures.
+    A stable module is the sum of the stable closures of its elements, its
+    atoms, and the closure of u*x equals that of x for a unit u, so closing
+    one vector per unit orbit finds every atom.  An atom that is the sum of
+    the smaller atoms inside it is dropped; by induction on size, every
+    atom is a sum of the kept ones.  The kept atoms are then added one at
+    a time to every module found so far that does not contain them, so
+    after k atoms every sum of a subset of the first k is found, and after
+    the last every stable module.  Modules come rebased (divisors read off
+    their echelon basis), ordered by size then basis.
     """
     ell = rep.ell
-    if n < 1:
-        raise ValueError("level must be at least 1")
-    if ell ** n > 9 or rep.d > 2:
-        raise ValueError("stable submodule search needs l^n <= 9 and d <= 2")
+    require_searchable(ell, n, rep.d)
     ctx = PadicContext(ell, n)
     rank = rep.rank
     sg, tu = _reduced(rep.sigma, ctx), _reduced(rep.tau, ctx)
 
-    def close(gens: list[tuple[int, ...]]) -> Lattice:
-        lat = Lattice.from_generators(ctx, rank, gens)
-        while True:
-            ext = list(lat.basis)
-            ext += [sg.apply(b) for b in lat.basis]
-            ext += [tu.apply(b) for b in lat.basis]
-            grown = Lattice.from_generators(ctx, rank, ext)
-            if grown.same_module(lat):
-                return grown
-            lat = grown
+    def close(vec: tuple[int, ...]) -> Lattice:
+        # grow by the images that fall outside; every vector put on `todo`
+        # spans the module with the others, and has both images inside it
+        # once popped, so the result is stable and generated by vec
+        lat = Lattice.from_generators(ctx, rank, [vec])
+        todo = [vec]
+        while todo:
+            b = todo.pop()
+            for image in (sg.apply(b), tu.apply(b)):
+                if not lat.contains(image):
+                    lat = Lattice.from_generators(
+                        ctx, rank, lat.basis + (image,))
+                    todo.append(image)
+        return lat
 
-    found: dict[tuple, Lattice] = {}
+    atoms: dict[tuple, Lattice] = {}
+    for vec in _orbit_representatives(ell, n, rank):
+        lat = close(vec)
+        atoms.setdefault(lat.basis, lat)
+    irreducible: list[Lattice] = []
+    for atom in sorted(atoms.values(), key=Lattice.member_count):
+        inside = [b for a in irreducible if _contains_module(atom, a)
+                  for b in a.basis]
+        if Lattice.from_generators(ctx, rank, inside).basis != atom.basis:
+            irreducible.append(atom)
+    # Largest atoms first: later ones then often lie inside and need no join.
     zero = Lattice.zero(ctx, rank)
-    found[zero.basis] = zero
-    for vec in itertools.product(range(ell ** n), repeat=rank):
-        if any(vec):
-            lat = close([vec])
-            found.setdefault(lat.basis, lat)
-    work = list(found.values())
-    while work:
-        cur = work.pop()
-        for other in list(found.values()):
-            total = Lattice.from_generators(
-                ctx, rank, list(cur.basis) + list(other.basis))
-            if total.basis not in found:
-                found[total.basis] = total
-                work.append(total)
-    return sorted(found.values(), key=lambda l: (l.member_count(), l.basis))
+    found = {zero.basis: zero}
+    for atom in reversed(irreducible):
+        for cur in list(found.values()):
+            if not _contains_module(cur, atom):
+                total = Lattice.from_generators(
+                    ctx, rank, cur.basis + atom.basis)
+                found.setdefault(total.basis, total)
+    return sorted((lat.rebased() for lat in found.values()),
+                  key=lambda l: (l.member_count(), l.basis))
 
 
 @dataclass(frozen=True)
@@ -589,6 +637,7 @@ def find_ell_maximal(rep: GaloisRep, phi_ell_start: int,
         raise ValueError("phi_ell_start must be positive")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    require_searchable(rep.ell, n_max, rep.d)
     if rep.ctx.precision < n_max + 2:
         raise ValueError("precision too small for the requested depth")
     nodes: dict[tuple, list] = {}

@@ -4,15 +4,20 @@ Everything lives over the work ring Z/l^N for a prime l and precision N.
 A Lattice is the submodule of (Z/l^N)^r generated by explicit columns; the
 stored basis is a canonical column echelon form (pivots are powers of l,
 columns sorted by increasing pivot valuation then pivot row), so module
-equality is a matrix comparison and membership is a greedy division pass.
+equality is a matrix comparison (Lattice == compares modules) and
+membership is a greedy division pass over the (valuation, row) pivots that
+the echelon pass records.
 
 Purity of X in T = (Z/l^N)^r means T/X is torsion free, detected by the
 Nakayama criterion: every elementary divisor of the basis is 0, equivalently
 the mod-l projection of X has dimension equal to the number of basis columns.
 A divisor that reaches the precision N is indistinguishable from an exact
 relation and is reported as a precision loss rather than silently dropped.
+The divisors of a generating set come from an integer Smith form, which is
+computed only when `elementary_divisors` (or `is_pure`) is first read.
 
-All objects are immutable; every operation returns fresh values, so the
+All objects are immutable apart from that cached read, which stores the
+same value whoever makes it; every operation returns fresh values, so the
 module is safe to drive from concurrent workers.
 """
 
@@ -38,16 +43,14 @@ class PadicContext:
 
     ell: int
     precision: int
+    modulus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.ell):
             raise ValueError(f"ell must be prime, got {self.ell}")
         if self.precision < 1:
             raise ValueError(f"precision must be >= 1, got {self.precision}")
-
-    @property
-    def modulus(self) -> int:
-        return self.ell**self.precision
+        object.__setattr__(self, "modulus", self.ell**self.precision)
 
     def valuation(self, x: int) -> int:
         """l-adic valuation of x in the work ring, clipped at the precision."""
@@ -244,39 +247,51 @@ def column_reduce(matrix: PadicMatrix) -> tuple[PadicMatrix, list[int]]:
     N marks a column that is zero at this precision).
     """
     ctx = matrix.ctx
-    basis, divisors = _echelon_columns(ctx, matrix.columns())
+    cols = _reduced_columns(ctx, matrix.columns())
+    basis, _pivots = _echelon_columns(ctx, cols)
     rows = [[col[i] for col in basis] for i in range(matrix.nrows)]
-    return PadicMatrix.from_rows(ctx, rows), divisors
+    return PadicMatrix.from_rows(ctx, rows), list(_clipped_divisors(ctx, cols))
 
 
-def _echelon_columns(ctx: PadicContext, columns) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Column engine behind column_reduce, on plain vectors."""
+def _reduced_columns(ctx: PadicContext, columns) -> list[tuple[int, ...]]:
     m = ctx.modulus
-    cols = [list(int(x) % m for x in c) for c in columns]
+    cols = [tuple(int(x) % m for x in c) for c in columns]
+    if cols and any(len(c) != len(cols[0]) for c in cols):
+        raise ValueError("generator vectors have mixed lengths")
+    return cols
+
+
+def _echelon_columns(
+    ctx: PadicContext, cols: list[tuple[int, ...]]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
+    """Column engine behind column_reduce and Lattice, on reduced vectors.
+
+    Returns the canonical basis and, per basis column, the (valuation, row)
+    of its pivot.
+    """
     if not cols:
         return [], []
+    m, ell = ctx.modulus, ctx.ell
     r = len(cols[0])
-    if any(len(c) != r for c in cols):
-        raise ValueError("generator vectors have mixed lengths")
-
-    divisors = [min(v, ctx.precision) for v in _smith_valuations(cols, ctx)]
-
-    work = [c for c in cols if any(c)]
+    work = [list(c) for c in cols if any(c)]
     pivots: list[tuple[int, int, int]] = []  # (valuation, row, column-index in `work`)
     used_rows: set[int] = set()
     remaining = list(range(len(work)))
     while remaining:
         # Minimal valuation entry among remaining columns, tie-broken by
-        # (row, column) for determinism.
+        # (row, column) for determinism.  Entries are reduced mod l^N, so a
+        # nonzero one has valuation < N.
         best = None
         for j in remaining:
             col = work[j]
             for i in range(r):
-                if i in used_rows:
+                x = col[i]
+                if not x or i in used_rows:
                     continue
-                v = ctx.valuation(col[i])
-                if v >= ctx.precision:
-                    continue
+                v = 0
+                while x % ell == 0:
+                    x //= ell
+                    v += 1
                 if best is None or (v, i, j) < best:
                     best = (v, i, j)
         if best is None:
@@ -285,7 +300,7 @@ def _echelon_columns(ctx: PadicContext, columns) -> tuple[list[tuple[int, ...]],
         col = work[j]
         u_inv = ctx.invert_unit(ctx.unit_part(col[i]))
         work[j] = [(u_inv * x) % m for x in col]
-        piv = ctx.ell**v
+        piv = ell**v
         # Fully clear the pivot row in not-yet-pivoted columns, and reduce it
         # modulo the pivot in already-pivoted ones.
         for k in range(len(work)):
@@ -306,11 +321,12 @@ def _echelon_columns(ctx: PadicContext, columns) -> tuple[list[tuple[int, ...]],
         used_rows.add(i)
         remaining.remove(j)
         remaining = [k for k in remaining if any(work[k])]
-    basis = [tuple(work[j]) for (_v, _i, j) in sorted(pivots)]
-    return basis, divisors
+    pivots.sort()
+    basis = [tuple(work[j]) for (_v, _i, j) in pivots]
+    return basis, [(v, i) for (v, i, _j) in pivots]
 
 
-def _smith_valuations(cols: list[list[int]], ctx: PadicContext) -> list[int]:
+def _smith_valuations(cols, ctx: PadicContext) -> list[int]:
     """l-valuations of the integer Smith diagonal of the column matrix."""
     if not cols:
         return []
@@ -320,14 +336,28 @@ def _smith_valuations(cols: list[list[int]], ctx: PadicContext) -> list[int]:
     return sorted(ord_at(d, ctx.ell) if d else ctx.precision for d in diag)
 
 
+def _clipped_divisors(ctx: PadicContext, cols) -> tuple[int, ...]:
+    return tuple(min(v, ctx.precision) for v in _smith_valuations(cols, ctx))
+
+
 @dataclass(frozen=True)
 class Lattice:
-    """Submodule of (Z/l^N)^r given by a canonical echelon basis."""
+    """Submodule of (Z/l^N)^r given by a canonical echelon basis.
+
+    `pivots` holds the (valuation, row) of each basis column, as the
+    echelon pass found them.  Since the basis is canonical, == compares
+    modules: two presentations of one module are equal even when their
+    elementary divisors differ.  Those divisors belong to the presentation
+    a lattice was built from and are computed on first read; until then
+    only the reduced presentation is kept.
+    """
 
     ctx: PadicContext
     ambient_rank: int
     basis: tuple[tuple[int, ...], ...]
-    elementary_divisors: tuple[int, ...] = field(default=())
+    pivots: tuple[tuple[int, int], ...] = field(compare=False)
+    _divisors: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    _presentation: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
 
     @staticmethod
     def from_generators(ctx: PadicContext, ambient_rank: int, generators) -> "Lattice":
@@ -337,12 +367,14 @@ class Lattice:
                 raise ValueError(
                     f"generator length {len(g)} != ambient rank {ambient_rank}"
                 )
-        basis, divisors = _echelon_columns(ctx, gens)
-        return Lattice(ctx, ambient_rank, tuple(basis), tuple(divisors))
+        cols = _reduced_columns(ctx, gens)
+        basis, pivots = _echelon_columns(ctx, cols)
+        return Lattice(ctx, ambient_rank, tuple(basis), tuple(pivots),
+                       None if cols else (), tuple(cols))
 
     @staticmethod
     def zero(ctx: PadicContext, ambient_rank: int) -> "Lattice":
-        return Lattice(ctx, ambient_rank, (), ())
+        return Lattice(ctx, ambient_rank, (), (), ())
 
     @staticmethod
     def full(ctx: PadicContext, ambient_rank: int) -> "Lattice":
@@ -351,6 +383,19 @@ class Lattice:
             for j in range(ambient_rank)
         ]
         return Lattice.from_generators(ctx, ambient_rank, gens)
+
+    @property
+    def elementary_divisors(self) -> tuple[int, ...]:
+        """Smith valuations of the presentation, clipped at the precision."""
+        # Read the presentation before the cache: a concurrent first read
+        # stores the divisors before it drops the presentation.
+        presentation = self._presentation
+        divisors = self._divisors
+        if divisors is None:
+            divisors = _clipped_divisors(self.ctx, presentation)
+            object.__setattr__(self, "_divisors", divisors)
+            object.__setattr__(self, "_presentation", ())
+        return divisors
 
     @property
     def declared_rank(self) -> int:
@@ -368,17 +413,8 @@ class Lattice:
         itself) are discarded.  Operation outputs are rebased so purity
         reflects the module, not a presentation.
         """
-        divisors = tuple(sorted(v for v, _row in self._pivots()))
-        return Lattice(self.ctx, self.ambient_rank, self.basis, divisors)
-
-    def _pivots(self) -> list[tuple[int, int]]:
-        """(valuation, row) per basis column, in stored order."""
-        out = []
-        for col in self.basis:
-            v = min(self.ctx.valuation(x) for x in col)
-            row = next(i for i, x in enumerate(col) if self.ctx.valuation(x) == v)
-            out.append((v, row))
-        return out
+        divisors = tuple(v for v, _row in self.pivots)
+        return Lattice(self.ctx, self.ambient_rank, self.basis, self.pivots, divisors)
 
     def contains(self, vec) -> bool:
         return self.coordinates(vec) is not None
@@ -395,7 +431,7 @@ class Lattice:
         if len(v) != self.ambient_rank:
             raise ValueError("vector length mismatch")
         coeffs = []
-        for col, (val, row) in zip(self.basis, self._pivots()):
+        for col, (val, row) in zip(self.basis, self.pivots):
             piv = self.ctx.ell**val
             entry = v[row]
             if entry % piv:
@@ -414,7 +450,7 @@ class Lattice:
         if not self.basis:
             yield (0,) * self.ambient_rank
             return
-        counts = [m // (self.ctx.ell ** v) for v, _row in self._pivots()]
+        counts = [m // (self.ctx.ell ** v) for v, _row in self.pivots]
         idx = [0] * len(counts)
         while True:
             vec = [0] * self.ambient_rank
@@ -434,12 +470,12 @@ class Lattice:
 
     def member_count(self) -> int:
         n = 1
-        for v, _row in self._pivots():
+        for v, _row in self.pivots:
             n *= self.ctx.modulus // (self.ctx.ell ** v)
         return n
 
     def same_module(self, other: "Lattice") -> bool:
-        """Span equality by mutual membership (semantic fallback to __eq__)."""
+        """Span equality by mutual membership; == compares canonical bases."""
         if self.ctx != other.ctx or self.ambient_rank != other.ambient_rank:
             return False
         return all(other.contains(c) for c in self.basis) and all(

@@ -123,8 +123,8 @@ def _half_roots(disc: int, p: int, e: int) -> list[int]:
     return [(r - delta) * half % q for r in (s, q - s)]
 
 
-def reduced_forms(disc: int) -> list[QuadForm]:
-    """All reduced forms of the given fundamental discriminant.
+def _reduced_triples(disc: int):
+    """The (a, b, c) of every reduced form of a fundamental discriminant.
 
     a runs up to sqrt(|D|/3) (forced by |b| <= a <= c).  With b = 2t + delta
     and delta = D mod 2, 4a | b^2 - D is a condition on t mod a.  Its roots
@@ -140,7 +140,7 @@ def reduced_forms(disc: int) -> list[QuadForm]:
     delta = disc & 1
     roots_at: dict[int, list[int]] = {}  # q = p^e -> _half_roots(disc, p, e)
     roots = [[], [0]]  # roots[a]: the t mod a, for every a done so far
-    out = [QuadForm(1, delta, (delta - disc) // 4)]  # a = 1 allows b = delta
+    yield 1, delta, (delta - disc) // 4  # a = 1 allows b = delta
     for a in range(2, top + 1):
         p = spf[a]
         q, rest, e = p, a // p, 1
@@ -166,12 +166,16 @@ def reduced_forms(disc: int) -> list[QuadForm]:
         for b in bs:
             c = (b * b - disc) // (4 * a)
             if c >= a and not (b < 0 and c == a):
-                out.append(QuadForm(a, b, c))
-    return out
+                yield a, b, c
+
+
+def reduced_forms(disc: int) -> list[QuadForm]:
+    """All reduced forms of the given fundamental discriminant."""
+    return [QuadForm(a, b, c) for a, b, c in _reduced_triples(disc)]
 
 
 def class_number(disc: int) -> int:
-    return len(reduced_forms(disc))
+    return sum(1 for _ in _reduced_triples(disc))
 
 
 @dataclass(frozen=True)

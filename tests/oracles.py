@@ -156,6 +156,66 @@ def reduced_forms_brute(disc):
     return out
 
 
+def stable_subgroups_brute(sigma, tau, modulus):
+    """Every subgroup of (Z/modulus)^r that sigma and tau map into itself.
+
+    sigma and tau are r x r row tuples.  Returns a set of frozensets of
+    member tuples.  Vectors are numbered and sigma, tau and each needed
+    translation become lookup tables.  A breadth-first search from a set of
+    members under x -> x + g, sigma x and tau x reaches the stable subgroup
+    they generate with g (both maps have finite order, so their inverses
+    are powers of them).  The cyclic closure of every nonzero vector is
+    found this way, then every found subgroup is closed together with every
+    generator until nothing new appears.
+    """
+    r = len(sigma)
+    vecs = list(itertools.product(range(modulus), repeat=r))
+    index = {v: i for i, v in enumerate(vecs)}
+
+    def table(fn):
+        return [index[tuple(x % modulus for x in fn(v))] for v in vecs]
+
+    def times(rows):
+        return lambda v: [sum(a * b for a, b in zip(row, v)) for row in rows]
+
+    sig, ta = table(times(sigma)), table(times(tau))
+    shifts = {}
+
+    def close(members, g):
+        if g not in shifts:
+            shifts[g] = table(lambda v: [a + b for a, b in zip(v, vecs[g])])
+        shift = shifts[g]
+        seen = set(members)
+        frontier = list(seen)
+        while frontier:
+            grown = []
+            for x in frontier:
+                for y in (shift[x], sig[x], ta[x]):
+                    if y not in seen:
+                        seen.add(y)
+                        grown.append(y)
+            frontier = grown
+        return frozenset(seen)
+
+    zero = index[(0,) * r]
+    cyclic = {}
+    for g in range(len(vecs)):
+        if g != zero:
+            cyclic.setdefault(close([zero], g), g)
+    found = {frozenset([zero])} | set(cyclic)
+    work = list(found)
+    while work:
+        cur = work.pop()
+        for g in cyclic.values():
+            if g in cur:
+                continue
+            total = close(cur, g)
+            if total not in found:
+                found.add(total)
+                work.append(total)
+    return {frozenset(vecs[i] for i in group) for group in found}
+
+
 def phi_by_integration(orders, u):
     """Transition function as a literal Riemann sum on an exact grid.
 

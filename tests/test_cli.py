@@ -125,6 +125,15 @@ class TestUsageErrors:
         assert time.monotonic() - t0 < 1.0
         assert str(quadratic._DISC_LIMIT) in capsys.readouterr().err
 
+    def test_oversized_isogeny_search_refused_at_once(self, capsys):
+        t0 = time.monotonic()
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["isogeny-maximal", "--ell", "3", "--s", "3",
+                     "--n", "300000"])
+        assert exc.value.code == 2
+        assert time.monotonic() - t0 < 1.0
+        assert "l^n <= 9" in capsys.readouterr().err
+
 
 class TestInternalErrors:
     def test_uncaught_exception_exits_3_with_error_object(self, monkeypatch,

@@ -1,10 +1,13 @@
 """Tests for the inertia-pair matrix models and the isogeny bookkeeping."""
 
 import dataclasses
+import itertools
 
 import pytest
 
+import oracles
 from semistable_lab.galois import (
+    _orbit_representatives,
     build_rep,
     component_transfer,
     dual_transfer_roundtrip,
@@ -15,6 +18,7 @@ from semistable_lab.galois import (
     node_lattice,
     product_kernel,
     quotient_group_structure,
+    require_searchable,
     sigma_trivial_mod_ell,
     stable_submodules,
     teichmuller_unit,
@@ -236,6 +240,74 @@ class TestStableSubmodules:
             stable_submodules(build_rep(5, 1, 5, 4), 2)
         with pytest.raises(ValueError, match="at least 1"):
             stable_submodules(build_rep(2, 1, 2, 4), 0)
+
+    @staticmethod
+    def level_matrices(rep, n):
+        m = rep.ell ** n
+        return [tuple(tuple(x % m for x in row) for row in mat.rows)
+                for mat in (rep.sigma, rep.tau)]
+
+    @pytest.mark.parametrize("ell, n, d", [
+        (2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1),
+        (2, 1, 2), (3, 1, 2), (2, 2, 2),
+    ])
+    @pytest.mark.parametrize("shear", [1, 2])
+    def test_matches_brute_force_closure(self, ell, n, d, shear):
+        rep = build_rep(ell, d, shear * ell, max(4, n + 2))
+        sigma, tau = self.level_matrices(rep, n)
+        brute = oracles.stable_subgroups_brute(sigma, tau, ell ** n)
+        subs = stable_submodules(rep, n)
+        assert {frozenset(lat.members()) for lat in subs} == brute
+        assert len(subs) == len(brute)
+
+    @pytest.mark.parametrize("shear", [1, 2])
+    def test_ell_five_d_two_by_count_and_stability(self, shear):
+        # the brute-force closure takes seconds here, so check what is cheap
+        rep = build_rep(5, 2, 5 * shear, 4)
+        sigma, tau = self.level_matrices(rep, 1)
+        subs = stable_submodules(rep, 1)
+        assert len(subs) == 64
+        assert len({lat.basis for lat in subs}) == 64
+        for lat in subs:
+            for b in lat.basis:
+                for rows in (sigma, tau):
+                    image = [sum(a * x for a, x in zip(row, b)) % 5
+                             for row in rows]
+                    assert lat.contains(image)
+
+    def test_d_two_counts_frozen(self):
+        counts = {ell ** n: len(stable_submodules(build_rep(ell, 2, ell, 4), n))
+                  for ell, n in ((2, 1), (2, 2), (3, 1), (5, 1))}
+        assert counts == {2: 15, 4: 59, 3: 36, 5: 64}
+
+    def test_order_is_size_then_basis(self):
+        subs = stable_submodules(build_rep(2, 2, 2, 4), 2)
+        keys = [(lat.member_count(), lat.basis) for lat in subs]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("ell, n, rank", [(2, 1, 4), (2, 3, 2), (3, 2, 2),
+                                              (5, 1, 3), (2, 2, 3)])
+    def test_one_representative_per_unit_orbit(self, ell, n, rank):
+        q = ell ** n
+        units = [u for u in range(q) if u % ell]
+        reps = list(_orbit_representatives(ell, n, rank))
+        orbits = set()
+        for vec in itertools.product(range(q), repeat=rank):
+            if any(vec):
+                orbits.add(frozenset(tuple(u * x % q for x in vec)
+                                     for u in units))
+        assert len(reps) == len(set(reps)) == len(orbits)
+        assert {orbit for orbit in orbits
+                if any(r in orbit for r in reps)} == orbits
+
+    def test_oversized_search_refused_before_any_work(self):
+        with pytest.raises(ValueError, match="l\\^n <= 9"):
+            require_searchable(3, 300000, 1)
+        with pytest.raises(ValueError, match="l\\^n <= 9"):
+            find_ell_maximal(build_rep(2, 1, 2, 6), 2, 4)
+        require_searchable(3, 2, 2)
+        require_searchable(2, 3, 1)
 
 
 class TestComponentTransfer:

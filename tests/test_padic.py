@@ -10,6 +10,7 @@ import random
 import pytest
 
 import oracles
+from semistable_lab import intlinalg
 from semistable_lab.padic import (
     Lattice,
     PadicContext,
@@ -583,3 +584,94 @@ class TestOrthogonal:
                 eq_seen += 1
                 assert lhs.basis == rhs.basis
         assert eq_seen > 5
+
+
+class TestDeferredDivisors:
+    def count_smith_calls(self, monkeypatch):
+        calls = []
+        original = intlinalg.smith_diagonal
+
+        def counting(mat):
+            calls.append(mat)
+            return original(mat)
+
+        monkeypatch.setattr(intlinalg, "smith_diagonal", counting)
+        return calls
+
+    def test_no_smith_form_until_divisors_are_read(self, monkeypatch):
+        calls = self.count_smith_calls(monkeypatch)
+        ctx = make_context(3, 3)
+        lat = Lattice.from_generators(ctx, 3, [(1, 2, 0), (0, 3, 0)])
+        assert lat.contains((1, 5, 0))
+        assert lat.member_count() == 27 * 9
+        assert lat.coordinates((1, 5, 0)) == [1, 1]
+        lat.rebased()
+        assert calls == []
+        assert lat.elementary_divisors == (0, 1)
+        assert len(calls) == 1
+        assert not is_pure(lat)
+        assert len(calls) == 1
+
+    def test_divisors_read_later_match_the_oracle(self):
+        rng = random.Random(89)
+        floor_hits = 0
+        for _ in range(80):
+            ctx = PadicContext(rng.choice([2, 3, 5]), rng.randint(2, 4))
+            r = rng.randint(1, 4)
+            gens = [[rng.randrange(ctx.modulus) for _ in range(r)]
+                    for _ in range(rng.randint(1, r))]
+            # redundant presentation: append combinations of the generators
+            for _ in range(rng.randint(1, 3)):
+                cs = [rng.randrange(ctx.modulus) for _ in gens]
+                gens.append([sum(c * g[i] for c, g in zip(cs, gens)) % ctx.modulus
+                             for i in range(r)])
+            lat = Lattice.from_generators(ctx, r, gens)
+            expected = oracles.smith_valuations(gens, ctx.ell, ctx.precision, r)
+            # sympy leaves out zero invariants; each one reads N here
+            expected += [ctx.precision] * (min(r, len(gens)) - len(expected))
+            assert list(lat.elementary_divisors) == sorted(expected)
+            if ctx.precision in lat.elementary_divisors:
+                floor_hits += 1
+                with pytest.raises(PrecisionLossError):
+                    is_pure(lat)
+        assert floor_hits > 5
+
+    def test_operation_outputs_need_no_smith_form(self, monkeypatch):
+        calls = self.count_smith_calls(monkeypatch)
+        ctx = make_context(2, 4)
+        x = Lattice.from_generators(ctx, 2, [(1, 0), (2, 2)])
+        y = Lattice.from_generators(ctx, 2, [(1, 1)])
+        meet = intersect(x, y)
+        assert meet.elementary_divisors == tuple(v for v, _row in meet.pivots)
+        assert calls == []
+
+
+class TestStoredPivots:
+    def test_pivots_are_first_entries_of_least_valuation(self):
+        rng = random.Random(97)
+        for _ in range(80):
+            ctx = PadicContext(rng.choice([2, 3, 5]), rng.randint(1, 4))
+            r = rng.randint(1, 4)
+            lat, _ = random_lattice(rng, ctx, r, rng.randint(1, 5))
+            recomputed = []
+            for col in lat.basis:
+                v = min(ctx.valuation(x) for x in col)
+                row = next(i for i, x in enumerate(col) if ctx.valuation(x) == v)
+                assert col[row] == ctx.ell**v
+                recomputed.append((v, row))
+            assert list(lat.pivots) == recomputed == sorted(recomputed)
+
+    def test_equality_is_module_equality(self):
+        ctx = make_context(2, 4)
+        lean = Lattice.from_generators(ctx, 2, [(1, 0)])
+        redundant = Lattice.from_generators(ctx, 2, [(1, 0), (3, 0)])
+        assert lean.elementary_divisors != redundant.elementary_divisors
+        assert lean == redundant
+        assert hash(lean) == hash(redundant)
+        assert lean != Lattice.from_generators(ctx, 2, [(2, 0)])
+
+    def test_context_keeps_its_modulus(self):
+        ctx = PadicContext(3, 5)
+        assert ctx.modulus == 243
+        assert ctx == PadicContext(3, 5)
+        assert repr(ctx) == "PadicContext(ell=3, precision=5)"

@@ -86,6 +86,16 @@ class TestClassNumber:
             principal = QuadForm(1, b0, (b0 * b0 - d) // 4)
             assert principal in forms
 
+    def test_counting_builds_no_forms(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("class_number built a QuadForm")
+
+        monkeypatch.setattr(QuadForm, "__post_init__", refuse)
+        assert class_number(-164) == 8
+        assert class_number(-10000019) == 1275
+        with pytest.raises(AssertionError, match="built a QuadForm"):
+            reduced_forms(-164)
+
 
 class TestCensusAgreement:
     def test_full_range(self):
