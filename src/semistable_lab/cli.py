@@ -27,11 +27,14 @@ from . import cyclotomic, families, galois, quadratic, ramification
 from .arith import factorize
 from .curves import (
     WeierstrassCurve,
+    has_rational_ell_torsion,
     hyperelliptic_odd_disc,
     invariants,
     is_ordinary,
     isogeny_class,
     local_data,
+    on_curve,
+    point_order,
     reduce_model,
 )
 
@@ -136,6 +139,9 @@ def _cmd_miyawaki_search(args) -> tuple[dict, list[dict]]:
             defining_ok &= local_data(e, p).kind == "multiplicative"
             defining_ok &= families.ord_at(
                 invariants(e).j.denominator, p) > 0
+            found, pt = has_rational_ell_torsion(e, args.ell)
+            defining_ok &= (found and on_curve(e, pt)
+                            and point_order(e, pt) == args.ell)
     results = {
         "primes": sorted(hits),
         "hits": {p: curves for p, curves in sorted(hits.items())},

@@ -1,10 +1,16 @@
 """Integral Weierstrass curve arithmetic at desk scale.
 
 Exact invariants, reduction type at a prime, point counts over small prime
-powers, rational torsion via division polynomials, isogeny quotients by a
-rational prime-order point, and the odd part of a genus-2 model
-discriminant.  All arithmetic is exact: integers, Fractions, and the dense
-polynomial layer; nothing here floats.
+powers, rational torsion, isogeny quotients by a rational prime-order
+point, and the odd part of a genus-2 model discriminant.  All arithmetic is
+exact: integers, Fractions, and the dense polynomial layer; nothing here
+floats.
+
+Rational ell-torsion is decided in two steps.  "No" comes from point
+counts: ell not dividing #E(F_q) at a small prime q != ell of good
+reduction proves there is no rational point of order ell.  "Yes", with
+its witness, comes only from a rational root of the ell-division
+polynomial.
 
 Minimality is the caller's contract.  The only model surgery provided is
 the standard (u, r, s, t) change of coordinates with scale u in {1, 2},
@@ -136,7 +142,7 @@ def count_points(e: WeierstrassCurve, q: int) -> int:
     if pk is None:
         raise ValueError(f"not a prime power: {q}")
     p, k = pk
-    if invariants(e).disc % p == 0:
+    if _disc_from_b(*_b_invariants(e)) % p == 0:
         raise ValueError(f"bad reduction at {p}")
     h = (e.a3, e.a1)  # y-linear part
     g = (e.a6, e.a4, e.a2, 1)
@@ -310,9 +316,28 @@ def _fraction_sqrt(v: Fraction):
     return None
 
 
+# Primes the point-count filter may use, and how many good ones it counts at
+# before it leaves the question to the division polynomial.
+_FILTER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_FILTER_GOOD_PRIMES = 4
+
+
 def _ell_torsion_points(e: WeierstrassCurve, ell: int):
     """Rational points of exact order ell, one per rational root x of the
-    ell-division polynomial, in increasing x."""
+    ell-division polynomial, in increasing x.
+
+    Point counts reject first.  If q != ell and the model has good reduction
+    at q, reduction mod q is injective on E(Q)[ell] (Silverman, AEC,
+    Prop. VII.3.1), so ell not dividing #E(F_q) proves that there is no
+    rational point of order ell, and nothing is yielded.  Up to
+    _FILTER_GOOD_PRIMES such q are tried; a curve that passes them all, or
+    has too few good q among _FILTER_PRIMES, goes to the division
+    polynomial, which alone finds points.
+    """
+    disc = _disc_from_b(*_b_invariants(e))
+    good = [q for q in _FILTER_PRIMES if q != ell and disc % q]
+    if any(count_points(e, q) % ell for q in good[:_FILTER_GOOD_PRIMES]):
+        return
     poly = two_division_poly(e) if ell == 2 else division_poly(e, ell)
     for x in rational_roots(poly):
         # y solves a monic quadratic; rational iff 4g + h^2 is a square at x
@@ -329,7 +354,14 @@ def _ell_torsion_points(e: WeierstrassCurve, ell: int):
 
 
 def has_rational_ell_torsion(e: WeierstrassCurve, ell: int):
-    """(found, witness point) for a rational point of exact order ell."""
+    """(found, witness point) for a rational point of exact order ell.
+
+    "No" may come from a point count: at a prime q != ell of good
+    reduction, reduction mod q is injective on E(Q)[ell] (Silverman, AEC,
+    Prop. VII.3.1), so ell not dividing #E(F_q) rules the point out.
+    "Yes" and the witness come only from a rational root of the
+    ell-division polynomial, lifted and checked to have order ell.
+    """
     if ell not in (2, 3, 5, 7):
         raise ValueError("torsion search supports ell in {2, 3, 5, 7}")
     pt = next(_ell_torsion_points(e, ell), None)

@@ -22,13 +22,18 @@ from .curves import (
     invariants,
     is_ordinary,
     isogeny_class,
-    local_data,
     two_division_poly,
 )
 from .polynomials import discriminant, fp_divmod, roots_mod
 
 EXCEPTIONAL_PRIME = 17
 EXCEPTIONAL_SEED = WeierstrassCurve(1, -1, 1, -1, -14)
+
+# Desk-scale limits, checked before any work: ns_enumerate costs about
+# bound^(1/2) prime tests (about a second at the limit), miyawaki_search
+# 12 (2 coeff_bound + 1)^2 models per call (about a second at the limit).
+_NS_BOUND_LIMIT = 10**10
+_BOX_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -67,8 +72,12 @@ def ns_enumerate(bound: int) -> list[SquarePlus64Pair]:
     The sign of u is normalized to u = 1 mod 4; with a2 = (u - 1)/4 the two
     models are [1, a2, 0, -1, 0] and [1, a2, 0, 4, u].  Their discriminants
     are p and -p^2 on the nose, and the first curve is ordinary at 2; both
-    facts are rechecked here on every pair rather than trusted.
+    facts are rechecked here on every pair rather than trusted.  A bound
+    above _NS_BOUND_LIMIT is refused.
     """
+    if bound > _NS_BOUND_LIMIT:
+        raise ValueError(
+            f"bound exceeds the desk-scale limit {_NS_BOUND_LIMIT}, got {bound}")
     out = []
     for u_abs in range(1, isqrt(max(bound - 64, 0)) + 1, 2):
         p = u_abs * u_abs + 64
@@ -92,10 +101,15 @@ def miyawaki_search(ell: int, coeff_bound: int = 8) -> dict[int, list[Weierstras
 
     Models run over a1, a3 in {0, 1}, a2 in {-1, 0, 1} and |a4|, |a6| up to
     coeff_bound; a hit must have |disc| = p^k with multiplicative reduction
-    at p.  Hits are grouped by p and deduplicated by j-invariant.
+    at p.  Hits are grouped by p and deduplicated by j-invariant.  A
+    coeff_bound above _BOX_LIMIT is refused.
     """
     if ell not in (3, 5, 7):
         raise ValueError("search covers ell in {3, 5, 7}")
+    if coeff_bound > _BOX_LIMIT:
+        raise ValueError(
+            f"coefficient box exceeds the desk-scale limit {_BOX_LIMIT}, "
+            f"got {coeff_bound}")
     hits: dict[int, dict] = {}
     span = range(-coeff_bound, coeff_bound + 1)
     for a1 in (0, 1):
@@ -107,15 +121,16 @@ def miyawaki_search(ell: int, coeff_bound: int = 8) -> dict[int, list[Weierstras
                             e = WeierstrassCurve(a1, a2, a3, a4, a6)
                         except SingularCurveError:
                             continue
-                        pk = prime_power(abs(invariants(e).disc))
+                        inv = invariants(e)
+                        pk = prime_power(abs(inv.disc))
                         if pk is None:
                             continue
                         p = pk[0]
-                        if local_data(e, p).kind != "multiplicative":
+                        if inv.c4 % p == 0:  # additive: p divides disc and c4
                             continue
                         if not has_rational_ell_torsion(e, ell)[0]:
                             continue
-                        hits.setdefault(p, {})[invariants(e).j] = e
+                        hits.setdefault(p, {})[inv.j] = e
     return {p: sorted(by_j.values(), key=lambda c: c.coefficients()) for p, by_j in sorted(hits.items())}
 
 

@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from semistable_lab import cli, quadratic
+from semistable_lab import cli, families, quadratic
+from semistable_lab.curves import WeierstrassCurve
 
 
 def run_cli(argv):
@@ -133,6 +134,36 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert time.monotonic() - t0 < 1.0
         assert "l^n <= 9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, limit", [
+        (["miyawaki-search", "--ell", "3", "--bound", "33"],
+         families._BOX_LIMIT),
+        (["ns-enumerate", "--bound", "10000000001"],
+         families._NS_BOUND_LIMIT),
+    ])
+    def test_oversized_search_bound_refused_at_once(self, capsys, argv,
+                                                    limit):
+        t0 = time.monotonic()
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 2
+        assert time.monotonic() - t0 < 1.0
+        assert str(limit) in capsys.readouterr().err
+
+
+class TestMiyawakiTorsionCheck:
+    def test_hit_without_torsion_fails_the_check(self, monkeypatch):
+        # |disc| = 19 and multiplicative at 19, but its torsion is 3, not 5
+        e = WeierstrassCurve(0, 1, 1, 1, 0)
+        monkeypatch.setattr(families, "miyawaki_search",
+                            lambda ell, bound: {19: [e]})
+        report, status = run_cli(["miyawaki-search", "--ell", "5"])
+        check = report["checks"][0]
+        assert check["name"] == "hits-have-prime-power-conductor-and-torsion"
+        assert check["pass"] is False
+        assert status == 1
+        report, _ = run_cli(["miyawaki-search", "--ell", "3"])
+        assert report["checks"][0]["pass"] is True
 
 
 class TestInternalErrors:

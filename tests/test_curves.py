@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 import sympy
 
+from semistable_lab import curves
 from semistable_lab.curves import (
     LocalData,
     SingularCurveError,
@@ -29,7 +31,7 @@ from semistable_lab.curves import (
     two_division_poly,
     velu_quotient,
 )
-from semistable_lab.polynomials import peval
+from semistable_lab.polynomials import peval, rational_roots
 
 E1 = WeierstrassCurve(1, -1, 0, -1, 0)
 E2 = WeierstrassCurve(1, -1, 0, 4, -3)
@@ -299,6 +301,100 @@ class TestRationalTorsion:
     def test_unsupported_ell_rejected(self):
         with pytest.raises(ValueError):
             has_rational_ell_torsion(E1, 11)
+
+
+def division_poly_torsion(e: WeierstrassCurve, ell: int):
+    """The division-polynomial route alone: the first rational root x whose
+    lift is a rational point of exact order ell, with no point counts."""
+    poly = two_division_poly(e) if ell == 2 else division_poly(e, ell)
+    for x in rational_roots(poly):
+        hx = e.a1 * x + e.a3
+        gx = x**3 + e.a2 * x * x + e.a4 * x + e.a6
+        square = hx * hx + 4 * gx
+        if square < 0:
+            continue
+        rn, rd = isqrt(square.numerator), isqrt(square.denominator)
+        if rn * rn != square.numerator or rd * rd != square.denominator:
+            continue
+        pt = (x, (Fraction(rn, rd) - hx) / 2)
+        if point_order(e, pt) == ell:
+            return True, pt
+    return False, None
+
+
+def small_box(bound: int):
+    for a1 in (0, 1):
+        for a2 in (-1, 0, 1):
+            for a3 in (0, 1):
+                for a4 in range(-bound, bound + 1):
+                    for a6 in range(-bound, bound + 1):
+                        try:
+                            yield WeierstrassCurve(a1, a2, a3, a4, a6)
+                        except SingularCurveError:
+                            continue
+
+
+TORSION_CURVES = (
+    (WeierstrassCurve(1, -1, 0, 4, -3), 2),  # (3/4, -3/8) reduces to O mod 2
+    (WeierstrassCurve(0, 1, 1, 1, 0), 3),
+    (WeierstrassCurve(0, -1, 1, 0, 0), 5),
+    (WeierstrassCurve(1, -1, 1, -3, 3), 7),
+)
+
+
+def counting(monkeypatch, name):
+    """Patch curves.<name> with a wrapper that records its arguments."""
+    calls = []
+    inner = getattr(curves, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(curves, name, wrapper)
+    return calls
+
+
+class TestPointCountFilter:
+    @pytest.mark.parametrize("ell", (2, 3, 5, 7))
+    def test_same_verdicts_as_division_polynomials(self, ell):
+        hits = 0
+        for e in small_box(4):
+            expected = division_poly_torsion(e, ell)
+            assert has_rational_ell_torsion(e, ell) == expected, e
+            hits += expected[0]
+        assert hits > 0
+
+    def test_rejected_curve_never_reaches_rational_roots(self, monkeypatch):
+        calls = counting(monkeypatch, "rational_roots")
+        # #E1(F_2) = 2, so the first filter prime rules out odd torsion
+        assert count_points(E1, 2) == 2
+        for ell in (3, 5, 7):
+            assert has_rational_ell_torsion(E1, ell) == (False, None)
+        assert calls == []
+        assert has_rational_ell_torsion(E1, 2) == (True, (0, 0))
+        assert len(calls) == 1
+
+    def test_no_good_filter_prime_falls_through(self, monkeypatch):
+        # disc = -432 n^4 is divisible by every prime up to 37, and (0, n)
+        # has order 3 on y^2 = x^3 + n^2
+        n = 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37
+        e = WeierstrassCurve(0, 0, 0, 0, n * n)
+        assert all(invariants(e).disc % q == 0 for q in curves._FILTER_PRIMES)
+        counts = counting(monkeypatch, "count_points")
+        roots = counting(monkeypatch, "rational_roots")
+        assert has_rational_ell_torsion(e, 3) == (True, (0, n))
+        assert has_rational_ell_torsion(e, 2) == division_poly_torsion(e, 2)
+        assert counts == [] and len(roots) == 2
+
+    @pytest.mark.parametrize("e, ell", TORSION_CURVES)
+    def test_never_counts_at_ell(self, monkeypatch, e, ell):
+        counts = counting(monkeypatch, "count_points")
+        found, pt = has_rational_ell_torsion(e, ell)
+        assert found and (found, pt) == division_poly_torsion(e, ell)
+        qs = [q for _, q in counts]
+        assert ell not in qs
+        assert len(qs) == curves._FILTER_GOOD_PRIMES
 
 
 class TestVeluQuotient:
