@@ -24,7 +24,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import cyclotomic, families, galois, quadratic, ramification
-from .arith import factorize
+from .arith import factorize, ord_at
 from .curves import (
     WeierstrassCurve,
     has_rational_ell_torsion,
@@ -133,12 +133,10 @@ def _cmd_miyawaki_search(args) -> tuple[dict, list[dict]]:
     defining_ok = True
     for p, curves in hits.items():
         for e in curves:
-            disc = invariants(e).disc
-            v = families.ord_at(disc, p)
-            defining_ok &= abs(disc) == p**v
+            inv = invariants(e)
+            defining_ok &= abs(inv.disc) == p**ord_at(inv.disc, p)
             defining_ok &= local_data(e, p).kind == "multiplicative"
-            defining_ok &= families.ord_at(
-                invariants(e).j.denominator, p) > 0
+            defining_ok &= ord_at(inv.j.denominator, p) > 0
             found, pt = has_rational_ell_torsion(e, args.ell)
             defining_ok &= (found and on_curve(e, pt)
                             and point_order(e, pt) == args.ell)

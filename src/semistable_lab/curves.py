@@ -56,7 +56,7 @@ class WeierstrassCurve:
         for name in ("a1", "a2", "a3", "a4", "a6"):
             if not isinstance(getattr(self, name), int):
                 raise TypeError(f"{name} must be an integer")
-        if _disc_from_b(*_b_invariants(self)) == 0:
+        if _disc_from_b(*_b_invariants(self.coefficients())) == 0:
             raise SingularCurveError(f"singular model {self.coefficients()}")
 
     def coefficients(self) -> tuple[int, int, int, int, int]:
@@ -82,17 +82,12 @@ class LocalData:
     component_order: int  # ord_p(disc) when multiplicative, else 1
 
 
-def _b_invariants(e: WeierstrassCurve) -> tuple[int, int, int, int]:
-    b2 = e.a1**2 + 4 * e.a2
-    b4 = 2 * e.a4 + e.a1 * e.a3
-    b6 = e.a3**2 + 4 * e.a6
-    b8 = (
-        e.a1**2 * e.a6
-        + 4 * e.a2 * e.a6
-        - e.a1 * e.a3 * e.a4
-        + e.a2 * e.a3**2
-        - e.a4**2
-    )
+def _b_invariants(coeffs: tuple[int, int, int, int, int]) -> tuple[int, int, int, int]:
+    a1, a2, a3, a4, a6 = coeffs
+    b2 = a1**2 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3**2 + 4 * a6
+    b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
     return b2, b4, b6, b8
 
 
@@ -101,7 +96,7 @@ def _disc_from_b(b2: int, b4: int, b6: int, b8: int) -> int:
 
 
 def invariants(e: WeierstrassCurve) -> CurveInvariants:
-    b2, b4, b6, b8 = _b_invariants(e)
+    b2, b4, b6, b8 = _b_invariants(e.coefficients())
     c4 = b2**2 - 24 * b4
     c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
     disc = _disc_from_b(b2, b4, b6, b8)
@@ -142,7 +137,7 @@ def count_points(e: WeierstrassCurve, q: int) -> int:
     if pk is None:
         raise ValueError(f"not a prime power: {q}")
     p, k = pk
-    if _disc_from_b(*_b_invariants(e)) % p == 0:
+    if _disc_from_b(*_b_invariants(e.coefficients())) % p == 0:
         raise ValueError(f"bad reduction at {p}")
     h = (e.a3, e.a1)  # y-linear part
     g = (e.a6, e.a4, e.a2, 1)
@@ -271,13 +266,13 @@ def point_order(e: WeierstrassCurve, pt: Point, cap: int = 12) -> int:
 
 
 def two_division_poly(e: WeierstrassCurve) -> tuple[int, ...]:
-    b2, b4, b6, _ = _b_invariants(e)
+    b2, b4, b6, _ = _b_invariants(e.coefficients())
     return (b6, 2 * b4, b2, 4)
 
 
 def division_poly(e: WeierstrassCurve, ell: int) -> tuple[int, ...]:
     """The univariate ell-division polynomial for odd ell in {3, 5, 7}."""
-    b2, b4, b6, b8 = _b_invariants(e)
+    b2, b4, b6, b8 = _b_invariants(e.coefficients())
     psi3 = (b8, 3 * b6, 3 * b4, b2, 3)
     if ell == 3:
         return psi3
@@ -334,7 +329,7 @@ def _ell_torsion_points(e: WeierstrassCurve, ell: int):
     has too few good q among _FILTER_PRIMES, goes to the division
     polynomial, which alone finds points.
     """
-    disc = _disc_from_b(*_b_invariants(e))
+    disc = _disc_from_b(*_b_invariants(e.coefficients()))
     good = [q for q in _FILTER_PRIMES if q != ell and disc % q]
     if any(count_points(e, q) % ell for q in good[:_FILTER_GOOD_PRIMES]):
         return

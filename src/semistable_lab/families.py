@@ -11,13 +11,17 @@ valuation at p carries the largest power of ell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
 from importlib import resources
+from itertools import product
 from math import isqrt
 
 from .arith import is_prime, ord_at, prime_power
 from .curves import (
-    SingularCurveError,
     WeierstrassCurve,
+    _b_invariants,
+    _disc_from_b,
     has_rational_ell_torsion,
     invariants,
     is_ordinary,
@@ -30,8 +34,10 @@ EXCEPTIONAL_PRIME = 17
 EXCEPTIONAL_SEED = WeierstrassCurve(1, -1, 1, -1, -14)
 
 # Desk-scale limits, checked before any work: ns_enumerate costs about
-# bound^(1/2) prime tests (about a second at the limit), miyawaki_search
-# 12 (2 coeff_bound + 1)^2 models per call (about a second at the limit).
+# bound^(1/2) prime tests (about a second at the limit); miyawaki_search
+# filters 12 (2 coeff_bound + 1)^2 models once per process and bound (about
+# 0.4 s at the limit), then tests the survivors for ell-torsion (under 0.1 s
+# per ell at the limit).
 _NS_BOUND_LIMIT = 10**10
 _BOX_LIMIT = 32
 
@@ -95,14 +101,43 @@ def ns_enumerate(bound: int) -> list[SquarePlus64Pair]:
     return out
 
 
+@cache
+def _prime_power_models(coeff_bound: int) -> tuple[tuple[WeierstrassCurve, int, Fraction], ...]:
+    """(curve, p, j) for every model of the box with |disc| = p^k and
+    multiplicative reduction at p, in enumeration order.
+
+    Nothing here depends on ell, so the box is filtered once per process
+    and bound.  The discriminant comes straight from the coefficients;
+    only survivors become curves, and each passes `invariants` (with its
+    identity check) once, which supplies c4 and j.
+    """
+    out = []
+    span = range(-coeff_bound, coeff_bound + 1)
+    for coeffs in product((0, 1), (-1, 0, 1), (0, 1), span, span):
+        disc = _disc_from_b(*_b_invariants(coeffs))
+        pk = prime_power(abs(disc))  # None for a singular model, disc = 0
+        if pk is None:
+            continue
+        e = WeierstrassCurve(*coeffs)
+        inv = invariants(e)
+        p = pk[0]
+        if inv.c4 % p == 0:  # additive: p divides disc and c4
+            continue
+        out.append((e, p, inv.j))
+    return tuple(out)
+
+
 def miyawaki_search(ell: int, coeff_bound: int = 8) -> dict[int, list[WeierstrassCurve]]:
     """Box search for semistable prime-power-discriminant curves with a
     rational point of order ell.
 
     Models run over a1, a3 in {0, 1}, a2 in {-1, 0, 1} and |a4|, |a6| up to
     coeff_bound; a hit must have |disc| = p^k with multiplicative reduction
-    at p.  Hits are grouped by p and deduplicated by j-invariant.  A
-    coeff_bound above _BOX_LIMIT is refused.
+    at p.  That filter does not depend on ell and runs once per process and
+    coeff_bound; each call then tests only its survivors for ell-torsion.
+    Hits are grouped by p and deduplicated by j-invariant, the last model
+    in enumeration order standing for its j.  A coeff_bound above
+    _BOX_LIMIT is refused.
     """
     if ell not in (3, 5, 7):
         raise ValueError("search covers ell in {3, 5, 7}")
@@ -111,26 +146,9 @@ def miyawaki_search(ell: int, coeff_bound: int = 8) -> dict[int, list[Weierstras
             f"coefficient box exceeds the desk-scale limit {_BOX_LIMIT}, "
             f"got {coeff_bound}")
     hits: dict[int, dict] = {}
-    span = range(-coeff_bound, coeff_bound + 1)
-    for a1 in (0, 1):
-        for a2 in (-1, 0, 1):
-            for a3 in (0, 1):
-                for a4 in span:
-                    for a6 in span:
-                        try:
-                            e = WeierstrassCurve(a1, a2, a3, a4, a6)
-                        except SingularCurveError:
-                            continue
-                        inv = invariants(e)
-                        pk = prime_power(abs(inv.disc))
-                        if pk is None:
-                            continue
-                        p = pk[0]
-                        if inv.c4 % p == 0:  # additive: p divides disc and c4
-                            continue
-                        if not has_rational_ell_torsion(e, ell)[0]:
-                            continue
-                        hits.setdefault(p, {})[inv.j] = e
+    for e, p, j in _prime_power_models(coeff_bound):
+        if has_rational_ell_torsion(e, ell)[0]:
+            hits.setdefault(p, {})[j] = e
     return {p: sorted(by_j.values(), key=lambda c: c.coefficients()) for p, by_j in sorted(hits.items())}
 
 

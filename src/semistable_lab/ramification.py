@@ -132,8 +132,8 @@ def check_break_bound(f: RamFiltration, ell: int) -> bool:
     since phi is increasing this reduces to phi(c) <= 1/(ell - 1) at the
     last nontrivial index c.
     """
-    if ell < 2:
-        raise ValueError("need a prime ell >= 2")
+    if not is_prime(ell):
+        raise ValueError(f"ell must be prime, got {ell}")
     c = f.last_break
     if c is None:
         return True

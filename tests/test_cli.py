@@ -1,5 +1,6 @@
 """Report shape, determinism, exit codes and known values for the CLI."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -135,6 +136,13 @@ class TestUsageErrors:
         assert time.monotonic() - t0 < 1.0
         assert "l^n <= 9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ell", ["4", "9"])
+    def test_composite_ell_refused(self, capsys, ell):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["ramification", "--orders", "4,2,1", "--ell", ell])
+        assert exc.value.code == 2
+        assert f"ell must be prime, got {ell}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, limit", [
         (["miyawaki-search", "--ell", "3", "--bound", "33"],
          families._BOX_LIMIT),
@@ -149,6 +157,37 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert time.monotonic() - t0 < 1.0
         assert str(limit) in capsys.readouterr().err
+
+
+# (command line, SHA-256 of stdout, exit status)
+_STABLE_REPORTS = [
+    ("paper-suite",
+     "741a138e9478cfa9fb7d33c986efc12d2a5f6863f3b87e29779d20bd0565adaa", 0),
+    ("miyawaki-search --ell 3",
+     "6354aa8e66ab0b8dc6f0ade8692b5ef7afb271f6550f3b90be0e38bdff3c6113", 0),
+    ("miyawaki-search --ell 5",
+     "70a473f8e5046e5b1bc4992c639542e9ebf0eaccef94ccec34b6b4c07ab91c96", 0),
+    ("miyawaki-search --ell 7",
+     "ad4f942849ecfc1e3dd27becefa0fcfd8ce7e0e207b69eada56740a6bfa1917b", 0),
+    ("miyawaki-search --ell 3 --bound 32",
+     "9fddf8c462c0f364c4488278e022a7b60152e3ecdc7bc992b798b92b397160ac", 0),
+    ("miyawaki-search --ell 5 --bound 32",
+     "74b90cf0986027dcd069437758fe6e39f552e0d62ccf5fa7d8b2e7252df5123f", 0),
+    ("miyawaki-search --ell 7 --bound 32",
+     "4167b1def01469f5f15f4dfb00026c27c91d58eabb3001be78c31b55d900e549", 0),
+]
+
+
+class TestStableBytes:
+    """SHA-256 of stdout and the exit status of reports that a change
+    meant only to speed the program up must leave as they are."""
+
+    @pytest.mark.parametrize("line, digest, status", _STABLE_REPORTS,
+                             ids=[row[0] for row in _STABLE_REPORTS])
+    def test_report_bytes(self, capsys, line, digest, status):
+        assert cli.main(line.split()) == status
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
 
 
 class TestMiyawakiTorsionCheck:

@@ -1,8 +1,13 @@
 """Curve families: square-plus-64 pairs, box search, dagger selection."""
 
+from fractions import Fraction
+
 import pytest
 
+from semistable_lab import cli, families
+from semistable_lab.arith import prime_power
 from semistable_lab.curves import (
+    SingularCurveError,
     WeierstrassCurve,
     has_rational_ell_torsion,
     invariants,
@@ -87,6 +92,70 @@ class TestMiyawakiSearch:
             miyawaki_search(2)
         with pytest.raises(ValueError):
             miyawaki_search(11)
+
+
+def per_model_survivors(coeff_bound):
+    """The box filter done model by model: build every nonsingular curve,
+    take its invariants, keep |disc| = p^k with p not dividing c4."""
+    out = []
+    span = range(-coeff_bound, coeff_bound + 1)
+    for a1 in (0, 1):
+        for a2 in (-1, 0, 1):
+            for a3 in (0, 1):
+                for a4 in span:
+                    for a6 in span:
+                        try:
+                            e = WeierstrassCurve(a1, a2, a3, a4, a6)
+                        except SingularCurveError:
+                            continue
+                        inv = invariants(e)
+                        pk = prime_power(abs(inv.disc))
+                        if pk is None or inv.c4 % pk[0] == 0:
+                            continue
+                        out.append((e, pk[0], inv.j))
+    return out
+
+
+@pytest.fixture(scope="module")
+def box_12():
+    return per_model_survivors(12)
+
+
+class TestBoxFilter:
+    def test_survivors_match_the_per_model_route(self, box_12):
+        for bound in range(11):
+            expected = [(e, p, j) for e, p, j in box_12
+                        if abs(e.a4) <= bound and abs(e.a6) <= bound]
+            assert families._prime_power_models(bound) == tuple(expected)
+        assert len(families._prime_power_models(8)) == 400
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_hits_match_the_per_model_loop(self, box_12, ell):
+        by_j = {}
+        for e, p, j in box_12:
+            if has_rational_ell_torsion(e, ell)[0]:
+                by_j.setdefault(p, {})[j] = e
+        hits = miyawaki_search(ell, 12)
+        assert list(hits) == sorted(by_j)
+        assert {p: {invariants(e).j: e for e in cs}
+                for p, cs in hits.items()} == by_j
+
+    def test_last_model_stands_for_its_j(self, monkeypatch):
+        # two models with 3-torsion, posed as sharing p and j
+        first = WeierstrassCurve(0, 1, 1, -3, 1)
+        last = WeierstrassCurve(0, 1, 1, 1, 0)
+        monkeypatch.setattr(families, "_prime_power_models",
+                            lambda bound: ((first, 19, Fraction(1)),
+                                           (last, 19, Fraction(1))))
+        assert miyawaki_search(3) == {19: [last]}
+
+    def test_filtered_once_per_process_and_bound(self):
+        families._prime_power_models.cache_clear()
+        _, status = cli.run(["paper-suite"])
+        assert status == 0
+        assert families._prime_power_models.cache_info().misses == 1
+        miyawaki_search(3, 4)
+        assert families._prime_power_models.cache_info().misses == 2
 
 
 class TestSeedRows:

@@ -179,6 +179,12 @@ class TestBreakBound:
         with pytest.raises(ValueError):
             check_break_bound(RamFiltration.trivial(), 1)
 
+    @pytest.mark.parametrize("ell", [4, 9])
+    def test_composite_ell_refused(self, ell):
+        # 1/(ell - 1) is no break bound when ell is not prime
+        with pytest.raises(ValueError, match=f"ell must be prime, got {ell}"):
+            check_break_bound(RamFiltration((4, 2, 1)), ell)
+
 
 def make_total(ell: int, h_orders: tuple[int, ...]) -> RamFiltration:
     """Attach the full tame layer of degree ell - 1 on top of a wild chain."""
