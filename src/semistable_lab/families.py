@@ -136,11 +136,14 @@ def miyawaki_search(ell: int, coeff_bound: int = 8) -> dict[int, list[Weierstras
     at p.  That filter does not depend on ell and runs once per process and
     coeff_bound; each call then tests only its survivors for ell-torsion.
     Hits are grouped by p and deduplicated by j-invariant, the last model
-    in enumeration order standing for its j.  A coeff_bound above
-    _BOX_LIMIT is refused.
+    in enumeration order standing for its j.  A negative coeff_bound, or
+    one above _BOX_LIMIT, is refused.
     """
     if ell not in (3, 5, 7):
         raise ValueError("search covers ell in {3, 5, 7}")
+    if coeff_bound < 0:
+        raise ValueError(
+            f"coefficient bound must be nonnegative, got {coeff_bound}")
     if coeff_bound > _BOX_LIMIT:
         raise ValueError(
             f"coefficient box exceeds the desk-scale limit {_BOX_LIMIT}, "

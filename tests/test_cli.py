@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from semistable_lab import cli, families, quadratic
+from semistable_lab import cli, families, galois, quadratic
 from semistable_lab.curves import WeierstrassCurve
 
 
@@ -157,6 +157,56 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert time.monotonic() - t0 < 1.0
         assert str(limit) in capsys.readouterr().err
+
+
+class TestRequestBudget:
+    """Inputs past a desk-scale limit exit 2 before any work, naming it."""
+
+    def test_negative_box_bound_refused(self, capsys):
+        families._prime_power_models.cache_clear()
+        families._prime_power_models(2)
+        size = families._prime_power_models.cache_info().currsize
+        for bound in ("-3", "-4"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["miyawaki-search", "--ell", "3", "--bound", bound])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"got {bound}" in captured.err
+        assert families._prime_power_models.cache_info().currsize == size
+
+    @pytest.mark.parametrize("flag, value, limit", [
+        ("--precision", galois._PRECISION_LIMIT + 1, galois._PRECISION_LIMIT),
+        ("--precision", 10**12, galois._PRECISION_LIMIT),
+        ("--d", galois._BLOCK_LIMIT + 1, galois._BLOCK_LIMIT),
+        ("--d", 10**12, galois._BLOCK_LIMIT),
+    ])
+    def test_identity_request_past_limit_refused_at_once(self, capsys, flag,
+                                                         value, limit):
+        argv = ["verify-identities", "--ell", "5", "--s", "5", flag,
+                str(value)]
+        t0 = time.monotonic()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert time.monotonic() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"limit {limit}, got {value}" in captured.err
+
+    def test_limits_admit_the_published_requests(self):
+        # the precisions of the 4,300-digit moduli and the paper grid's d
+        assert galois._PRECISION_LIMIT >= 9000 and galois._BLOCK_LIMIT >= 2
+        for ell, s, precision, d in ((3, 3, 9000, 2), (5, 5, 6200, 2)):
+            rep = galois.build_rep(ell, d, s, precision)
+            assert galois.identities_pass(rep)
+
+    def test_largest_admitted_request_answers(self):
+        report, status = run_cli(
+            ["verify-identities", "--ell", "5", "--s", "5", "--precision",
+             str(galois._PRECISION_LIMIT), "--d", str(galois._BLOCK_LIMIT)])
+        assert status == 0
+        assert len(report["checks"]) == 2
 
 
 # (command line, SHA-256 of stdout, exit status)

@@ -49,6 +49,17 @@ class TestTeichmuller:
         with pytest.raises(ValueError, match="unit"):
             teichmuller_unit(PadicContext(5, 3), 10)
 
+    @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+    def test_matches_frobenius_oracle(self, ell):
+        # seed^(l^(N-1)) is the Teichmuller lift: x -> x^l fixes it and is
+        # a contraction towards it on each residue class mod l
+        for n in (1, 2, 3, 17, 1000):
+            ctx = PadicContext(ell, n)
+            for seed in range(1, ell):
+                oracle = pow(seed, ell ** (n - 1), ctx.modulus)
+                assert teichmuller_unit(ctx, seed) == oracle, (ell, n, seed)
+                assert teichmuller_unit(ctx, seed + 7 * ell) == oracle
+
 
 class TestBuildRep:
     def test_ell_two_tau_block_is_the_swap(self):

@@ -37,3 +37,37 @@ def test_runtime_imports_are_stdlib():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def _is_inverse_pow(node) -> bool:
+    """A call pow(_, -1, _)."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "pow" and len(node.args) == 3):
+        return False
+    exp = node.args[1]
+    if isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub):
+        exp = exp.operand
+        return isinstance(exp, ast.Constant) and exp.value == 1
+    return isinstance(exp, ast.Constant) and exp.value == -1
+
+
+def test_work_ring_inverse_has_one_home():
+    """galois and padic invert units mod l^N only through
+    PadicContext.invert_unit: pow(_, -1, _) appears once in those two
+    modules, inside its helper padic._unit_inverse."""
+    found, home = [], []
+    for path in SOURCES:
+        if path.name not in ("galois.py", "padic.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if (path.name == "padic.py" and isinstance(node, ast.FunctionDef)
+                    and node.name == "_unit_inverse"):
+                allowed.update(range(node.lineno, node.end_lineno + 1))
+        for node in ast.walk(tree):
+            if _is_inverse_pow(node):
+                where = home if node.lineno in allowed else found
+                where.append(f"{path.name}:{node.lineno}")
+    assert len(home) == 1
+    assert found == []

@@ -25,6 +25,7 @@ from semistable_lab.padic import (
     orthogonal,
     project_mod_ell,
 )
+from semistable_lab import padic
 
 
 def make_context(ell=2, precision=4):
@@ -68,6 +69,47 @@ class TestContext:
         ctx = PadicContext(2, 3)
         with pytest.raises(ZeroDivisionError):
             ctx.invert_unit(4)
+
+
+def random_units(rng, ell, m, count):
+    units = [1, m - 1]
+    while len(units) < count:
+        u = rng.randrange(m)
+        if u % ell:
+            units.append(u)
+    return units
+
+
+class TestInvertUnit:
+    """invert_unit against CPython's pow(u, -1, m), the plain inverse."""
+
+    @pytest.mark.parametrize("ell", [2, 3, 5, 7])
+    def test_matches_pow(self, ell):
+        rng = random.Random(ell)
+        for n in [*range(1, 41), 64, 1000, 6200]:
+            ctx = PadicContext(ell, n)
+            m = ctx.modulus
+            for u in random_units(rng, ell, m, 4 if n > 64 else 12):
+                assert ctx.invert_unit(u) == pow(u, -1, m), (ell, n, u)
+
+    @pytest.mark.parametrize("n", [padic._NEWTON_BASE, padic._NEWTON_BASE + 1])
+    def test_recursion_base(self, n):
+        assert padic._NEWTON_BASE == 16
+        rng = random.Random(n)
+        for ell in (2, 3, 5, 7):
+            ctx = PadicContext(ell, n)
+            m = ctx.modulus
+            for u in random_units(rng, ell, m, 50):
+                assert ctx.invert_unit(u) == pow(u, -1, m), (ell, n, u)
+                # u is reduced first: a lift of u has the same inverse
+                assert ctx.invert_unit(u + 3 * m) == pow(u, -1, m)
+
+    @pytest.mark.parametrize("n", [17, 1000])
+    def test_non_unit_fails_above_the_base(self, n):
+        ctx = PadicContext(5, n)
+        for x in (0, 5, 10 * ctx.modulus + 25, ctx.modulus - 5):
+            with pytest.raises(ZeroDivisionError):
+                ctx.invert_unit(x)
 
 
 class TestPadicMatrix:
