@@ -216,13 +216,12 @@ def _cmd_isogeny_maximal(args) -> tuple[dict, list[dict]]:
     filt1, filt2 = galois.filtration(rep1, 1), galois.filtration(rep2, 1)
     multiplicative = True
     subs = galois.stable_submodules(rep1, 1)
-    for k1 in subs:
-        for k2 in subs:
+    own = [galois.component_transfer(k, ell, filt1) for k in subs]
+    for k1, t1 in zip(subs, own):
+        for k2, t2 in zip(subs, own):
             combined = galois.component_transfer(
                 galois.product_kernel(k1, k2), ell * ell, filt2)
-            split = (galois.component_transfer(k1, ell, filt1)
-                     * galois.component_transfer(k2, ell, filt1))
-            multiplicative &= combined == split
+            multiplicative &= combined == t1 * t2
     results = {
         "nodes": [_node_payload(nd) for nd in single.nodes],
         "maximal_part": single.maximal_part,

@@ -10,8 +10,9 @@ formula across quotients by stable kernels.
 
 The stable submodules of (Z/l^n)^(2d) are found from their atoms, the
 stable closures of single vectors: one vector per orbit of the unit group
-is closed, by adding only the sigma and tau images that fall outside, and
-the atoms that are not sums of smaller ones are then summed in every way.
+is closed in one echelon pass, as the span of its images under a basis of
+the word algebra in sigma and tau, and the atoms that are not sums of
+smaller ones are then summed in every way.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ class GaloisRep:
     d copies of [[0, -omega], [1, 1 + omega]], where omega is -1 for
     l = 2, 3 and the Teichmuller lift of 2 for l = 5.  Each tau block has
     determinant omega and quadratic relation (tau - 1)(tau - omega) = 0.
+    The 2x2 blocks are kept, so that an inverse is taken once per block.
     """
 
     ctx: PadicContext
@@ -69,6 +71,8 @@ class GaloisRep:
     omega: int
     sigma: PadicMatrix
     tau: PadicMatrix
+    sigma_block: PadicMatrix
+    tau_block: PadicMatrix
 
     @property
     def ell(self) -> int:
@@ -114,7 +118,8 @@ def build_rep(ell: int, d: int, s: int, precision: int) -> GaloisRep:
         if tau_block.rows != ((0, 1), (1, 0)):
             raise AssertionError("tau block at ell = 2 is not the swap")
     return GaloisRep(ctx, d, s % m, omega,
-                     sigma_block.block_diag(d), tau_block.block_diag(d))
+                     sigma_block.block_diag(d), tau_block.block_diag(d),
+                     sigma_block, tau_block)
 
 
 @dataclass(frozen=True)
@@ -137,11 +142,13 @@ def verify_identities(rep: GaloisRep) -> tuple[IdentityCheck, ...]:
     (tau^-1 sigma tau) sigma - sigma (tau^-1 sigma tau) equals
     s^2 omega^-1 [[1, 2(1+omega)], [0, -1]] on each block; for l = 5 the
     prefactor omega^-1 is -omega.  All comparisons are exact in M_2d.
+    The inverses of sigma and tau are block-diagonal copies of the inverses
+    of their 2x2 blocks, so each block is inverted once.
     """
     ctx, d, s, w = rep.ctx, rep.d, rep.s, rep.omega
     sg, tu = rep.sigma, rep.tau
     ident = PadicMatrix.identity(ctx, 2 * d)
-    sg_inv = sg.inverse()
+    sg_inv = rep.sigma_block.inverse().block_diag(d)
     checks = []
     if rep.ell in (2, 3):
         checks.append(IdentityCheck(
@@ -151,7 +158,7 @@ def verify_identities(rep: GaloisRep) -> tuple[IdentityCheck, ...]:
         checks.append(IdentityCheck(
             "twisted-commutation-tau-squared",
             sg @ t2 - t2 @ sg_inv, ident.scale((1 + w) * s)))
-    conj = tu.inverse() @ sg @ tu
+    conj = rep.tau_block.inverse().block_diag(d) @ sg @ tu
     block = PadicMatrix.from_rows(ctx, [[1, 2 * (1 + w)], [0, -1]])
     checks.append(IdentityCheck(
         "conjugate-difference",
@@ -482,8 +489,42 @@ def _orbit_representatives(ell: int, n: int, rank: int):
                     yield before + (step,) + after
 
 
-def _contains_module(big: Lattice, small: Lattice) -> bool:
-    return all(big.contains(b) for b in small.basis)
+def _word_algebra(rep: GaloisRep,
+                  ctx: PadicContext) -> tuple[PadicMatrix, ...]:
+    """Echelon basis of A, the span over ctx's ring of all words in sigma
+    and tau.
+
+    Grown from the identity by the right products X g, g in {sigma, tau},
+    that fall outside the span so far; every X put on `todo` has both
+    products inside once popped, so the span is closed under right
+    multiplication and is the span of all positive words.  sigma and tau
+    have finite order, so their inverses are positive words: A is the span
+    of all words and is closed on both sides.
+    """
+    rank = rep.rank
+    gens = (_reduced(rep.sigma, ctx), _reduced(rep.tau, ctx))
+    flat = lambda mat: tuple(x for row in mat.rows for x in row)
+    ident = PadicMatrix.identity(ctx, rank)
+    span = Lattice.from_generators(ctx, rank * rank, [flat(ident)])
+    todo = [ident]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = x @ g
+            if not span.contains(flat(y)):
+                span = Lattice.from_generators(
+                    ctx, rank * rank, span.basis + (flat(y),))
+                todo.append(y)
+    return tuple(PadicMatrix(ctx, tuple(b[i * rank:(i + 1) * rank]
+                                        for i in range(rank)))
+                 for b in span.basis)
+
+
+def _atom(algebra: tuple[PadicMatrix, ...], vec: tuple[int, ...]) -> Lattice:
+    """The stable closure A vec of vec: one echelon pass over its images."""
+    ctx, rank = algebra[0].ctx, algebra[0].nrows
+    return Lattice.from_generators(ctx, rank,
+                                   [a.apply(vec) for a in algebra])
 
 
 def stable_submodules(rep: GaloisRep, n: int) -> list[Lattice]:
@@ -492,51 +533,41 @@ def stable_submodules(rep: GaloisRep, n: int) -> list[Lattice]:
     Exhaustive at desk scale; the guard keeps the ambient module small.
     A stable module is the sum of the stable closures of its elements, its
     atoms, and the closure of u*x equals that of x for a unit u, so closing
-    one vector per unit orbit finds every atom.  An atom that is the sum of
-    the smaller atoms inside it is dropped; by induction on size, every
-    atom is a sum of the kept ones.  The kept atoms are then added one at
-    a time to every module found so far that does not contain them, so
-    after k atoms every sum of a subset of the first k is found, and after
-    the last every stable module.  Modules come rebased (divisors read off
-    their echelon basis), ordered by size then basis.
+    one vector per unit orbit finds every atom.  The closure of x is A x
+    for the word algebra A, so it is one echelon pass over the images of x
+    under a basis of A, which is computed once per call.  Since an atom is
+    A x, it lies in a stable module exactly when x does, and every
+    containment test below is one membership test of a generator.  An atom
+    that is the sum of the smaller atoms inside it is dropped; by induction
+    on size, every atom is a sum of the kept ones.  The kept atoms are then
+    added one at a time to every module found so far that does not contain
+    them, so after k atoms every sum of a subset of the first k is found,
+    and after the last every stable module.  Modules come rebased (divisors
+    read off their echelon basis), ordered by size then basis.
     """
     ell = rep.ell
     require_searchable(ell, n, rep.d)
     ctx = PadicContext(ell, n)
     rank = rep.rank
-    sg, tu = _reduced(rep.sigma, ctx), _reduced(rep.tau, ctx)
-
-    def close(vec: tuple[int, ...]) -> Lattice:
-        # grow by the images that fall outside; every vector put on `todo`
-        # spans the module with the others, and has both images inside it
-        # once popped, so the result is stable and generated by vec
-        lat = Lattice.from_generators(ctx, rank, [vec])
-        todo = [vec]
-        while todo:
-            b = todo.pop()
-            for image in (sg.apply(b), tu.apply(b)):
-                if not lat.contains(image):
-                    lat = Lattice.from_generators(
-                        ctx, rank, lat.basis + (image,))
-                    todo.append(image)
-        return lat
-
-    atoms: dict[tuple, Lattice] = {}
+    algebra = _word_algebra(rep, ctx)
+    # atom basis -> (atom, a vector that generates it)
+    atoms: dict[tuple, tuple[Lattice, tuple[int, ...]]] = {}
     for vec in _orbit_representatives(ell, n, rank):
-        lat = close(vec)
-        atoms.setdefault(lat.basis, lat)
-    irreducible: list[Lattice] = []
-    for atom in sorted(atoms.values(), key=Lattice.member_count):
-        inside = [b for a in irreducible if _contains_module(atom, a)
+        lat = _atom(algebra, vec)
+        atoms.setdefault(lat.basis, (lat, vec))
+    irreducible: list[tuple[Lattice, tuple[int, ...]]] = []
+    for atom, vec in sorted(atoms.values(),
+                            key=lambda av: av[0].member_count()):
+        inside = [b for a, g in irreducible if atom.contains(g)
                   for b in a.basis]
         if Lattice.from_generators(ctx, rank, inside).basis != atom.basis:
-            irreducible.append(atom)
+            irreducible.append((atom, vec))
     # Largest atoms first: later ones then often lie inside and need no join.
     zero = Lattice.zero(ctx, rank)
     found = {zero.basis: zero}
-    for atom in reversed(irreducible):
+    for atom, vec in reversed(irreducible):
         for cur in list(found.values()):
-            if not _contains_module(cur, atom):
+            if not cur.contains(vec):
                 total = Lattice.from_generators(
                     ctx, rank, cur.basis + atom.basis)
                 found.setdefault(total.basis, total)
@@ -550,6 +581,9 @@ class FiltrationData:
 
     Both steps coincide here (one toric line per block), so M1 = M2 = the
     span of the first basis vector of every block, reduced mod l^level.
+    Each step is a coordinate sublattice, the span of e_i for i in a set of
+    toric positions; component_transfer counts meets through that and
+    refuses a step of any other shape.
     """
 
     level: int
@@ -565,20 +599,48 @@ def filtration(rep: GaloisRep, level: int) -> FiltrationData:
     return FiltrationData(level, m2, m2)
 
 
+def _coordinate_meet_count(kernel: Lattice, step: Lattice) -> int:
+    """|kernel meet step| for a coordinate sublattice step of kernel's module.
+
+    The projection pi that drops step's coordinates has kernel exactly
+    step, so restricted to kernel its kernel is kernel meet step, and
+    |kernel meet step| = |kernel| / |pi(kernel)|: one echelon pass on
+    shorter vectors instead of a general intersection.
+    """
+    rank = kernel.ambient_rank
+    coordinate = step.ctx == kernel.ctx and step.ambient_rank == rank and all(
+        v == 0 and not any(x for i, x in enumerate(b) if i != row)
+        for b, (v, row) in zip(step.basis, step.pivots))
+    if not coordinate:
+        raise ValueError("filtration step is not a coordinate sublattice "
+                         "of the kernel's module")
+    toric = {row for _v, row in step.pivots}
+    keep = [i for i in range(rank) if i not in toric]
+    image = Lattice.from_generators(
+        kernel.ctx, len(keep),
+        [tuple(b[i] for i in keep) for b in kernel.basis])
+    return kernel.member_count() // image.member_count()
+
+
 def component_transfer(kernel: Lattice, phi_ell: int,
                        filt: FiltrationData) -> int:
     """Push an l-part of a component-group order through a quotient.
 
     Result is phi * |kernel meet M2| / |kernel / (kernel meet M1)| and must
     come out a positive integer; anything else means the kernel is not
-    compatible with the filtration.
+    compatible with the filtration.  Each meet is counted as |kernel| over
+    the size of kernel's projection away from the toric coordinates, once
+    when M1 = M2; a step that is not a coordinate sublattice is refused.
     """
     if phi_ell < 1:
         raise ValueError("phi_ell must be a positive integer")
     if kernel.ctx != filt.M2.ctx or kernel.ambient_rank != filt.M2.ambient_rank:
         raise ValueError("kernel and filtration live in different modules")
-    num = phi_ell * intersect(kernel, filt.M2).member_count()
-    den = kernel.member_count() // intersect(kernel, filt.M1).member_count()
+    meet2 = _coordinate_meet_count(kernel, filt.M2)
+    meet1 = (meet2 if filt.M1 == filt.M2
+             else _coordinate_meet_count(kernel, filt.M1))
+    num = phi_ell * meet2
+    den = kernel.member_count() // meet1
     if num % den:
         raise ValueError("transfer is not integral for this kernel")
     return num // den

@@ -449,3 +449,54 @@ def box_unit_scan(ell, p, box):
         rank += 1
         col += 1
     return survivors, rank
+
+
+def close_by_images(sigma, tau, vec):
+    """Stable closure of vec, grown one sigma or tau image at a time.
+
+    The closure the stable-submodule search used before the word algebra:
+    start from the span of vec and, for every vector added, add its sigma
+    and tau images that fall outside, rebuilding the echelon basis each
+    time.  sigma and tau are PadicMatrix objects over the search ring; the
+    result is a Lattice of the package, so this checks the closure
+    strategy, not the echelon code.
+    """
+    from semistable_lab.padic import Lattice
+
+    ctx, rank = sigma.ctx, sigma.nrows
+    lat = Lattice.from_generators(ctx, rank, [vec])
+    todo = [tuple(vec)]
+    while todo:
+        b = todo.pop()
+        for image in (sigma.apply(b), tau.apply(b)):
+            if not lat.contains(image):
+                lat = Lattice.from_generators(ctx, rank, lat.basis + (image,))
+                todo.append(image)
+    return lat
+
+
+def word_closure(sigma, tau, modulus):
+    """Every product of sigma and tau mod modulus, the identity included.
+
+    sigma and tau are r x r row tuples; products are r x r row tuples.
+    Both have finite order, so this is the group they generate.
+    """
+    r = len(sigma)
+
+    def mul(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(r)) % modulus
+                           for j in range(r)) for i in range(r))
+
+    ident = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        grown = []
+        for x in frontier:
+            for g in (sigma, tau):
+                y = mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    grown.append(y)
+        frontier = grown
+    return seen

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from semistable_lab import cli, families, galois, quadratic
+from semistable_lab import cli, families, galois, intlinalg, padic, quadratic
 from semistable_lab.curves import WeierstrassCurve
 
 
@@ -225,6 +225,35 @@ _STABLE_REPORTS = [
      "74b90cf0986027dcd069437758fe6e39f552e0d62ccf5fa7d8b2e7252df5123f", 0),
     ("miyawaki-search --ell 7 --bound 32",
      "4167b1def01469f5f15f4dfb00026c27c91d58eabb3001be78c31b55d900e549", 0),
+    ("isogeny-maximal --ell 2 --s 2 --n 1",
+     "38b69b356d09eaae07855362ae72d5cf650943129641d565aca92287f2983fd6", 0),
+    ("isogeny-maximal --ell 2 --s 4 --n 1",
+     "6ff2c9db06c047df06162736c988230d75e8b8d90e4daab88259eef98114c3bf", 1),
+    ("isogeny-maximal --ell 3 --s 3 --n 1",
+     "f660c52a4021e757e17afb226a378ee3fb69f0bf861997afc48a58548cbba1d9", 0),
+    ("isogeny-maximal --ell 3 --s 6 --n 1",
+     "975a3dd3fa7da933325c1951930d874993eba543d862098e82b4715bde11891f", 0),
+    ("isogeny-maximal --ell 2 --s 2 --n 2",
+     "1637f187eb6e6b4531074fe9b0ae664620b11880261c1a945a6a1bee7cdbed91", 0),
+    ("isogeny-maximal --ell 5 --s 5 --n 1",
+     "094eaecd358fe94fc404bdf882d75f6fbdfcc47ed26703ccded9bb1006132c39", 0),
+    ("isogeny-maximal --ell 5 --s 10 --n 1",
+     "cccb273644b7e83306b7f697757a8e689349b33e1e5483a49b73f67567af3934", 0),
+    ("isogeny-maximal --ell 2 --s 2 --n 3",
+     "61b02e9ce3c94cedc0d1f88916181eee2b9ea6aa4f30b68f777fd666bc9fd074", 0),
+    ("isogeny-maximal --ell 3 --s 3 --n 2",
+     "e80da7d6af3289a15fd7afe916d1be8cce042713949e009e4cb3aa374465d958", 0),
+    ("isogeny-maximal --ell 3 --s 6 --n 2",
+     "2852c58a917c9bd083e223f6bb4fc7655f2ff4bed27b4c457fcd970af67ffcf6", 0),
+    ("verify-identities --ell 5 --s 5 --precision 20000 --d 4",
+     "d3761ac9faff27eee840db3c2f3f19c9e2b12d8837f2f62fd96d50ef4c2ac0f1", 0),
+]
+
+# Requests refused with a usage error (exit 2, nothing on stdout): at
+# s = 2l the level-l^2 and l^3 kernels give a non-integral transfer.
+_STABLE_REFUSALS = [
+    "isogeny-maximal --ell 2 --s 4 --n 2",
+    "isogeny-maximal --ell 2 --s 4 --n 3",
 ]
 
 
@@ -238,6 +267,36 @@ class TestStableBytes:
         assert cli.main(line.split()) == status
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == digest
+
+    @pytest.mark.parametrize("line", _STABLE_REFUSALS)
+    def test_refusal_bytes(self, capsys, line):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(line.split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not integral" in captured.err
+
+
+class TestMaximalSearchWithoutIntersections:
+    """The maximal-transfer search counts meets by projection and closes
+    atoms over the word algebra, so it needs no general intersection."""
+
+    @pytest.mark.parametrize("ell, n", [(2, 2), (5, 1)])
+    def test_answers_with_intersections_disabled(self, monkeypatch, ell, n):
+        def refuse(*args):
+            raise RuntimeError("general lattice intersection")
+
+        monkeypatch.setattr(padic, "intersect", refuse)
+        monkeypatch.setattr(galois, "intersect", refuse)
+        monkeypatch.setattr(intlinalg, "kernel_mod", refuse)
+        monkeypatch.setattr(intlinalg, "smith_with_transforms", refuse)
+        report, status = run_cli(
+            ["isogeny-maximal", "--ell", str(ell), "--s", str(ell),
+             "--n", str(n)])
+        assert status == 0
+        assert report["results"]["maximal_part"] == ell
+        assert all(check["pass"] for check in report["checks"])
 
 
 class TestMiyawakiTorsionCheck:

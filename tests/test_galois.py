@@ -7,7 +7,10 @@ import pytest
 
 import oracles
 from semistable_lab.galois import (
+    FiltrationData,
+    _atom,
     _orbit_representatives,
+    _word_algebra,
     build_rep,
     component_transfer,
     dual_transfer_roundtrip,
@@ -25,7 +28,7 @@ from semistable_lab.galois import (
     toric_complement_check,
     verify_identities,
 )
-from semistable_lab.padic import Lattice, PadicContext, PadicMatrix
+from semistable_lab.padic import Lattice, PadicContext, PadicMatrix, intersect
 
 
 class TestTeichmuller:
@@ -459,3 +462,93 @@ class TestDualRoundtrip:
         kernel = Lattice.zero(PadicContext(2, 2), 2)
         with pytest.raises(ValueError, match="precision"):
             dual_transfer_roundtrip(rep, kernel, 2, 2)
+
+
+# every searchable (l, n) with l^n <= 9, at d = 1 and d = 2
+_SEARCH_GRID = [(ell, n, d)
+                for ell, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1))
+                for d in (1, 2)]
+
+
+class TestWordAlgebraSearch:
+    """The one-echelon atoms and the projection-count transfer against the
+    image-by-image closure and the two-intersection formula they replace."""
+
+    @staticmethod
+    def level_pair(rep, n):
+        ctx = PadicContext(rep.ell, n)
+        return (ctx, PadicMatrix.from_rows(ctx, rep.sigma.rows),
+                PadicMatrix.from_rows(ctx, rep.tau.rows))
+
+    @pytest.mark.parametrize("ell, n, d", _SEARCH_GRID)
+    @pytest.mark.parametrize("shear", [1, 2])
+    def test_atom_matches_image_by_image_closure(self, ell, n, d, shear):
+        rep = build_rep(ell, d, shear * ell, max(4, n + 2))
+        ctx, sigma, tau = self.level_pair(rep, n)
+        algebra = _word_algebra(rep, ctx)
+        for vec in _orbit_representatives(ell, n, rep.rank):
+            assert _atom(algebra, vec) == oracles.close_by_images(
+                sigma, tau, vec), vec
+
+    @pytest.mark.parametrize("ell, n", [(2, 1), (2, 2), (3, 1), (5, 1)])
+    @pytest.mark.parametrize("shear", [1, 2])
+    def test_word_algebra_spans_the_product_closure(self, ell, n, shear):
+        rep = build_rep(ell, 1, shear * ell, max(4, n + 2))
+        ctx, sigma, tau = self.level_pair(rep, n)
+        q = ctx.modulus
+        flat = lambda rows: tuple(x for row in rows for x in row)
+        words = oracles.word_closure(sigma.rows, tau.rows, q)
+        span = Lattice.from_generators(
+            ctx, 4, [flat(a.rows) for a in _word_algebra(rep, ctx)])
+        assert set(span.members()) == oracles.closure_members(
+            [flat(w) for w in words], q, 4)
+        # both inverses are words, so the closure is two-sided
+        assert span.contains(flat(sigma.inverse().rows))
+        assert span.contains(flat(tau.inverse().rows))
+
+    @pytest.mark.parametrize("ell, n, d", _SEARCH_GRID)
+    @pytest.mark.parametrize("shear", [1, 2])
+    def test_transfer_matches_two_intersections(self, ell, n, d, shear):
+        rep = build_rep(ell, d, shear * ell, max(4, n + 2))
+        filt = filtration(rep, n)
+        # cyclic modules too (at d = 1, where they are few): tau swaps the
+        # toric and etale lines, so on a stable kernel the two meets have
+        # one size and a projection onto the wrong coordinates goes unseen
+        cyclic = [Lattice.from_generators(filt.M2.ctx, rep.rank, [vec])
+                  for vec in _orbit_representatives(ell, n, rep.rank)
+                  if d == 1]
+        for kernel in stable_submodules(rep, n) + cyclic:
+            meet2 = intersect(kernel, filt.M2).member_count()
+            den = (kernel.member_count()
+                   // intersect(kernel, filt.M1).member_count())
+            for phi in (ell ** d, ell ** (2 * d * n)):
+                num = phi * meet2
+                if num % den:
+                    with pytest.raises(ValueError, match="not integral"):
+                        component_transfer(kernel, phi, filt)
+                else:
+                    assert component_transfer(kernel, phi, filt) == num // den
+
+    def test_non_coordinate_filtration_refused(self):
+        ctx = PadicContext(2, 2)
+        kernel = Lattice.full(ctx, 2)
+        toric = filtration(build_rep(2, 1, 2, 5), 2).M2
+        filt = FiltrationData(2, toric, toric)
+        assert component_transfer(kernel, 2, filt) == 2
+        for gens in ([(1, 1)], [(2, 0)], [(1, 0), (0, 2)]):
+            step = Lattice.from_generators(ctx, 2, gens)
+            for filt in (FiltrationData(2, step, step),
+                         FiltrationData(2, step, toric)):
+                with pytest.raises(ValueError, match="coordinate sublattice"):
+                    component_transfer(kernel, 2, filt)
+
+
+class TestBlockInverses:
+    @pytest.mark.parametrize("ell", [2, 3, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_block_inverse_is_the_inverse(self, ell, d):
+        rep = build_rep(ell, d, ell, 20)
+        assert rep.sigma == rep.sigma_block.block_diag(d)
+        assert rep.tau == rep.tau_block.block_diag(d)
+        assert rep.sigma_block.inverse().block_diag(d) == rep.sigma.inverse()
+        assert rep.tau_block.inverse().block_diag(d) == rep.tau.inverse()
