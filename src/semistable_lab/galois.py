@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
 
-from .arith import ord_at
-from .padic import Lattice, PadicContext, PadicMatrix, intersect, lattice_sum
+from .padic import Lattice, PadicContext, PadicMatrix
 
 
 def teichmuller_unit(ctx: PadicContext, seed: int) -> int:
@@ -171,289 +169,6 @@ def identities_pass(rep: GaloisRep) -> bool:
     return all(c.passed for c in verify_identities(rep))
 
 
-def group_ring_span(rep: GaloisRep, depth: int) -> tuple[Lattice, bool]:
-    """Linear span of all words of length <= depth in sigma, tau, inverses.
-
-    Tracked for d = 1 only: 2x2 matrices flatten row-major to vectors of
-    length 4 and the span is a lattice there.  The flag reports whether the
-    span already contains s times every matrix unit, i.e. s*M_2(Z/l^N).
-    """
-    if rep.d != 1:
-        raise ValueError("word spans are tracked for d = 1 only")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    ctx = rep.ctx
-    gens = (rep.sigma, rep.tau, rep.sigma.inverse(), rep.tau.inverse())
-    frontier = {PadicMatrix.identity(ctx, 2).rows}
-    words = set(frontier)
-    for _ in range(depth):
-        grown = set()
-        for rows in frontier:
-            mat = PadicMatrix(ctx, rows)
-            for g in gens:
-                prod = (mat @ g).rows
-                if prod not in words:
-                    words.add(prod)
-                    grown.add(prod)
-        frontier = grown
-    span = Lattice.from_generators(
-        ctx, 4, [tuple(x for row in rows for x in row) for rows in words])
-    s = rep.s
-    units = [tuple(s if k == j else 0 for k in range(4)) for j in range(4)]
-    return span, all(span.contains(u) for u in units)
-
-
-def _coset_table(ngen: int, relators: tuple[tuple[int, ...], ...],
-                 limit: int = 5000) -> list[list[int]]:
-    """Complete coset table of a presented group over the trivial subgroup.
-
-    Letters 2g and 2g+1 stand for generator g and its inverse.  Relator
-    scans and fresh-coset definitions alternate until the table closes;
-    coincidences collapse through a union-find.  Only terminates when the
-    presented group is finite, so `limit` caps runaway presentations.
-    """
-    nlet = 2 * ngen
-    table: list[list[int]] = [[-1] * nlet]
-    parent = [0]
-    changed = [0]
-    queue: list[tuple[int, int]] = []
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    def deduce(c: int, x: int, d: int) -> None:
-        c, d = find(c), find(d)
-        cur = table[c][x]
-        if cur != -1 and find(cur) != d:
-            queue.append((find(cur), d))
-        elif cur == -1:
-            table[c][x] = d
-            changed[0] += 1
-        cur = table[d][x ^ 1]
-        if cur != -1 and find(cur) != c:
-            queue.append((find(cur), c))
-        elif cur == -1:
-            table[d][x ^ 1] = c
-            changed[0] += 1
-
-    def settle() -> None:
-        while queue:
-            a, b = queue.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            parent[b] = a
-            changed[0] += 1
-            row = table[b]
-            table[b] = [-1] * nlet
-            for x in range(nlet):
-                if row[x] != -1:
-                    deduce(a, x, find(row[x]))
-
-    def scan(c: int, rel: tuple[int, ...]) -> None:
-        f, i = find(c), 0
-        while i < len(rel):
-            nxt = table[f][rel[i]]
-            if nxt == -1:
-                break
-            f, i = find(nxt), i + 1
-        if i == len(rel):
-            if f != find(c):
-                queue.append((f, find(c)))
-                settle()
-            return
-        b, j = find(c), len(rel)
-        while j > i + 1:
-            prv = table[b][rel[j - 1] ^ 1]
-            if prv == -1:
-                break
-            b, j = find(prv), j - 1
-        if j == i + 1:
-            deduce(f, rel[i], b)
-            settle()
-
-    while True:
-        while True:
-            changed[0] = 0
-            for c in range(len(table)):
-                if find(c) != c:
-                    continue
-                for rel in relators:
-                    scan(c, rel)
-            if not changed[0]:
-                break
-        hole = None
-        for c in range(len(table)):
-            if find(c) != c:
-                continue
-            for x in range(nlet):
-                if table[c][x] == -1:
-                    hole = (c, x)
-                    break
-            if hole:
-                break
-        if hole is None:
-            break
-        if len(table) >= limit:
-            raise RuntimeError("coset limit exceeded")
-        fresh = len(table)
-        table.append([-1] * nlet)
-        parent.append(fresh)
-        deduce(hole[0], hole[1], fresh)
-        settle()
-
-    live = [c for c in range(len(table)) if find(c) == c]
-    index = {c: i for i, c in enumerate(live)}
-    return [[index[find(table[c][x])] for x in range(nlet)] for c in live]
-
-
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """b first, then a."""
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
-def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
-def _perm_order(p: tuple[int, ...]) -> int:
-    ident = tuple(range(len(p)))
-    q, k = p, 1
-    while q != ident:
-        q = _compose(p, q)
-        k += 1
-    return k
-
-
-def _perm_closure(gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    ident = tuple(range(len(gens[0])))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        grown = []
-        for p in frontier:
-            for g in gens:
-                q = _compose(g, p)
-                if q not in seen:
-                    seen.add(q)
-                    grown.append(q)
-        frontier = grown
-    return seen
-
-
-@dataclass(frozen=True)
-class QuotientBound:
-    """Universal group presented by the word relations, with its structure.
-
-    core_* fields describe the normal closure of sigma's image; the last
-    flag records whether conjugation by tau^2 inverts that core (only
-    meaningful when tau has order 4, hence None for l = 2, 3).
-    """
-
-    ell: int
-    relators: tuple[str, ...]
-    order: int
-    abelian: bool
-    label: str
-    core_order: int
-    core_abelian: bool
-    core_exponent: int
-    core_rank: int
-    tau_square_inverts_core: bool | None
-
-
-def quotient_group_structure(ell: int) -> QuotientBound:
-    """Upper bound on the symmetry group forced by the word relations.
-
-    Relations: sigma^l = 1, tau of order 2 (l = 2, 3) or 4 (l = 5), and the
-    twisted commutation rule transported to the group level, which for
-    l = 5 becomes inversion by tau^2 plus commuting sigma-conjugates.
-    Coset enumeration over the trivial subgroup realizes the universal
-    group; order, abelianness and the core structure are read off the
-    regular permutation action and checked against the expected label.
-    """
-    if ell not in (2, 3, 5):
-        raise ValueError("ell must be 2, 3 or 5")
-    # letters: 0 = sigma, 1 = sigma^-1, 2 = tau, 3 = tau^-1
-    if ell in (2, 3):
-        relators = ((0,) * ell, (2, 2), (3, 0, 2, 0))
-        words = (f"s^{ell}", "t^2", "t^-1 s t s")
-    else:
-        relators = ((0,) * 5, (2,) * 4, (3, 3, 0, 2, 2, 0),
-                    (0, 3, 0, 2, 1, 3, 1, 2))
-        words = ("s^5", "t^4", "t^-2 s t^2 s", "[s, t^-1 s t]")
-    tbl = _coset_table(2, relators)
-    s_perm = tuple(row[0] for row in tbl)
-    t_perm = tuple(row[2] for row in tbl)
-    elements = _perm_closure([s_perm, t_perm])
-    if len(elements) != len(tbl):
-        raise AssertionError("coset table and permutation group disagree")
-    order = len(tbl)
-    abelian = _compose(s_perm, t_perm) == _compose(t_perm, s_perm)
-
-    core = {s_perm}
-    frontier = [s_perm]
-    while frontier:
-        grown = []
-        for h in frontier:
-            for g in (s_perm, t_perm):
-                q = _compose(_perm_inverse(g), _compose(h, g))
-                if q not in core:
-                    core.add(q)
-                    grown.append(q)
-        frontier = grown
-    core_group = _perm_closure(list(core))
-    core_order = len(core_group)
-    core_abelian = all(_compose(a, b) == _compose(b, a)
-                       for a in core_group for b in core_group)
-    core_exponent = lcm(*(_perm_order(h) for h in core_group))
-    core_rank = 0
-    if core_abelian and core_exponent == ell:
-        core_rank = ord_at(core_order, ell)
-    elif core_order > 1:
-        core_rank = 1
-
-    inverts: bool | None = None
-    if ell == 5:
-        t2 = _compose(t_perm, t_perm)
-        t2i = _perm_inverse(t2)
-        inverts = all(_compose(t2i, _compose(h, t2)) == _perm_inverse(h)
-                      for h in core_group)
-
-    if ell == 2:
-        if not (order == 4 and abelian):
-            raise AssertionError("ell = 2 quotient is not abelian of order 4")
-        if any(_perm_order(p) > 2 for p in elements):
-            raise AssertionError("ell = 2 quotient has an element of order 4")
-        label = "Z/2 x Z/2"
-    elif ell == 3:
-        if not (order == 6 and not abelian and core_order == 3):
-            raise AssertionError("ell = 3 quotient is not S3")
-        label = "S3"
-    else:
-        if not (order == 100 and core_order == 25):
-            raise AssertionError("ell = 5 quotient or core has wrong order")
-        if not (core_abelian and core_exponent == 5 and core_rank == 2):
-            raise AssertionError("ell = 5 core is not Z/5 x Z/5")
-        if not inverts:
-            raise AssertionError("t^2 does not invert the ell = 5 core")
-        label = "(Z/5 x Z/5) : Z/4"
-    return QuotientBound(ell, words, order, abelian, label, core_order,
-                         core_abelian, core_exponent, core_rank, inverts)
-
-
-def _reduced(mat: PadicMatrix, ctx: PadicContext) -> PadicMatrix:
-    return PadicMatrix.from_rows(ctx, mat.rows)
-
-
 # Desk-scale limits of build_rep, checked before any work.  verify-identities
 # multiplies 2d x 2d matrices over Z/l^N; at both limits with l = 5 (a
 # 46,000-bit modulus) it answers in under a second on a 2-vCPU host.
@@ -502,7 +217,8 @@ def _word_algebra(rep: GaloisRep,
     of all words and is closed on both sides.
     """
     rank = rep.rank
-    gens = (_reduced(rep.sigma, ctx), _reduced(rep.tau, ctx))
+    gens = (PadicMatrix.from_rows(ctx, rep.sigma.rows),
+            PadicMatrix.from_rows(ctx, rep.tau.rows))
     flat = lambda mat: tuple(x for row in mat.rows for x in row)
     ident = PadicMatrix.identity(ctx, rank)
     span = Lattice.from_generators(ctx, rank * rank, [flat(ident)])
@@ -646,26 +362,22 @@ def component_transfer(kernel: Lattice, phi_ell: int,
     return num // den
 
 
-def _raw_quotient_lattice(rep: GaloisRep, kernel: Lattice, n: int) -> Lattice:
-    """l^n T + lifts of the kernel basis, inside the ambient at precision N."""
-    q = rep.ell ** n
-    gens = [tuple(q if i == j else 0 for i in range(rep.rank))
-            for j in range(rep.rank)]
-    gens += [tuple(int(x) for x in b) for b in kernel.basis]
-    return Lattice.from_generators(rep.ctx, rep.rank, gens)
-
-
 def node_lattice(rep: GaloisRep, kernel: Lattice, n: int) -> Lattice:
     """Quotient lattice for a level-n kernel, homothety-normalized.
 
-    Common l factors are divided out so that kernels describing the same
-    quotient (0 and the full level, a kernel and its level bump) land on
-    one canonical representative.
+    The quotient is l^n T plus lifts of the kernel basis, inside the
+    ambient at precision N.  Common l factors are divided out so that
+    kernels describing the same quotient (0 and the full level, a kernel
+    and its level bump) land on one canonical representative.
     """
     if rep.ctx.precision < n + 2:
         raise ValueError("precision too small for a level-n node")
-    lat = _raw_quotient_lattice(rep, kernel, n)
     ell = rep.ell
+    q = ell ** n
+    gens = [tuple(q if i == j else 0 for i in range(rep.rank))
+            for j in range(rep.rank)]
+    gens += [tuple(int(x) for x in b) for b in kernel.basis]
+    lat = Lattice.from_generators(rep.ctx, rep.rank, gens)
     while lat.basis and all(x % ell == 0 for b in lat.basis for x in b):
         lat = Lattice.from_generators(
             rep.ctx, rep.rank, [tuple(x // ell for x in b) for b in lat.basis])
@@ -755,22 +467,6 @@ def find_ell_maximal(rep: GaloisRep, phi_ell_start: int,
         sigma_trivial_exactly_on_maximal=exact)
 
 
-def toric_complement_check(rep: GaloisRep) -> bool:
-    """tau moves the toric sublattice onto an exact complement.
-
-    Checks M2 meet tau(M2) = 0 and M2 + tau(M2) = full ambient, both at
-    working precision.
-    """
-    ctx = rep.ctx
-    gens = [tuple(1 if i == 2 * j else 0 for i in range(rep.rank))
-            for j in range(rep.d)]
-    m2 = Lattice.from_generators(ctx, rep.rank, gens)
-    tau_m2 = Lattice.from_generators(
-        ctx, rep.rank, [rep.tau.apply(b) for b in m2.basis])
-    total, direct, _pure = lattice_sum(m2, tau_m2)
-    return direct and total.same_module(Lattice.full(ctx, rep.rank))
-
-
 def product_kernel(k1: Lattice, k2: Lattice) -> Lattice:
     """Block sum of two kernels inside the product module."""
     if k1.ctx != k2.ctx:
@@ -779,41 +475,3 @@ def product_kernel(k1: Lattice, k2: Lattice) -> Lattice:
     gens = [tuple(b) + (0,) * k2.ambient_rank for b in k1.basis]
     gens += [(0,) * k1.ambient_rank + tuple(b) for b in k2.basis]
     return Lattice.from_generators(k1.ctx, rank, gens)
-
-
-def dual_transfer_roundtrip(rep: GaloisRep, kernel: Lattice, phi_ell: int,
-                            n: int) -> tuple[int, int]:
-    """Transfer across a kernel, then across the complementary dual kernel.
-
-    The composite of the two quotients is multiplication by l^n, so the
-    second transfer must restore the original l-part.  The dual kernel is
-    l^n T / l^n T' inside T'/l^n T', and every count is an index of one
-    lattice in another at working precision, hence exact.
-    """
-    ctx = rep.ctx
-    if ctx.precision < 2 * n + 2:
-        raise ValueError("precision too small for a roundtrip at this level")
-    phi_mid = component_transfer(kernel, phi_ell, filtration(rep, n))
-    m = ctx.modulus
-    q = rep.ell ** n
-
-    def scaled(lat: Lattice) -> Lattice:
-        return Lattice.from_generators(
-            ctx, rep.rank, [tuple((q * x) % m for x in b) for b in lat.basis])
-
-    full = Lattice.full(ctx, rep.rank)
-    lat = _raw_quotient_lattice(rep, kernel, n)
-    toric = Lattice.from_generators(
-        ctx, rep.rank,
-        [tuple(1 if i == 2 * j else 0 for i in range(rep.rank))
-         for j in range(rep.d)])
-    m2p = intersect(lat, toric)
-    lat_q = scaled(lat)
-    dual_order = full.member_count() // lat.member_count()
-    meet = intersect(scaled(full), lattice_sum(m2p, lat_q)[0])
-    dual_m2 = meet.member_count() // lat_q.member_count()
-    den = dual_order // dual_m2
-    num = phi_mid * dual_m2
-    if num % den:
-        raise ValueError("dual transfer is not integral")
-    return phi_mid, num // den

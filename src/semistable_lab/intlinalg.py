@@ -21,73 +21,10 @@ def smith_diagonal(mat: list[list[int]]) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
     Returns min(rows, cols) nonnegative integers d_1 | d_2 | ... (zeros at
-    the end when the rank is deficient). Transform matrices are not tracked.
+    the end when the rank is deficient), read off smith_with_transforms.
     """
-    m = _mat_copy(mat)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    n = min(rows, cols)
-    diag = []
-    top = 0
-    while top < n:
-        # Find a nonzero pivot of minimal absolute value in the working block.
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                v = m[i][j]
-                if v != 0 and (best is None or abs(v) < abs(best[0])):
-                    best = (v, i, j)
-        if best is None:
-            diag.extend([0] * (n - top))
-            break
-        _, bi, bj = best
-        m[top], m[bi] = m[bi], m[top]
-        for row in m:
-            row[top], row[bj] = row[bj], row[top]
-        # Clear the pivot row and column; restart if a remainder shrinks the pivot.
-        while True:
-            piv = m[top][top]
-            dirty = False
-            for i in range(top + 1, rows):
-                if m[i][top]:
-                    q = m[i][top] // piv
-                    for j in range(top, cols):
-                        m[i][j] -= q * m[top][j]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(top + 1, cols):
-                if m[top][j]:
-                    q = m[top][j] // piv
-                    for i in range(top, rows):
-                        m[i][j] -= q * m[i][top]
-                    if m[top][j]:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        # Divisibility sweep: pivot must divide every remaining entry.
-        piv = m[top][top]
-        fixed = True
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if m[i][j] % piv:
-                    for jj in range(top, cols):
-                        m[top][jj] += m[i][jj]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        diag.append(abs(piv))
-        top += 1
-    return diag
+    d, _u, _v = smith_with_transforms(mat)
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
 def smith_with_transforms(

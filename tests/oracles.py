@@ -84,6 +84,14 @@ def hnf_membership(generators, modulus, vector):
     return all(x == 0 for x in v)
 
 
+def smith_invariants(rows):
+    """sympy's Smith invariants of an integer matrix given as row lists:
+    min(rows, cols) nonnegative ints, zeros last."""
+    if not rows or not rows[0]:
+        return []
+    return [int(d) for d in invariant_factors(sympy.Matrix(rows))]
+
+
 def smith_valuations(generators, ell, precision, ambient_rank):
     """Sorted l-valuations (clipped at `precision`) of the Smith invariants."""
     if not generators:

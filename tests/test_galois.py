@@ -1,6 +1,5 @@
 """Tests for the inertia-pair matrix models and the isogeny bookkeeping."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -13,19 +12,15 @@ from semistable_lab.galois import (
     _word_algebra,
     build_rep,
     component_transfer,
-    dual_transfer_roundtrip,
     filtration,
     find_ell_maximal,
-    group_ring_span,
     identities_pass,
     node_lattice,
     product_kernel,
-    quotient_group_structure,
     require_searchable,
     sigma_trivial_mod_ell,
     stable_submodules,
     teichmuller_unit,
-    toric_complement_check,
     verify_identities,
 )
 from semistable_lab.padic import Lattice, PadicContext, PadicMatrix, intersect
@@ -145,76 +140,6 @@ class TestIdentities:
     def test_lhs_and_rhs_are_recorded(self):
         check = verify_identities(build_rep(2, 1, 2, 4))[0]
         assert check.lhs.rows == check.rhs.rows == ((2, 0), (0, 2))
-
-
-class TestGroupRingSpan:
-    def test_depth_zero_is_scalar_span_of_identity(self):
-        lat, contains = group_ring_span(build_rep(5, 1, 5, 4), 0)
-        assert lat.basis == ((1, 0, 0, 1),)
-        assert not contains
-
-    @pytest.mark.parametrize(
-        "ell, counts, flags",
-        [
-            (2, [2**4, 2**11, 2**14, 2**14], [False, False, True, True]),
-            (3, [3**4, 3**11, 3**14, 3**14], [False, False, True, True]),
-            (5, [5**4, 5**11, 5**14, 5**14], [False, False, True, True]),
-        ],
-    )
-    def test_span_growth_and_matrix_ring_capture(self, ell, counts, flags):
-        rep = build_rep(ell, 1, ell, 4)
-        for depth, (count, flag) in enumerate(zip(counts, flags)):
-            lat, contains = group_ring_span(rep, depth)
-            assert lat.member_count() == count
-            assert contains == flag
-
-    def test_span_is_monotone_and_stabilizes_by_depth_four(self):
-        rep = build_rep(3, 1, 3, 4)
-        prev = None
-        for depth in range(6):
-            lat, _ = group_ring_span(rep, depth)
-            if prev is not None:
-                assert all(lat.contains(b) for b in prev.basis)
-            prev = lat
-        deep, _ = group_ring_span(rep, 4)
-        deeper, _ = group_ring_span(rep, 5)
-        assert deep.same_module(deeper)
-
-    def test_d_two_rejected(self):
-        with pytest.raises(ValueError, match="d = 1"):
-            group_ring_span(build_rep(2, 2, 2, 4), 1)
-
-    def test_negative_depth_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            group_ring_span(build_rep(2, 1, 2, 4), -1)
-
-
-class TestQuotientGroupStructure:
-    def test_ell_two_bound(self):
-        q = quotient_group_structure(2)
-        assert (q.order, q.abelian, q.label) == (4, True, "Z/2 x Z/2")
-        assert q.tau_square_inverts_core is None
-
-    def test_ell_three_bound(self):
-        q = quotient_group_structure(3)
-        assert (q.order, q.abelian, q.label) == (6, False, "S3")
-        assert q.core_order == 3
-
-    def test_ell_five_bound(self):
-        q = quotient_group_structure(5)
-        assert q.order == 100
-        assert q.label == "(Z/5 x Z/5) : Z/4"
-        assert (q.core_order, q.core_abelian) == (25, True)
-        assert (q.core_exponent, q.core_rank) == (5, 2)
-        assert q.tau_square_inverts_core is True
-
-    def test_relators_follow_the_residue(self):
-        assert quotient_group_structure(3).relators[0] == "s^3"
-        assert "t^4" in quotient_group_structure(5).relators
-
-    def test_other_residues_rejected(self):
-        with pytest.raises(ValueError):
-            quotient_group_structure(7)
 
 
 class TestStableSubmodules:
@@ -421,47 +346,6 @@ class TestMaximalSearch:
             find_ell_maximal(rep, 2, 0)
         with pytest.raises(ValueError, match="precision too small"):
             find_ell_maximal(rep, 2, 3)
-
-
-class TestToricComplement:
-    @pytest.mark.parametrize("ell, d", [(2, 1), (3, 1), (5, 1), (5, 2), (2, 2)])
-    def test_tau_image_complements_the_toric_line(self, ell, d):
-        assert toric_complement_check(build_rep(ell, d, ell, 4))
-
-    def test_corrupted_tau_fails(self):
-        rep = build_rep(2, 1, 2, 4)
-        broken = dataclasses.replace(
-            rep, tau=PadicMatrix.identity(rep.ctx, 2))
-        assert not toric_complement_check(broken)
-
-
-class TestDualRoundtrip:
-    def test_every_stable_kernel_roundtrips(self):
-        for ell in (2, 3, 5):
-            rep = build_rep(ell, 1, ell, 6)
-            for kernel in stable_submodules(rep, 1):
-                mid, back = dual_transfer_roundtrip(rep, kernel, ell, 1)
-                assert back == ell, (ell, kernel.basis, mid)
-
-    def test_level_two_roundtrip(self):
-        rep = build_rep(2, 1, 2, 6)
-        for kernel in stable_submodules(rep, 2):
-            _, back = dual_transfer_roundtrip(rep, kernel, 2, 2)
-            assert back == 2
-
-    def test_midpoint_matches_direct_transfer(self):
-        rep = build_rep(2, 1, 2, 6)
-        ctx1 = PadicContext(2, 1)
-        diag = Lattice.from_generators(ctx1, 2, [(1, 1)])
-        mid, back = dual_transfer_roundtrip(rep, diag, 2, 1)
-        assert mid == component_transfer(diag, 2, filtration(rep, 1))
-        assert back == 2
-
-    def test_precision_guard(self):
-        rep = build_rep(2, 1, 2, 5)
-        kernel = Lattice.zero(PadicContext(2, 2), 2)
-        with pytest.raises(ValueError, match="precision"):
-            dual_transfer_roundtrip(rep, kernel, 2, 2)
 
 
 # every searchable (l, n) with l^n <= 9, at d = 1 and d = 2

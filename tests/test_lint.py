@@ -39,6 +39,27 @@ def test_runtime_imports_are_stdlib():
     assert found == []
 
 
+def test_no_unused_module_imports():
+    """Every name a module imports at top level, `__future__` aside, is
+    read somewhere in that module."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in bound
+                      if name not in used]
+    assert found == []
+
+
 def _is_inverse_pow(node) -> bool:
     """A call pow(_, -1, _)."""
     if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
