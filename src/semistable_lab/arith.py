@@ -1,5 +1,5 @@
-"""Small shared integer helpers: primality, factorization, divisors,
-valuations, prime powers and square roots modulo a prime."""
+"""Small shared integer helpers: primality, factorization, valuations,
+prime powers and square roots modulo a prime."""
 
 from __future__ import annotations
 
@@ -146,14 +146,6 @@ def sqrt_mod(n: int, p: int) -> int | None:
         t = t * c % p
         s = i
     return min(r, p - r)
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of |n|, ascending."""
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
 
 
 def is_squarefree(n: int) -> bool:

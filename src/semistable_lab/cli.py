@@ -42,6 +42,10 @@ _INT_EXACT_LIMIT = 2**53 - 1
 
 _MIYAWAKI_PRIMES = {3: [19, 37], 5: [11], 7: []}
 _GENUS2_REFERENCE = ((0, -1, 2, -2, 0, 1), (1,))
+# ramification's round trip costs O(n^2) Fraction additions in the list
+# length n; local data costs up to ~0.4 ms per prime near psi_13
+_ORDERS_LIMIT = 128
+_PRIMES_LIMIT = 1000
 _CLASS_NUMBER_TABLE = {-3: (1, "trivial"), -4: (1, "trivial"),
                        -164: (8, "paper"), -292: (4, "derived")}
 _CONTROLLED_TABLE = {41: (8, 32, "paper"), 3: (1, 4, "trivial"),
@@ -297,6 +301,10 @@ def _cmd_gamma_rank(args) -> tuple[dict, list[dict]]:
 
 
 def _cmd_ramification(args) -> tuple[dict, list[dict]]:
+    if len(args.orders) > _ORDERS_LIMIT:
+        raise ValueError(
+            f"--orders exceeds the desk-scale limit {_ORDERS_LIMIT} group "
+            f"orders, got {len(args.orders)}")
     filt = ramification.RamFiltration(tuple(args.orders))
     jumps = ramification.upper_jumps(filt)
     cond = ramification.conductor_exponent(filt)
@@ -319,6 +327,10 @@ def _cmd_ramification(args) -> tuple[dict, list[dict]]:
 
 
 def _cmd_curve_info(args) -> tuple[dict, list[dict]]:
+    if len(args.primes) > _PRIMES_LIMIT:
+        raise ValueError(
+            f"--primes exceeds the desk-scale limit {_PRIMES_LIMIT} primes, "
+            f"got {len(args.primes)}")
     e = args.curve
     inv = invariants(e)
     results = {
@@ -419,103 +431,88 @@ def _cmd_paper_suite(args) -> tuple[dict, list[dict]]:
 
 # ------------------------------------------------------------------- wiring
 
+_INT = {"type": int, "required": True}
 
-def _build_parser() -> argparse.ArgumentParser:
+# name: (help, {option: add_argument keywords}), in the order the top-level
+# help lists them, with the options in the order `inputs` echoes them.  The
+# handler of `a-b` is `_cmd_a_b`, read from the module when a parser is built.
+# Defaults are tuples, since every parse of the process shares them.
+_COMMANDS = {
+    "ns-enumerate": ("curve pairs attached to primes u^2 + 64",
+                     {"--bound": _INT}),
+    "miyawaki-search": (
+        "prime-power-conductor curves with rational odd torsion",
+        {"--ell": _INT, "--bound": {"type": int, "default": 8}}),
+    "dagger": ("distinguished member of a prime-conductor isogeny class",
+               {"--ell": _INT, "--p": _INT}),
+    "verify-identities": (
+        "exact operator identities for the inertia pair",
+        {"--ell": _INT, "--s": _INT, "--precision": {"type": int, "default": 4},
+         "--d": {"type": int, "default": 1}}),
+    "isogeny-maximal": (
+        "maximal transferred l-part over the stable kernel graph",
+        {"--ell": _INT, "--s": _INT, "--n": _INT}),
+    "class-number": (
+        "reduced-form class number of an imaginary quadratic discriminant",
+        {"--disc": _INT}),
+    "controlled-degree": ("degree of the maximal 2-extension controlled at p",
+                          {"--p": _INT}),
+    "gamma-rank": ("local unit ranks and the global unit image quotient",
+                   {"--ell": _INT, "--p": _INT}),
+    "ramification": (
+        "Herbrand transfer, conductor exponent and break bound for a "
+        "filtration",
+        {"--orders": {"type": _int_list, "required": True,
+                      "help": "comma-separated non-increasing group orders"},
+         "--ell": _INT}),
+    "curve-info": (
+        "Weierstrass invariants and reduction data",
+        {"--curve": {"type": _parse_curve, "required": True,
+                     "help": "five comma-separated integers a1,a2,a3,a4,a6"},
+         "--primes": {"type": _int_list, "default": ()}}),
+    "genus2-disc": (
+        "odd part of the discriminant of 4P + Q^2",
+        {"--p-coeffs": {"type": _int_list, "required": True,
+                        "help": "degree-5 polynomial, constant term first"},
+         "--q-coeffs": {"type": _int_list, "default": (0,),
+                        "help": "polynomial of degree at most 3, constant "
+                                "first"}}),
+    "paper-suite": (
+        "run every check whose expected value is a quoted source statement",
+        {}),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of `command` alone, or of every command
+    when `command` is None.  Either way the usage line names every command."""
     parser = argparse.ArgumentParser(
         prog="semistable-lab",
         description="Desk-scale verification suite with JSON reports")
     parser.add_argument("--meta", action="store_true",
                         help="append a meta object (timestamp) after the "
                              "stable region")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    ns = sub.add_parser("ns-enumerate",
-                        help="curve pairs attached to primes u^2 + 64")
-    ns.add_argument("--bound", type=int, required=True)
-    ns.set_defaults(handler=_cmd_ns_enumerate)
-
-    mi = sub.add_parser("miyawaki-search",
-                        help="prime-power-conductor curves with rational "
-                             "odd torsion")
-    mi.add_argument("--ell", type=int, required=True)
-    mi.add_argument("--bound", type=int, default=8)
-    mi.set_defaults(handler=_cmd_miyawaki_search)
-
-    da = sub.add_parser("dagger",
-                        help="distinguished member of a prime-conductor "
-                             "isogeny class")
-    da.add_argument("--ell", type=int, required=True)
-    da.add_argument("--p", type=int, required=True)
-    da.set_defaults(handler=_cmd_dagger)
-
-    vi = sub.add_parser("verify-identities",
-                        help="exact operator identities for the inertia pair")
-    vi.add_argument("--ell", type=int, required=True)
-    vi.add_argument("--s", type=int, required=True)
-    vi.add_argument("--precision", type=int, default=4)
-    vi.add_argument("--d", type=int, default=1)
-    vi.set_defaults(handler=_cmd_verify_identities)
-
-    im = sub.add_parser("isogeny-maximal",
-                        help="maximal transferred l-part over the stable "
-                             "kernel graph")
-    im.add_argument("--ell", type=int, required=True)
-    im.add_argument("--s", type=int, required=True)
-    im.add_argument("--n", type=int, required=True)
-    im.set_defaults(handler=_cmd_isogeny_maximal)
-
-    cn = sub.add_parser("class-number",
-                        help="reduced-form class number of an imaginary "
-                             "quadratic discriminant")
-    cn.add_argument("--disc", type=int, required=True)
-    cn.set_defaults(handler=_cmd_class_number)
-
-    cd = sub.add_parser("controlled-degree",
-                        help="degree of the maximal 2-extension controlled "
-                             "at p")
-    cd.add_argument("--p", type=int, required=True)
-    cd.set_defaults(handler=_cmd_controlled_degree)
-
-    gr = sub.add_parser("gamma-rank",
-                        help="local unit ranks and the global unit image "
-                             "quotient")
-    gr.add_argument("--ell", type=int, required=True)
-    gr.add_argument("--p", type=int, required=True)
-    gr.set_defaults(handler=_cmd_gamma_rank)
-
-    ra = sub.add_parser("ramification",
-                        help="Herbrand transfer, conductor exponent and "
-                             "break bound for a filtration")
-    ra.add_argument("--orders", type=_int_list, required=True,
-                    help="comma-separated non-increasing group orders")
-    ra.add_argument("--ell", type=int, required=True)
-    ra.set_defaults(handler=_cmd_ramification)
-
-    ci = sub.add_parser("curve-info",
-                        help="Weierstrass invariants and reduction data")
-    ci.add_argument("--curve", type=_parse_curve, required=True,
-                    help="five comma-separated integers a1,a2,a3,a4,a6")
-    ci.add_argument("--primes", type=_int_list, default=[])
-    ci.set_defaults(handler=_cmd_curve_info)
-
-    g2 = sub.add_parser("genus2-disc",
-                        help="odd part of the discriminant of 4P + Q^2")
-    g2.add_argument("--p-coeffs", type=_int_list, required=True,
-                    help="degree-5 polynomial, constant term first")
-    g2.add_argument("--q-coeffs", type=_int_list, default=[0],
-                    help="polynomial of degree at most 3, constant first")
-    g2.set_defaults(handler=_cmd_genus2_disc)
-
-    ps = sub.add_parser("paper-suite",
-                        help="run every check whose expected value is a "
-                             "quoted source statement")
-    ps.set_defaults(handler=_cmd_paper_suite)
+    # a full build leaves the metavar unset: argparse then derives the same
+    # usage from the choices and names the argument "command" in errors
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, options = _COMMANDS[name]
+        cmd = sub.add_parser(name, help=help_text)
+        for flag, keywords in options.items():
+            cmd.add_argument(flag, **keywords)
+        cmd.set_defaults(handler=globals()["_cmd_" + name.replace("-", "_")])
     return parser
 
 
 def run(argv: list[str] | None = None) -> tuple[dict, int]:
     """Parse argv, execute the subcommand, return (report, exit status)."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first token but --meta names the command; a parser for -h, an
+    # unknown command or none at all holds every subparser
+    named = next((token for token in argv if token != "--meta"), None)
+    parser = _build_parser(named if named in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         results, checks = args.handler(args)

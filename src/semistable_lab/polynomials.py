@@ -451,9 +451,6 @@ class GF:
     def add(self, u, v):
         return fp_trim(padd(u, v), self.p)
 
-    def sub(self, u, v):
-        return fp_trim(psub(u, v), self.p)
-
     def mul(self, u, v):
         return fp_mulmod(u, v, self.modulus, self.p)
 

@@ -100,7 +100,10 @@ def herbrand_psi(f: RamFiltration, y) -> Fraction:
     x = 0
     acc = Fraction(0)
     while True:
-        slope = Fraction(f.order(x + 1), g0)
+        order = f.order(x + 1)
+        if order == 1:  # past the last break phi has slope 1/|G_0|
+            return x + (y - acc) * g0
+        slope = Fraction(order, g0)
         nxt = acc + slope
         if nxt >= y:
             return x + (y - acc) / slope

@@ -1,14 +1,20 @@
 """Report shape, determinism, exit codes and known values for the CLI."""
 
+import argparse
 import hashlib
+import itertools
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from semistable_lab import cli, families, galois, intlinalg, padic, quadratic
+from semistable_lab import (cli, cyclotomic, families, galois, intlinalg,
+                            padic, quadratic)
+from semistable_lab.arith import PRIMALITY_BOUND, is_prime
 from semistable_lab.curves import WeierstrassCurve
 
 
@@ -193,6 +199,53 @@ class TestRequestBudget:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"limit {limit}, got {value}" in captured.err
+
+    def test_every_size_argument_past_its_limit(self, capsys):
+        """Walk every size argument one step past its limit: each request
+        exits 2 within a second, and stderr names the limit."""
+        prime_past_disc = next(q for q in itertools.count(
+            quadratic._DISC_LIMIT + 1) if is_prime(q))
+        walk = [
+            ("ns-enumerate --bound", families._NS_BOUND_LIMIT + 1,
+             families._NS_BOUND_LIMIT),
+            ("miyawaki-search --ell 3 --bound", families._BOX_LIMIT + 1,
+             families._BOX_LIMIT),
+            ("verify-identities --ell 5 --s 5 --precision",
+             galois._PRECISION_LIMIT + 1, galois._PRECISION_LIMIT),
+            ("verify-identities --ell 5 --s 5 --d", galois._BLOCK_LIMIT + 1,
+             galois._BLOCK_LIMIT),
+            ("isogeny-maximal --ell 3 --s 3 --n", 3, "l^n <= 9"),
+            ("class-number --disc", -prime_past_disc, quadratic._DISC_LIMIT),
+            ("controlled-degree --p", prime_past_disc, quadratic._DISC_LIMIT),
+            ("controlled-degree --p", PRIMALITY_BOUND, PRIMALITY_BOUND),
+            ("gamma-rank --p 31 --ell", 23, cyclotomic._ELL_LIMIT),
+            ("gamma-rank --ell 5 --p", PRIMALITY_BOUND, PRIMALITY_BOUND),
+            ("ramification --ell 2 --orders",
+             ",".join(["4"] + ["2"] * cli._ORDERS_LIMIT), cli._ORDERS_LIMIT),
+            ("curve-info --curve 0,-1,1,-10,-20 --primes",
+             ",".join(["2"] * (cli._PRIMES_LIMIT + 1)), cli._PRIMES_LIMIT),
+        ]
+        for line, value, limit in walk:
+            t0 = time.monotonic()
+            with pytest.raises(SystemExit) as exc:
+                cli.run(line.split() + [str(value)])
+            assert exc.value.code == 2, line
+            assert time.monotonic() - t0 < 1.0, line
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert str(limit) in captured.err, line
+
+    def test_list_limits_admit_their_longest_list(self):
+        orders = ",".join(["4"] + ["2"] * (cli._ORDERS_LIMIT - 2) + ["1"])
+        report, status = run_cli(["ramification", "--orders", orders,
+                                  "--ell", "2"])
+        assert status == 0
+        assert len(report["inputs"]["orders"]) == cli._ORDERS_LIMIT
+        primes = ",".join(["2"] * cli._PRIMES_LIMIT)
+        report, status = run_cli(["curve-info", "--curve", "0,-1,1,-10,-20",
+                                  "--primes", primes])
+        assert status == 0
+        assert len(report["results"]["local"]) == cli._PRIMES_LIMIT
 
     def test_limits_admit_the_published_requests(self):
         # the precisions of the 4,300-digit moduli and the paper grid's d
@@ -520,3 +573,109 @@ class TestInputs:
     def test_inputs(self, line, inputs):
         report, _ = run_cli(line.split())
         assert list(report["inputs"].items()) == list(inputs.items())
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The argv of every `semistable-lab ...` line in the README's Command
+    line section, comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    return [line.split("#")[0].split()[1:] for line in section.splitlines()
+            if line.startswith("semistable-lab ")]
+
+
+_README_LINES = _readme_command_lines()
+_SUITE_LINES = [line.split() for lines, _ in cli._PAPER_SUITE
+                for line in lines]
+# every command line the README, the stable digests and paper-suite name
+_NAMED_LINES = sorted({tuple(argv) for argv in _README_LINES + _SUITE_LINES
+                       + [row[0].split() for row in _STABLE_REPORTS]}
+                      | {("--meta", "class-number", "--disc", "-164")})
+# requests that fail in parsing or in the handler, or that print help
+_NO_REPORT_LINES = [
+    "-h", "--meta --help", "-h class-number --disc -4", "--he paper-suite",
+    "class-number -h", "paper-suite -h",
+    "frobnicate --disc -4", "", "--meta", "--loud class-number --disc -4",
+    "class-number --disc -4 --loud", "class-number --disc -4 surplus",
+    "paper-suite surplus", "ramification --orders 4,x,1 --ell 2",
+    "curve-info --curve 1,2,3", "class-number",
+    "verify-identities --ell 7 --s 7", "class-number --disc 5",
+]
+
+
+def _outcome(capsys, argv) -> tuple:
+    """(exit status, stdout without the --meta timestamp, stderr) of
+    cli.main(argv)."""
+    try:
+        status = cli.main(list(argv))
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    out = re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""',
+                 captured.out)
+    return status, out, captured.err
+
+
+def _lazy_and_full(monkeypatch, capsys, argv) -> tuple:
+    """_outcome of argv with the parser run() builds, then with a parser
+    holding every subparser."""
+    lazy = _outcome(capsys, argv)
+    full_parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda command=None: full_parser())
+    return lazy, _outcome(capsys, argv)
+
+
+class TestCommandTable:
+    """`_COMMANDS` is the one list of subcommands, and a request builds the
+    subparser of its own command only, with every outcome unchanged."""
+
+    def test_table_is_the_one_source_of_command_names(self):
+        readme_names = [argv[0] for argv in _README_LINES]
+        assert set(readme_names) <= set(cli._COMMANDS)
+        assert set(cli._COMMANDS) <= set(readme_names)
+        assert {argv[0] for argv in _SUITE_LINES} <= set(cli._COMMANDS)
+
+    @staticmethod
+    def _subparsers(parser) -> list[str]:
+        (action,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+        return list(action.choices)
+
+    def test_known_command_builds_one_subparser(self):
+        assert self._subparsers(cli._build_parser()) == list(cli._COMMANDS)
+        for name in cli._COMMANDS:
+            assert self._subparsers(cli._build_parser(name)) == [name]
+
+    @pytest.mark.parametrize("argv", _NAMED_LINES, ids=" ".join)
+    def test_named_line_matches_full_parser(self, monkeypatch, capsys, argv):
+        """With every handler echoing its namespace, in order, the report
+        and exit status are those of a parser holding every command."""
+        for name in cli._COMMANDS:
+            def echo(args, name=name):
+                return {"handler": name, "namespace": list(vars(args))}, []
+            monkeypatch.setattr(cli, "_cmd_" + name.replace("-", "_"), echo)
+        lazy, full = _lazy_and_full(monkeypatch, capsys, argv)
+        assert lazy == full
+        assert lazy[0] == 0
+        command = argv[1] if argv[0] == "--meta" else argv[0]
+        assert json.loads(lazy[1])["results"]["handler"] == command
+
+    @pytest.mark.parametrize("line", _NO_REPORT_LINES)
+    def test_line_without_report_matches_full_parser(self, monkeypatch,
+                                                     capsys, line):
+        lazy, full = _lazy_and_full(monkeypatch, capsys, line.split())
+        assert lazy == full
+        assert lazy[0] in (0, 2)
+
+    def test_usage_errors_name_every_command(self, capsys):
+        choices = "{" + ",".join(cli._COMMANDS) + "}"
+        for argv in (["verify-identities", "--ell", "7", "--s", "7"],
+                     ["frobnicate"]):
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+            err = " ".join(capsys.readouterr().err.split())
+            assert err.startswith(f"usage: semistable-lab [-h] [--meta] "
+                                  f"{choices} ...")
+        # argparse names the subcommand argument by its dest, not its usage
+        assert "error: argument command: invalid choice: 'frobnicate'" in err

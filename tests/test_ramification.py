@@ -1,6 +1,7 @@
 """Tests for ramification filtrations, transition functions, and towers."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,13 @@ class TestHerbrandPsi:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             herbrand_psi(RamFiltration.trivial(), -1)
+
+    def test_tail_past_the_last_break_in_closed_form(self):
+        # past the last break phi has slope 1/|G_0|: psi(60) = 60 |G_0|,
+        # with no walk over the 60 * 5^12 integers below it
+        t0 = time.perf_counter()
+        assert herbrand_psi(RamFiltration((5**12, 1)), 60) == 60 * 5**12
+        assert time.perf_counter() - t0 < 0.1
 
 
 class TestUpperJumps:
