@@ -6,12 +6,23 @@ use the subresultant remainder sequence, so no rationals appear even for
 non-monic inputs.  The GF class models F_{p^f} just far enough for point
 counting and root-of-unity work: elements are coefficient tuples reduced
 modulo a fixed monic irreducible.
+
+Products in a quotient ring F_p[y]/(m) of degree f run on packed integers
+(Kronecker substitution; von zur Gathen & Gerhard, Modern Computer Algebra,
+8.4).  An element is the int sum of c_i 2^(k i) with 0 <= c_i < p, and the
+slot width k = bit_length((2f - 1)(p - 1)^2) + 1 leaves room for every sum
+a product and its fold can make, so one int multiply forms all 2f - 1
+product coefficients without carries.  The f - 1 high slots fold back
+through a table of packed y^j mod m (j = f .. 2f - 2), built once per
+modulus, and the f low slots are then reduced mod p.  `fp_mulmod`,
+`fp_powmod` and `GF.mul`/`GF.pow` all go through `QuotientRing`;
+`fp_divmod` stays the long division behind gcds and exact division.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -100,25 +111,6 @@ def pseudo_rem(a, b):
         m = lb ** (need - steps)
         r = [m * c for c in r]
     return trim(r)
-
-
-def pdivmod_monic(a, b):
-    """Quotient and remainder over Z for a monic divisor."""
-    b = trim(b)
-    if not b or b[-1] != 1:
-        raise ValueError("divisor must be monic")
-    r = list(trim(a))
-    db = len(b) - 1
-    q = [0] * max(len(r) - db, 0)
-    while r and len(r) - 1 >= db:
-        coef = r[-1]
-        shift = len(r) - 1 - db
-        q[shift] = coef
-        for i, bc in enumerate(b):
-            r[shift + i] -= coef * bc
-        while r and r[-1] == 0:
-            r.pop()
-    return trim(q), trim(r)
 
 
 def pgcd(a, b):
@@ -287,10 +279,6 @@ def fp_trim(a, p):
     return trim(c % p for c in a)
 
 
-def fp_mul(a, b, p):
-    return fp_trim(pmul(a, b), p)
-
-
 def fp_divmod(a, b, p):
     a = list(fp_trim(a, p))
     b = fp_trim(b, p)
@@ -320,19 +308,95 @@ def fp_gcd(a, b, p):
     return a
 
 
+class QuotientRing:
+    """F_p[y]/(m) for a modulus m nonzero mod p, on packed integers.
+
+    A non-monic m is scaled by the inverse of its leading coefficient, which
+    changes no remainder.  `pack` and `unpack` convert coefficient tuples;
+    `mul` and `pow` take and return packed elements.  A constant m gives the
+    zero ring, where every element, one included, packs to 0.
+    """
+
+    __slots__ = ("p", "modulus", "f", "k", "mask", "top", "low", "shifts",
+                 "fold")
+
+    def __init__(self, modulus, p):
+        m = fp_trim(modulus, p)
+        if not m:
+            raise ZeroDivisionError("polynomial division by zero")
+        inv = pow(m[-1], -1, p)
+        m = tuple(c * inv % p for c in m)
+        f = len(m) - 1
+        k = ((2 * f - 1) * (p - 1) ** 2).bit_length() + 1
+        self.p, self.modulus, self.f, self.k = p, m, f, k
+        self.mask = (1 << k) - 1
+        self.top = k * f
+        self.low = (1 << self.top) - 1
+        self.shifts = range(k * (f - 1), -1, -k)
+        fold = []
+        r = [-c % p for c in m[:-1]]  # y^f mod m
+        for _ in range(f - 1):
+            fold.append(self.pack(r))
+            lead = r[-1]
+            r = [(c - lead * mc) % p for c, mc in zip([0] + r[:-1], m)]
+        self.fold = fold
+
+    def pack(self, a) -> int:
+        """The packed residue of a coefficient tuple of any length."""
+        p, k = self.p, self.k
+        if len(a) > self.f:
+            a = fp_divmod(a, self.modulus, p)[1]
+        x = 0
+        for c in reversed(a):
+            x = (x << k) | c % p
+        return x
+
+    def unpack(self, x) -> tuple[int, ...]:
+        """The coefficient tuple of a packed residue; it stops at the top
+        nonzero slot, so the tuple comes out trimmed."""
+        k, mask = self.k, self.mask
+        out = []
+        while x:
+            out.append(x & mask)
+            x >>= k
+        return tuple(out)
+
+    def _reduce(self, z) -> int:
+        """The packed residue of a product of two packed residues."""
+        k, mask, p = self.k, self.mask, self.p
+        high = z >> self.top
+        z &= self.low
+        for t in self.fold:
+            z += (high & mask) % p * t
+            high >>= k
+        out = 0
+        for s in self.shifts:
+            out = (out << k) | (z >> s & mask) % p
+        return out
+
+    def mul(self, x, y) -> int:
+        return self._reduce(x * y)
+
+    def pow(self, x, e) -> int:
+        """x^e for e >= 0, left to right; x^0 is the reduced one."""
+        if e == 0:
+            return self._reduce(1)
+        r = x
+        for bit in bin(e)[3:]:
+            r = self._reduce(r * r)
+            if bit == "1":
+                r = self._reduce(r * x)
+        return r
+
+
 def fp_mulmod(a, b, modulus, p):
-    return fp_divmod(pmul(a, b), modulus, p)[1]
+    ring = QuotientRing(modulus, p)
+    return ring.unpack(ring.mul(ring.pack(a), ring.pack(b)))
 
 
 def fp_powmod(a, e, modulus, p):
-    result = (1,)
-    base = fp_divmod(a, modulus, p)[1]
-    while e:
-        if e & 1:
-            result = fp_mulmod(result, base, modulus, p)
-        base = fp_mulmod(base, base, modulus, p)
-        e >>= 1
-    return result
+    ring = QuotientRing(modulus, p)
+    return ring.unpack(ring.pow(ring.pack(a), e))
 
 
 def is_irreducible(m, p) -> bool:
@@ -428,6 +492,10 @@ class GF:
 
     p: int
     modulus: tuple[int, ...]
+    ring: QuotientRing = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ring", QuotientRing(self.modulus, self.p))
 
     @property
     def f(self) -> int:
@@ -438,7 +506,7 @@ class GF:
         return self.p**self.f
 
     def element(self, coeffs):
-        return fp_divmod(trim(coeffs), self.modulus, self.p)[1]
+        return self.ring.unpack(self.ring.pack(coeffs))
 
     @property
     def zero(self):
@@ -452,13 +520,17 @@ class GF:
         return fp_trim(padd(u, v), self.p)
 
     def mul(self, u, v):
-        return fp_mulmod(u, v, self.modulus, self.p)
+        ring = self.ring
+        return ring.unpack(ring.mul(ring.pack(u), ring.pack(v)))
 
     def pow(self, u, e):
+        ring = self.ring
+        x = ring.pack(u)
         if e < 0:
-            u = self.pow(u, self.order - 2)  # inverse of a nonzero element
-            e = -e
-        return fp_powmod(u, e, self.modulus, self.p)
+            if not x:
+                raise ZeroDivisionError("zero has no inverse")
+            e %= self.order - 1  # the multiplicative group has order q - 1
+        return ring.unpack(ring.pow(x, e))
 
     def elements(self):
         """All p^f field elements; only sensible for tiny fields."""

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately naive: set closures, textbook Hermite forms,
-and sympy's Smith invariants.  Slow is fine; these run only inside tests.
+sympy's Smith invariants, and schoolbook polynomial products followed by
+long division.  Slow is fine; these run only inside tests.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import math
 
 import sympy
 from sympy.matrices.normalforms import invariant_factors
+
+from semistable_lab.polynomials import fp_divmod, pmul, trim
 
 
 def closure_members(generators, modulus, ambient_rank, cap=200000):
@@ -508,3 +511,55 @@ def word_closure(sigma, tau, modulus):
                     grown.append(y)
         frontier = grown
     return seen
+
+
+def pdivmod_monic(a, b):
+    """Quotient and remainder over Z for a monic divisor."""
+    b = trim(b)
+    if not b or b[-1] != 1:
+        raise ValueError("divisor must be monic")
+    r = list(trim(a))
+    db = len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    while r and len(r) - 1 >= db:
+        coef = r[-1]
+        shift = len(r) - 1 - db
+        q[shift] = coef
+        for i, bc in enumerate(b):
+            r[shift + i] -= coef * bc
+        while r and r[-1] == 0:
+            r.pop()
+    return trim(q), trim(r)
+
+
+def fp_mulmod(a, b, modulus, p):
+    """Product in F_p[y]/(modulus): schoolbook multiply, then long division."""
+    return fp_divmod(pmul(a, b), modulus, p)[1]
+
+
+def fp_powmod(a, e, modulus, p):
+    """Right-to-left square and multiply on coefficient tuples.
+
+    For e = 0 this returns the unreduced (1,), also when the modulus is a
+    constant and the ring is zero; compare only moduli of degree >= 1.
+    """
+    result = (1,)
+    base = fp_divmod(a, modulus, p)[1]
+    while e:
+        if e & 1:
+            result = fp_mulmod(result, base, modulus, p)
+        base = fp_mulmod(base, base, modulus, p)
+        e >>= 1
+    return result
+
+
+def gf_mul(field, u, v):
+    return fp_mulmod(u, v, field.modulus, field.p)
+
+
+def gf_pow(field, u, e):
+    """u^e in a GF field; a negative e inverts a nonzero u first."""
+    if e < 0:
+        u = gf_pow(field, u, field.order - 2)
+        e = -e
+    return fp_powmod(u, e, field.modulus, field.p)

@@ -300,6 +300,16 @@ _STABLE_REPORTS = [
      "2852c58a917c9bd083e223f6bb4fc7655f2ff4bed27b4c457fcd970af67ffcf6", 0),
     ("verify-identities --ell 5 --s 5 --precision 20000 --d 4",
      "d3761ac9faff27eee840db3c2f3f19c9e2b12d8837f2f62fd96d50ef4c2ac0f1", 0),
+    # gamma-rank extremes: f = 18 (the slowest admitted request), f = 16,
+    # f = 9, and a split prime (f = 1) just below psi_13
+    ("gamma-rank --ell 19 --p 3317044064679887384962751",
+     "df8e38ebd83b5658aed2ab7390fd427d5849e400c879f75cb90ef964a871035d", 0),
+    ("gamma-rank --ell 17 --p 3317044064679887384962033",
+     "d7e9b14a0ed6fa69c749c2db4b982bca8df9ba2bb36811d0dea4415488b131d3", 0),
+    ("gamma-rank --ell 19 --p 1000000000169",
+     "f749d1b2de9c57f6059872071f0e89816de455fc4991e876aa0e258ca533fc44", 0),
+    ("gamma-rank --ell 19 --p 3317044064679887385961181",
+     "43472baaff4dd8fd28c19626402661ef1f8faf84abcadc2141e7257476578ba7", 0),
 ]
 
 # Requests refused with a usage error (exit 2, nothing on stdout): at

@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 import sympy
 from sympy.abc import x
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_pow_mod
 
+import oracles
 from semistable_lab import polynomials as P
 
 
@@ -67,15 +70,15 @@ class TestBasicOps:
         for _ in range(200):
             a = random_poly(rng, rng.randint(0, 6))
             b = random_poly(rng, rng.randint(1, 4), monic=True)
-            q, r = P.pdivmod_monic(a, b)
+            q, r = oracles.pdivmod_monic(a, b)
             assert P.padd(P.pmul(q, b), r) == P.trim(a)
             assert P.degree(r) < P.degree(b)
 
     def test_pdivmod_monic_rejects_nonmonic(self):
         with pytest.raises(ValueError):
-            P.pdivmod_monic((1, 1), (1, 2))
+            oracles.pdivmod_monic((1, 1), (1, 2))
         with pytest.raises(ValueError):
-            P.pdivmod_monic((1, 1), ())
+            oracles.pdivmod_monic((1, 1), ())
 
 
 class TestPseudoRem:
@@ -294,7 +297,8 @@ class TestFpArithmetic:
                 c = tuple(rng.randrange(p) for _ in range(rng.randint(1, 3))) + (1,)
                 u = tuple(rng.randrange(p) for _ in range(rng.randint(0, 3))) + (1,)
                 v = tuple(rng.randrange(p) for _ in range(rng.randint(0, 3))) + (1,)
-                g = P.fp_gcd(P.fp_mul(u, c, p), P.fp_mul(v, c, p), p)
+                g = P.fp_gcd(P.fp_trim(P.pmul(u, c), p),
+                             P.fp_trim(P.pmul(v, c), p), p)
                 assert g[-1] == 1
                 # the planted common factor divides the gcd
                 assert P.fp_divmod(g, c, p)[1] == ()
@@ -431,3 +435,133 @@ class TestGF:
             lhs = field.mul(a, field.add(b, c))
             rhs = field.add(field.mul(a, b), field.mul(a, c))
             assert lhs == rhs
+
+    def test_negative_power_of_zero_raises(self):
+        field = P.GF(7, P.find_irreducible(7, 2))
+        for zero in ((), (0, 0), (7,), (14, -7)):
+            with pytest.raises(ZeroDivisionError):
+                field.pow(zero, -2)
+        assert field.pow((), 0) == field.one
+        assert field.pow((), 3) == field.zero
+
+    def test_equality_and_hash_ignore_the_table(self):
+        m = P.find_irreducible(5, 3)
+        a, b = P.GF(5, m), P.GF(5, m)
+        assert a.ring is not b.ring
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == f"GF(p=5, modulus={m})"
+        assert P.GF(5, m) != P.GF(7, P.find_irreducible(7, 3))
+
+
+# p in {2, 3, 5, ~1,300, 2^61 - 1, the largest prime below psi_13}
+_KERNEL_PRIMES = (2, 3, 5, 1297, 2**61 - 1, 3317044064679887385961813)
+
+
+def _kernel_cases(seed, per_pair):
+    """(p, modulus, a, b) over every prime and modulus degree 1..20.
+
+    Half the moduli are non-monic; operands run up to three terms past the
+    modulus length with coefficients in [-2p, 2p], so they arrive
+    unreduced.
+    """
+    rng = random.Random(seed)
+    for p in _KERNEL_PRIMES:
+        for d in range(1, 21):
+            for _ in range(per_pair):
+                lead = rng.randrange(1, p) if rng.random() < 0.5 else 1
+                m = tuple(rng.randrange(p) for _ in range(d)) + (lead,)
+                a, b = (tuple(rng.randint(-2 * p, 2 * p)
+                              for _ in range(rng.randint(0, d + 4)))
+                        for _ in range(2))
+                yield p, m, a, b
+
+
+def _exponent(rng):
+    return rng.choice((0, 1, 2, rng.randrange(3, 10**3),
+                       rng.randrange(10**3, 10**9)))
+
+
+class TestPackedKernel:
+    """The packed F_p[y]/(m) kernel against the tuple routines it replaced
+    (schoolbook product and long division, in oracles.py) and against
+    sympy's galoistools; about 29,600 seeded inputs in all."""
+
+    def test_mulmod_matches_schoolbook(self):
+        count = 0
+        for p, m, a, b in _kernel_cases(81, 50):
+            assert P.fp_mulmod(a, b, m, p) == oracles.fp_mulmod(a, b, m, p)
+            count += 1
+        assert count == 6_000
+
+    def test_powmod_matches_schoolbook(self):
+        rng = random.Random(82)
+        count = 0
+        for p, m, a, _ in _kernel_cases(83, 10):
+            e = _exponent(rng)
+            assert P.fp_powmod(a, e, m, p) == oracles.fp_powmod(a, e, m, p)
+            count += 1
+        # the exponents up to 10^30, on smaller moduli: each costs about
+        # 150 schoolbook products
+        for p, m, a, _ in _kernel_cases(84, 1):
+            if len(m) <= 9:
+                e = rng.randrange(10**30)
+                assert P.fp_powmod(a, e, m, p) == oracles.fp_powmod(a, e, m, p)
+                assert P.fp_powmod(a, 10**30, m, p) == oracles.fp_powmod(
+                    a, 10**30, m, p)
+                count += 2
+        assert count == 1_200 + 6 * 8 * 2
+
+    def test_powmod_matches_sympy(self):
+        rng = random.Random(85)
+        count = 0
+        for p, m, a, _ in _kernel_cases(86, 17):
+            big = len(m) <= 9 and count % 5 == 0
+            e = rng.randrange(10**30) if big else _exponent(rng)
+            dense = [c % p for c in reversed(a)]
+            while dense and not dense[0]:
+                dense.pop(0)
+            want = gf_pow_mod(dense, e, [c % p for c in reversed(m)], p, ZZ)
+            assert P.fp_powmod(a, e, m, p) == tuple(reversed(want))
+            count += 1
+        assert count == 2_040
+
+    @pytest.mark.parametrize("q", [q for q in range(2, 50)
+                                   if len(sympy.factorint(q)) == 1])
+    def test_every_pair_of_a_small_field(self, q):
+        (p, k), = sympy.factorint(q).items()
+        field = P.GF(p, P.find_irreducible(p, k))
+        elems = field.elements()
+        assert len(elems) == q
+        for u in elems:
+            for v in elems:
+                assert field.mul(u, v) == oracles.gf_mul(field, u, v)
+            for e in (0, 1, 2, q - 2, q, 10**30):
+                assert field.pow(u, e) == oracles.gf_pow(field, u, e)
+            if u:
+                for e in (-1, -2, -q):
+                    assert field.pow(u, e) == oracles.gf_pow(field, u, e)
+
+    def test_prime_field_is_plain_residues(self):
+        for p in _KERNEL_PRIMES:
+            ring = P.QuotientRing((3, 1), p)
+            assert ring.fold == []
+            x, y = ring.pack((-1,)), ring.pack((p + 5,))
+            assert (x, y) == (p - 1, 5 % p)
+            assert ring.mul(x, y) == x * y % p
+            assert ring.pow(x, p - 1) == 1
+
+    def test_nonmonic_modulus_has_the_monic_remainders(self):
+        rng = random.Random(87)
+        for p, m, a, b in _kernel_cases(88, 1):
+            monic = P.fp_trim(P.pscale(m, pow(m[-1], -1, p)), p)
+            assert P.fp_mulmod(a, b, m, p) == P.fp_mulmod(a, b, monic, p)
+            e = _exponent(rng)
+            assert P.fp_powmod(a, e, m, p) == P.fp_powmod(a, e, monic, p)
+
+    def test_constant_modulus_is_the_zero_ring(self):
+        for e in (0, 1, 2, 10**30):
+            assert P.fp_powmod((1, 2), e, (5,), 7) == ()
+            assert P.fp_powmod((), e, (-2,), 7) == ()
+        assert P.fp_mulmod((1,), (1,), (5,), 7) == ()
+        with pytest.raises(ZeroDivisionError):
+            P.fp_powmod((1, 2), 0, (7, 14), 7)
