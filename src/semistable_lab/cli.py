@@ -53,30 +53,46 @@ _CONTROLLED_TABLE = {41: (8, 32, "paper"), 3: (1, 4, "trivial"),
 
 
 def _jsonable(value):
-    """Recursive conversion to JSON-safe values with exact integers."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        # Decimal keeps every digit past the interpreter's int -> str limit
-        return str(Decimal(value)) if abs(value) > _INT_EXACT_LIMIT else value
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, WeierstrassCurve):
-        return [value.a1, value.a2, value.a3, value.a4, value.a6]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    """Recursive conversion to JSON-safe values with exact integers.
+
+    A report repeats its large integers (a modulus, matrix entries), so
+    each distinct one is rendered once per call, through a memo that lives
+    only as long as the call.
+    """
+    rendered: dict[int, str] = {}
+
+    def convert(value):
+        if isinstance(value, bool) or value is None or isinstance(value, str):
+            return value
+        if isinstance(value, int):
+            if abs(value) <= _INT_EXACT_LIMIT:
+                return value
+            text = rendered.get(value)
+            if text is None:
+                # Decimal writes past the interpreter's int -> str limit
+                text = rendered[value] = str(Decimal(value))
+            return text
+        if isinstance(value, Fraction):
+            return f"{value.numerator}/{value.denominator}"
+        if isinstance(value, WeierstrassCurve):
+            return [value.a1, value.a2, value.a3, value.a4, value.a6]
+        if isinstance(value, dict):
+            return {str(k): convert(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [convert(v) for v in value]
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+
+    return convert(value)
 
 
 def _check(name: str, expected, actual, provenance: str) -> dict:
+    """One check with raw values; run() renders the whole report at once."""
     if provenance not in ("paper", "trivial", "derived"):
         raise AssertionError(f"unknown provenance {provenance!r}")
     return {
         "name": name,
-        "expected": _jsonable(expected),
-        "actual": _jsonable(actual),
+        "expected": expected,
+        "actual": actual,
         "pass": expected == actual,
         "provenance": provenance,
     }
@@ -520,13 +536,13 @@ def run(argv: list[str] | None = None) -> tuple[dict, int]:
         parser.error(str(exc))
     inputs = {k: v for k, v in vars(args).items()
               if k not in ("meta", "command", "handler")}
-    report = {
+    report = _jsonable({
         "schema": 1,
         "command": args.command,
-        "inputs": _jsonable(inputs),
-        "results": _jsonable(results),
+        "inputs": inputs,
+        "results": results,
         "checks": checks,
-    }
+    })
     if args.meta:
         report["meta"] = {
             "generated_at": datetime.now(timezone.utc).isoformat(),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from . import intlinalg
 from .arith import is_prime
@@ -212,20 +213,32 @@ def _order_ell_character(field: GF, ell: int):
 
 
 def unit_images(ell: int, p: int, extra_units: tuple = ()) -> list[tuple[int, ...]]:
-    """Image of each unit generator in (Z/ell)^g2, one coordinate per place."""
+    """Image of each unit generator in (Z/ell)^g2, one coordinate per place.
+
+    At each place the powers root^0 .. root^deg of its root of unity are
+    computed once; a unit's value there is the dot product of its integer
+    coefficients with their coordinate vectors, reduced mod p.
+    """
     _validate(ell, p)
     field, eta, reps = _local_places(ell, p)
     chi = _order_ell_character(field, ell)
+    ring = field.ring
+    polys = unit_generators(ell) + list(extra_units)
+    size = max(map(len, polys))
+    places = []  # places[i][t][k] is coordinate t of root_i^k
+    for j in reps:
+        root = ring.pow(ring.pack(eta), j)
+        power, rows = ring.pack(field.one), []
+        for _ in range(size):
+            coeffs = ring.unpack(power)
+            rows.append(coeffs + (0,) * (field.f - len(coeffs)))
+            power = ring.mul(power, root)
+        places.append(list(zip(*rows)))
     images = []
-    for poly in unit_generators(ell) + list(extra_units):
-        coords = []
-        for j in reps:
-            root = field.pow(eta, j)
-            acc = field.zero
-            for c in reversed(poly):
-                acc = field.add(field.mul(acc, root), field.element((c,)))
-            coords.append(chi(acc))
-        images.append(tuple(coords))
+    for poly in polys:
+        images.append(tuple(
+            chi(tuple(sum(map(mul, poly, column)) % p for column in columns))
+            for columns in places))
     return images
 
 

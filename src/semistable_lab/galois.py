@@ -60,7 +60,8 @@ class GaloisRep:
     d copies of [[0, -omega], [1, 1 + omega]], where omega is -1 for
     l = 2, 3 and the Teichmuller lift of 2 for l = 5.  Each tau block has
     determinant omega and quadratic relation (tau - 1)(tau - omega) = 0.
-    The 2x2 blocks are kept, so that an inverse is taken once per block.
+    The 2x2 blocks are kept: the identities are computed on them once, and
+    sigma and tau are their block-diagonal copies.
     """
 
     ctx: PadicContext
@@ -102,7 +103,7 @@ def build_rep(ell: int, d: int, s: int, precision: int) -> GaloisRep:
     m = ctx.modulus
     if s % m == 0:
         raise ValueError("s vanishes at this precision")
-    omega = m - 1 if ell == 2 else teichmuller_unit(ctx, 2)
+    omega = teichmuller_unit(ctx, 2) if ell == 5 else m - 1
     sigma_block = PadicMatrix.from_rows(ctx, [[1, s], [0, 1]])
     tau_block = PadicMatrix.from_rows(ctx, [[0, -omega], [1, 1 + omega]])
     if tau_block.det() != omega:
@@ -131,6 +132,30 @@ class IdentityCheck:
         return self.lhs.rows == self.rhs.rows
 
 
+def _block_inverses(rep: GaloisRep) -> tuple[PadicMatrix, PadicMatrix, int]:
+    """The inverses of the sigma block, the tau block and omega, in closed
+    form, confirmed by one product per block.
+
+    sigma_block^-1 = [[1, -s], [0, 1]].  omega^-1 = omega for l = 2, 3,
+    where omega = -1, and -omega for l = 5, where omega^2 = -1.  The
+    quadratic relation gives tau ((1 + omega) I - tau) = omega I, so
+    tau_block^-1 = omega^-1 ((1 + omega) I - tau)
+                 = [[1 + omega^-1, 1], [-omega^-1, 0]];
+    the top left entry of tau_block tau_block^-1 is omega omega^-1, so the
+    product that confirms the tau inverse confirms omega^-1 too.
+    """
+    ctx, w = rep.ctx, rep.omega
+    w_inv = w if rep.ell in (2, 3) else -w
+    sg_inv = PadicMatrix.from_rows(ctx, [[1, -rep.s], [0, 1]])
+    tu_inv = PadicMatrix.from_rows(ctx, [[1 + w_inv, 1], [-w_inv, 0]])
+    ident = PadicMatrix.identity(ctx, 2)
+    for block, inv in ((rep.sigma_block, sg_inv), (rep.tau_block, tu_inv)):
+        if (block @ inv).rows != ident.rows:
+            raise ArithmeticError(
+                "closed-form inverse does not invert its block")
+    return sg_inv, tu_inv, w_inv % ctx.modulus
+
+
 def verify_identities(rep: GaloisRep) -> tuple[IdentityCheck, ...]:
     """Exact operator identities satisfied by the pair, per residue l.
 
@@ -139,30 +164,31 @@ def verify_identities(rep: GaloisRep) -> tuple[IdentityCheck, ...]:
     tau^2 with scalar (1 + omega)s.  In every case the conjugate difference
     (tau^-1 sigma tau) sigma - sigma (tau^-1 sigma tau) equals
     s^2 omega^-1 [[1, 2(1+omega)], [0, -1]] on each block; for l = 5 the
-    prefactor omega^-1 is -omega.  All comparisons are exact in M_2d.
-    The inverses of sigma and tau are block-diagonal copies of the inverses
-    of their 2x2 blocks, so each block is inverted once.
+    prefactor omega^-1 is -omega.  All comparisons are exact.
+    sigma and tau are block-diagonal copies of their 2x2 blocks, so each
+    side is computed once on the blocks, with the closed-form inverses of
+    _block_inverses, and reported as d block-diagonal copies in M_2d.
     """
-    ctx, d, s, w = rep.ctx, rep.d, rep.s, rep.omega
-    sg, tu = rep.sigma, rep.tau
-    ident = PadicMatrix.identity(ctx, 2 * d)
-    sg_inv = rep.sigma_block.inverse().block_diag(d)
-    checks = []
+    ctx, s, w = rep.ctx, rep.s, rep.omega
+    sg, tu = rep.sigma_block, rep.tau_block
+    sg_inv, tu_inv, w_inv = _block_inverses(rep)
+    ident = PadicMatrix.identity(ctx, 2)
+    sides = []
     if rep.ell in (2, 3):
-        checks.append(IdentityCheck(
-            "twisted-commutation", sg @ tu - tu @ sg_inv, ident.scale(s)))
+        sides.append(("twisted-commutation",
+                      sg @ tu - tu @ sg_inv, ident.scale(s)))
     else:
         t2 = tu @ tu
-        checks.append(IdentityCheck(
-            "twisted-commutation-tau-squared",
-            sg @ t2 - t2 @ sg_inv, ident.scale((1 + w) * s)))
-    conj = rep.tau_block.inverse().block_diag(d) @ sg @ tu
-    block = PadicMatrix.from_rows(ctx, [[1, 2 * (1 + w)], [0, -1]])
-    checks.append(IdentityCheck(
-        "conjugate-difference",
-        conj @ sg - sg @ conj,
-        block.block_diag(d).scale(s * s * ctx.invert_unit(w))))
-    return tuple(checks)
+        sides.append(("twisted-commutation-tau-squared",
+                      sg @ t2 - t2 @ sg_inv, ident.scale((1 + w) * s)))
+    conj = tu_inv @ sg @ tu
+    c = s * s * w_inv  # the block [[1, 2(1 + omega)], [0, -1]], times c
+    sides.append(("conjugate-difference", conj @ sg - sg @ conj,
+                  PadicMatrix.from_rows(ctx, [[c, 2 * (1 + w) * c],
+                                              [0, -c]])))
+    return tuple(IdentityCheck(name, lhs.block_diag(rep.d),
+                               rhs.block_diag(rep.d))
+                 for name, lhs, rhs in sides)
 
 
 def identities_pass(rep: GaloisRep) -> bool:
@@ -170,8 +196,9 @@ def identities_pass(rep: GaloisRep) -> bool:
 
 
 # Desk-scale limits of build_rep, checked before any work.  verify-identities
-# multiplies 2d x 2d matrices over Z/l^N; at both limits with l = 5 (a
-# 46,000-bit modulus) it answers in under a second on a 2-vCPU host.
+# multiplies 2x2 blocks over Z/l^N and writes out 2d x 2d matrices; at both
+# limits with l = 5 (a 46,000-bit modulus) it answers in about 0.35 s as a
+# process (0.14 s of it in the request) on a 2-vCPU host.
 _PRECISION_LIMIT = 20_000
 _BLOCK_LIMIT = 4
 

@@ -201,31 +201,6 @@ class PadicMatrix:
         det = _int_det(mat)
         return det % self.ctx.modulus
 
-    def inverse(self) -> "PadicMatrix":
-        """Inverse of a matrix with unit determinant, by elimination."""
-        if self.nrows != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        ctx = self.ctx
-        m = ctx.modulus
-        n = self.nrows
-        a = [list(r) for r in self.rows]
-        inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if a[i][col] % ctx.ell), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is not invertible over the work ring")
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            u = ctx.invert_unit(a[col][col])
-            a[col] = [(u * x) % m for x in a[col]]
-            inv[col] = [(u * x) % m for x in inv[col]]
-            for i in range(n):
-                if i != col and a[i][col]:
-                    q = a[i][col]
-                    a[i] = [(x - q * y) % m for x, y in zip(a[i], a[col])]
-                    inv[i] = [(x - q * y) % m for x, y in zip(inv[i], inv[col])]
-        return PadicMatrix.from_rows(ctx, inv)
-
     def block_diag(self, copies: int) -> "PadicMatrix":
         n, k = self.nrows, self.ncols
         out = [[0] * (k * copies) for _ in range(n * copies)]

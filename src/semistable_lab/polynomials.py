@@ -378,7 +378,10 @@ class QuotientRing:
         return self._reduce(x * y)
 
     def pow(self, x, e) -> int:
-        """x^e for e >= 0, left to right; x^0 is the reduced one."""
+        """x^e for e >= 0, left to right; x^0 is the reduced one.  At f = 1
+        a packed element is the residue itself, so the built-in pow serves."""
+        if self.f == 1:
+            return pow(x, e, self.p)
         if e == 0:
             return self._reduce(1)
         r = x

@@ -563,3 +563,91 @@ def gf_pow(field, u, e):
         u = gf_pow(field, u, field.order - 2)
         e = -e
     return fp_powmod(u, e, field.modulus, field.p)
+
+
+def unit_images_horner(ell, p, extra_units=()):
+    """Unit images by a Horner loop in the field, one coefficient at a time.
+
+    The routine cyclotomic.unit_images used before it evaluated units as
+    dot products with precomputed powers of the root: each step is a field
+    product and a field sum of coefficient tuples.
+    """
+    from semistable_lab import cyclotomic
+
+    cyclotomic._validate(ell, p)
+    field, eta, reps = cyclotomic._local_places(ell, p)
+    chi = cyclotomic._order_ell_character(field, ell)
+    images = []
+    for poly in cyclotomic.unit_generators(ell) + list(extra_units):
+        coords = []
+        for j in reps:
+            root = field.pow(eta, j)
+            acc = field.zero
+            for c in reversed(poly):
+                acc = field.add(field.mul(acc, root), field.element((c,)))
+            coords.append(chi(acc))
+        images.append(tuple(coords))
+    return images
+
+
+def matrix_inverse(mat):
+    """Inverse of a PadicMatrix with unit determinant, by Gauss-Jordan
+    elimination with one unit pivot inverted per row."""
+    from semistable_lab.padic import PadicMatrix
+
+    if mat.nrows != mat.ncols:
+        raise ValueError("inverse of a non-square matrix")
+    ctx = mat.ctx
+    m = ctx.modulus
+    n = mat.nrows
+    a = [list(r) for r in mat.rows]
+    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] % ctx.ell), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is not invertible over the work ring")
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        u = ctx.invert_unit(a[col][col])
+        a[col] = [(u * x) % m for x in a[col]]
+        inv[col] = [(u * x) % m for x in inv[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                q = a[i][col]
+                a[i] = [(x - q * y) % m for x, y in zip(a[i], a[col])]
+                inv[i] = [(x - q * y) % m for x, y in zip(inv[i], inv[col])]
+    return PadicMatrix.from_rows(ctx, inv)
+
+
+def identities_full(ell, d, s, precision):
+    """{name: (lhs, rhs)} of the inertia-pair identities, computed in M_2d.
+
+    sigma and tau are built whole; omega is the Newton Teichmuller lift of
+    2 for l = 3, 5 and -1 for l = 2; sigma and tau are inverted by
+    elimination and omega by the work ring's unit inverse.
+    """
+    from semistable_lab.galois import teichmuller_unit
+    from semistable_lab.padic import PadicContext, PadicMatrix
+
+    ctx = PadicContext(ell, precision)
+    m = ctx.modulus
+    s %= m
+    w = m - 1 if ell == 2 else teichmuller_unit(ctx, 2)
+    sg = PadicMatrix.from_rows(ctx, [[1, s], [0, 1]]).block_diag(d)
+    tu = PadicMatrix.from_rows(
+        ctx, [[0, -w], [1, 1 + w]]).block_diag(d)
+    ident = PadicMatrix.identity(ctx, 2 * d)
+    sg_inv = matrix_inverse(sg)
+    out = {}
+    if ell in (2, 3):
+        out["twisted-commutation"] = (sg @ tu - tu @ sg_inv, ident.scale(s))
+    else:
+        t2 = tu @ tu
+        out["twisted-commutation-tau-squared"] = (
+            sg @ t2 - t2 @ sg_inv, ident.scale((1 + w) * s))
+    conj = matrix_inverse(tu) @ sg @ tu
+    block = PadicMatrix.from_rows(ctx, [[1, 2 * (1 + w)], [0, -1]])
+    out["conjugate-difference"] = (
+        conj @ sg - sg @ conj,
+        block.block_diag(d).scale(s * s * ctx.invert_unit(w)))
+    return out

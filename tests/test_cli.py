@@ -1,6 +1,7 @@
 """Report shape, determinism, exit codes and known values for the CLI."""
 
 import argparse
+import copy
 import hashlib
 import itertools
 import json
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -339,6 +341,87 @@ class TestStableBytes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not integral" in captured.err
+
+
+_LARGEST_IDENTITIES = [
+    "verify-identities", "--ell", "5", "--s", "5",
+    "--precision", str(galois._PRECISION_LIMIT),
+    "--d", str(galois._BLOCK_LIMIT)]
+
+
+def _integer_strings(value):
+    """Every integer a report wrote as a string, as a Decimal (int() of a
+    long string passes the int -> str limit)."""
+    if isinstance(value, str):
+        return [Decimal(value)] if re.fullmatch(r"-?\d+", value) else []
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [n for v in value for n in _integer_strings(v)]
+    return []
+
+
+def _module_containers(module):
+    return {name: copy.deepcopy(value) for name, value in vars(module).items()
+            if isinstance(value, (dict, list, set))
+            and not name.startswith("__")}
+
+
+class TestIdentitiesWork:
+    """Work counts, not timings, on the largest admitted verify-identities
+    request: closed-form inverses and one rendering per big integer."""
+
+    def test_no_unit_inverse_above_the_newton_base(self, monkeypatch,
+                                                    capsys):
+        sizes = []
+        inverse = padic._unit_inverse
+
+        def counted(u, ell, n, m):
+            sizes.append(n)
+            return inverse(u, ell, n, m)
+
+        monkeypatch.setattr(padic, "_unit_inverse", counted)
+        assert cli.main(_LARGEST_IDENTITIES) == 0
+        assert all(n <= padic._NEWTON_BASE for n in sizes), sizes
+
+    def test_each_big_integer_is_rendered_once(self, monkeypatch, capsys):
+        rendered = []
+        decimal = cli.Decimal
+
+        def counted(value):
+            rendered.append(value)
+            return decimal(value)
+
+        monkeypatch.setattr(cli, "Decimal", counted)
+        assert cli.main(_LARGEST_IDENTITIES) == 0
+        written = _integer_strings(json.loads(capsys.readouterr().out))
+        big = {n for n in written if abs(n) > 2**53 - 1}
+        assert len(written) > len(big) > 0
+        assert sorted(map(Decimal, rendered)) == sorted(big)
+
+    def test_requests_share_no_state(self, capsys):
+        """Two requests in one process print what each prints alone, and
+        leave no memo in cli."""
+        lines = [
+            ["verify-identities", "--ell", "5", "--s", "5",
+             "--precision", "6200", "--d", "1"],
+            ["verify-identities", "--ell", "5", "--s", "10",
+             "--precision", "6200", "--d", "2"],
+        ]
+        alone = []
+        for argv in lines:
+            proc = run_proc(argv)
+            assert proc.returncode == 0, proc.stderr
+            alone.append(proc.stdout)
+        before = _module_containers(cli)
+        together = []
+        for argv in lines:
+            assert cli.main(argv) == 0
+            together.append(capsys.readouterr().out)
+        assert together == alone
+        assert _module_containers(cli) == before
+        assert not [name for name, value in vars(cli).items()
+                    if hasattr(value, "cache_info")]
 
 
 class TestMaximalSearchWithoutIntersections:

@@ -6,11 +6,15 @@ polynomial, with its own inline residue-field arithmetic.  The library side
 never enumerates, so agreement here pins the linear-algebra route.
 """
 
+import functools
+import random
+
 import pytest
 
 from semistable_lab import cyclotomic
 from semistable_lab.polynomials import peval, pmul, resultant
 
+import oracles
 from oracles import box_unit_scan, pdivmod_monic
 
 ELLS = (2, 3, 5, 7, 11, 13, 17, 19)
@@ -188,6 +192,54 @@ def pairwise_products(ell):
         for j in range(i, len(gens)):
             out.append(pdivmod_monic(pmul(gens[i], gens[j]), cyclo(ell))[1])
     return tuple(out)
+
+
+_PRIMES_BELOW_1500 = [p for p in range(2, 1500)
+                      if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+def _long_units(ell):
+    """Seeded polynomials past the generators' degree, with negative and
+    large coefficients; not units, so only their values are compared."""
+    rng = random.Random(f"long-units:{ell}")
+    return tuple(tuple(rng.randrange(-10**6, 10**6) for _ in range(n))
+                 for n in (1, ell + 2))
+
+
+class TestUnitImagesAgainstHorner:
+    """unit_images against the Horner loop it replaced (oracles.py)."""
+
+    def test_values_at_every_place(self, monkeypatch):
+        """Every prime ell <= 19 and p < 1,500, with and without extra units.
+
+        The character is the same code on both sides and takes most of a
+        call, so here it is replaced by the field value it reads, which is
+        the stronger comparison; each residue field is built once."""
+        monkeypatch.setattr(cyclotomic, "_local_places",
+                            functools.cache(cyclotomic._local_places))
+        monkeypatch.setattr(cyclotomic, "_order_ell_character",
+                            lambda field, ell: field.element)
+        count = 0
+        for ell in ELLS:
+            extras = pairwise_products(ell)[:1] + _long_units(ell)
+            for p in _PRIMES_BELOW_1500:
+                if p == ell:
+                    continue
+                for units in ((), extras):
+                    assert (cyclotomic.unit_images(ell, p, units)
+                            == oracles.unit_images_horner(ell, p, units))
+                    count += 1
+        assert count == 2 * (8 * 239 - 8)
+
+    def test_images(self):
+        for ell in ELLS:
+            extras = pairwise_products(ell)[:4]
+            for p in _PRIMES_BELOW_1500[:20]:
+                if p == ell:
+                    continue
+                for units in ((), extras):
+                    assert (cyclotomic.unit_images(ell, p, units)
+                            == oracles.unit_images_horner(ell, p, units))
 
 
 class TestUnitImageRank:

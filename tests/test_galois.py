@@ -1,5 +1,6 @@
 """Tests for the inertia-pair matrix models and the isogeny bookkeeping."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ import oracles
 from semistable_lab.galois import (
     FiltrationData,
     _atom,
+    _block_inverses,
     _orbit_representatives,
     _word_algebra,
     build_rep,
@@ -387,8 +389,8 @@ class TestWordAlgebraSearch:
         assert set(span.members()) == oracles.closure_members(
             [flat(w) for w in words], q, 4)
         # both inverses are words, so the closure is two-sided
-        assert span.contains(flat(sigma.inverse().rows))
-        assert span.contains(flat(tau.inverse().rows))
+        assert span.contains(flat(oracles.matrix_inverse(sigma).rows))
+        assert span.contains(flat(oracles.matrix_inverse(tau).rows))
 
     @pytest.mark.parametrize("ell, n, d", _SEARCH_GRID)
     @pytest.mark.parametrize("shear", [1, 2])
@@ -434,5 +436,49 @@ class TestBlockInverses:
         rep = build_rep(ell, d, ell, 20)
         assert rep.sigma == rep.sigma_block.block_diag(d)
         assert rep.tau == rep.tau_block.block_diag(d)
-        assert rep.sigma_block.inverse().block_diag(d) == rep.sigma.inverse()
-        assert rep.tau_block.inverse().block_diag(d) == rep.tau.inverse()
+        sg_inv, tu_inv, w_inv = _block_inverses(rep)
+        assert sg_inv.block_diag(d) == oracles.matrix_inverse(rep.sigma)
+        assert tu_inv.block_diag(d) == oracles.matrix_inverse(rep.tau)
+        assert w_inv == rep.ctx.invert_unit(rep.omega)
+
+    @pytest.mark.parametrize("ell", [2, 3, 5])
+    def test_tampered_block_is_refused(self, ell):
+        rep = build_rep(ell, 2, ell, 20)
+        ctx, w = rep.ctx, rep.omega
+        tampered = (
+            ("tau_block", [[0, -w], [1, 2 + w]]),
+            ("tau_block", [[1, -w], [1, 1 + w]]),
+            ("sigma_block", [[1, rep.s], [ell, 1]]),
+        )
+        for name, rows in tampered:
+            bad = dataclasses.replace(
+                rep, **{name: PadicMatrix.from_rows(ctx, rows)})
+            with pytest.raises(ArithmeticError, match="closed-form inverse"):
+                verify_identities(bad)
+        # a wrong omega^-1 shows in the product that confirms tau^-1
+        with pytest.raises(ArithmeticError, match="closed-form inverse"):
+            verify_identities(dataclasses.replace(rep, omega=2))
+
+
+class TestIdentitiesAgainstFullMatrices:
+    """The block computation against the 2d x 2d one it replaced: whole
+    matrices, elimination inverses, the unit inverse of omega and the
+    Newton lift of omega at l = 3."""
+
+    @pytest.mark.parametrize("ell", [2, 3, 5])
+    @pytest.mark.parametrize("precision", [3, 4, 6, 17, 40, 600])
+    def test_same_names_and_sides(self, ell, precision):
+        for k in (1, 2, 7):
+            for d in (1, 2, 3, 4):
+                s = k * ell
+                got = verify_identities(build_rep(ell, d, s, precision))
+                want = oracles.identities_full(ell, d, s, precision)
+                assert [c.name for c in got] == list(want)
+                for c in got:
+                    assert (c.lhs, c.rhs) == want[c.name], (ell, s, d)
+                    assert c.passed
+
+    @pytest.mark.parametrize("precision", [3, 17, 600])
+    def test_omega_at_three_is_the_newton_lift(self, precision):
+        rep = build_rep(3, 1, 3, precision)
+        assert rep.omega == teichmuller_unit(rep.ctx, 2) == rep.ctx.modulus - 1

@@ -114,6 +114,8 @@ class TestInvertUnit:
 
 class TestPadicMatrix:
     def test_inverse_roundtrip(self):
+        # the elimination inverse is a test oracle: no request inverts a
+        # matrix since verify_identities takes closed-form block inverses
         rng = random.Random(11)
         for _ in range(40):
             ell = rng.choice([2, 3, 5])
@@ -126,13 +128,14 @@ class TestPadicMatrix:
                 for j in range(i + 1, n):
                     rows[i][j] = rng.randrange(ctx.modulus)
             m = PadicMatrix.from_rows(ctx, rows)
-            assert (m @ m.inverse()).rows == PadicMatrix.identity(ctx, n).rows
+            inv = oracles.matrix_inverse(m)
+            assert (m @ inv).rows == PadicMatrix.identity(ctx, n).rows
 
     def test_singular_matrix_rejected(self):
         ctx = PadicContext(2, 4)
         m = PadicMatrix.from_rows(ctx, [[2, 0], [0, 1]])
         with pytest.raises(ZeroDivisionError):
-            m.inverse()
+            oracles.matrix_inverse(m)
 
     def test_block_diag(self):
         ctx = PadicContext(3, 2)
