@@ -106,12 +106,7 @@ def build_rep(ell: int, d: int, s: int, precision: int) -> GaloisRep:
     omega = teichmuller_unit(ctx, 2) if ell == 5 else m - 1
     sigma_block = PadicMatrix.from_rows(ctx, [[1, s], [0, 1]])
     tau_block = PadicMatrix.from_rows(ctx, [[0, -omega], [1, 1 + omega]])
-    if tau_block.det() != omega:
-        raise AssertionError("tau block determinant is not omega")
-    quad = (tau_block @ tau_block - tau_block.scale(1 + omega)
-            + PadicMatrix.identity(ctx, 2).scale(omega))
-    if any(x for row in quad.rows for x in row):
-        raise AssertionError("tau block fails its quadratic relation")
+    _check_tau_block(tau_block, omega)
     if ell == 2:
         # omega = -1 collapses the block to the plain swap
         if tau_block.rows != ((0, 1), (1, 0)):
@@ -119,6 +114,18 @@ def build_rep(ell: int, d: int, s: int, precision: int) -> GaloisRep:
     return GaloisRep(ctx, d, s % m, omega,
                      sigma_block.block_diag(d), tau_block.block_diag(d),
                      sigma_block, tau_block)
+
+
+def _check_tau_block(tau_block: PadicMatrix, omega: int) -> None:
+    """Raise unless the 2x2 tau block has determinant omega and trace
+    1 + omega.  By Cayley-Hamilton, tau^2 - tr(tau) tau + det(tau) I = 0,
+    so the two checks say that tau satisfies (tau - 1)(tau - omega) = 0."""
+    m = tau_block.ctx.modulus
+    if tau_block.det() != omega % m:
+        raise AssertionError("tau block determinant is not omega")
+    (a, _b), (_c, d) = tau_block.rows
+    if (a + d - 1 - omega) % m:
+        raise AssertionError("tau block trace is not 1 + omega")
 
 
 @dataclass(frozen=True)
@@ -301,9 +308,9 @@ def stable_submodules(rep: GaloisRep, n: int) -> list[Lattice]:
     irreducible: list[tuple[Lattice, tuple[int, ...]]] = []
     for atom, vec in sorted(atoms.values(),
                             key=lambda av: av[0].member_count()):
-        inside = [b for a, g in irreducible if atom.contains(g)
-                  for b in a.basis]
-        if Lattice.from_generators(ctx, rank, inside).basis != atom.basis:
+        inside = tuple(b for a, g in irreducible if atom.contains(g)
+                       for b in a.basis)
+        if Lattice._from_reduced(ctx, rank, inside).basis != atom.basis:
             irreducible.append((atom, vec))
     # Largest atoms first: later ones then often lie inside and need no join.
     zero = Lattice.zero(ctx, rank)
@@ -311,7 +318,7 @@ def stable_submodules(rep: GaloisRep, n: int) -> list[Lattice]:
     for atom, vec in reversed(irreducible):
         for cur in list(found.values()):
             if not cur.contains(vec):
-                total = Lattice.from_generators(
+                total = Lattice._from_reduced(
                     ctx, rank, cur.basis + atom.basis)
                 found.setdefault(total.basis, total)
     return sorted((lat.rebased() for lat in found.values()),
@@ -396,33 +403,59 @@ def node_lattice(rep: GaloisRep, kernel: Lattice, n: int) -> Lattice:
     ambient at precision N.  Common l factors are divided out so that
     kernels describing the same quotient (0 and the full level, a kernel
     and its level bump) land on one canonical representative.
+
+    The content of the echelon basis is l^j for its least pivot valuation
+    j (a pivot is the first entry of least valuation in its column), and
+    the basis is divided by l^j at once.  The quotient of an entry x by
+    l^j is one lift of x / l^j, defined up to l^(N-j) T; the lattice
+    contains l^n T and N >= n + 2, so the divided span contains
+    l^(n-j) T, which absorbs that choice: the module is the exact quotient
+    by l^j, as after j single divisions by l.
     """
     if rep.ctx.precision < n + 2:
         raise ValueError("precision too small for a level-n node")
-    ell = rep.ell
-    q = ell ** n
-    gens = [tuple(q if i == j else 0 for i in range(rep.rank))
-            for j in range(rep.rank)]
-    gens += [tuple(int(x) for x in b) for b in kernel.basis]
-    lat = Lattice.from_generators(rep.ctx, rep.rank, gens)
-    while lat.basis and all(x % ell == 0 for b in lat.basis for x in b):
-        lat = Lattice.from_generators(
-            rep.ctx, rep.rank, [tuple(x // ell for x in b) for b in lat.basis])
+    rank = rep.rank
+    q = rep.ell ** n
+    gens = [tuple(q if i == j else 0 for i in range(rank))
+            for j in range(rank)]
+    lat = Lattice.from_generators(rep.ctx, rank, gens + list(kernel.basis))
+    j = lat.pivots[0][0]
+    if j:
+        div = rep.ell ** j
+        lat = Lattice._from_reduced(
+            rep.ctx, rank, tuple(tuple(x // div for x in b) for b in lat.basis))
     return lat
 
 
 def sigma_trivial_mod_ell(rep: GaloisRep, lat: Lattice) -> bool:
     """Does sigma act as the identity on lat / (l * lat)?"""
     m = rep.ctx.modulus
-    scaled = Lattice.from_generators(
-        rep.ctx, rep.rank,
-        [tuple((rep.ell * x) % m for x in b) for b in lat.basis])
+    scaled = _ell_multiple(lat)
     for b in lat.basis:
         image = rep.sigma.apply(b)
         diff = tuple((image[i] - b[i]) % m for i in range(rep.rank))
         if not scaled.contains(diff):
             return False
     return True
+
+
+def _ell_multiple(lat: Lattice) -> Lattice:
+    """l * lat in canonical form, without an echelon pass.
+
+    l times the canonical basis is canonical: each column keeps its pivot
+    row as its first entry of least valuation, now l^(v+1), later columns
+    stay zero in earlier pivot rows, and an entry reduced below l^v in a
+    pivot row is now below l^(v+1).  A column with v + 1 >= N vanishes and
+    is dropped.  The divisors are read off the pivots, as in rebased().
+    """
+    ctx = lat.ctx
+    m, ell = ctx.modulus, ctx.ell
+    kept = [(b, (v + 1, row)) for b, (v, row) in zip(lat.basis, lat.pivots)
+            if v + 1 < ctx.precision]
+    pivots = tuple(p for _b, p in kept)
+    return Lattice(ctx, lat.ambient_rank,
+                   tuple(tuple(ell * x % m for x in b) for b, _p in kept),
+                   pivots, tuple(v for v, _row in pivots))
 
 
 @dataclass(frozen=True)

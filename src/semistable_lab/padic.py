@@ -8,6 +8,15 @@ equality is a matrix comparison (Lattice == compares modules) and
 membership is a greedy division pass over the (valuation, row) pivots that
 the echelon pass records.
 
+One engine, `_echelon_columns`, computes every such basis.  Its pivot is
+the entry of least valuation among the free rows and unpivoted columns,
+first by (row, column), and it is found in stages without computing any
+valuation: stage v scans the free rows in order for the first entry that
+is nonzero mod l^(v+1).  Elimination never lowers a valuation below the
+current pivot's, so a stage needs one pass over the rows.  Generators are
+reduced mod l^N once, on the way in; bases of existing lattices, which are
+reduced already, go straight to the engine.
+
 Purity of X in T = (Z/l^N)^r means T/X is torsion free, detected by the
 Nakayama criterion: every elementary divisor of the basis is 0, equivalently
 the mod-l projection of X has dimension equal to the number of basis columns.
@@ -24,6 +33,7 @@ module is safe to drive from concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from . import intlinalg
 from .arith import is_prime, ord_at
@@ -62,15 +72,6 @@ class PadicContext:
             x //= self.ell
             v += 1
         return v
-
-    def unit_part(self, x: int) -> int:
-        """u with x = u * l^valuation(x); 1 for x == 0."""
-        x %= self.modulus
-        if x == 0:
-            return 1
-        while x % self.ell == 0:
-            x //= self.ell
-        return x
 
     def invert_unit(self, u: int) -> int:
         """The inverse of a unit of the work ring.
@@ -185,7 +186,7 @@ class PadicMatrix:
         m = self.ctx.modulus
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(r[k] * vec[k] for k in range(self.ncols)) % m for r in self.rows)
+        return tuple(sum(map(mul, r, vec)) % m for r in self.rows)
 
     def transpose(self) -> "PadicMatrix":
         return PadicMatrix(self.ctx, tuple(zip(*self.rows)) if self.rows else ())
@@ -246,84 +247,73 @@ def column_reduce(matrix: PadicMatrix) -> tuple[PadicMatrix, list[int]]:
     Smith form diagonal of the input, clipped at the precision N (a value of
     N marks a column that is zero at this precision).
     """
-    ctx = matrix.ctx
-    cols = _reduced_columns(ctx, matrix.columns())
-    basis, _pivots = _echelon_columns(ctx, cols)
-    rows = [[col[i] for col in basis] for i in range(matrix.nrows)]
-    return PadicMatrix.from_rows(ctx, rows), list(_clipped_divisors(ctx, cols))
-
-
-def _reduced_columns(ctx: PadicContext, columns) -> list[tuple[int, ...]]:
-    m = ctx.modulus
-    cols = [tuple(int(x) % m for x in c) for c in columns]
-    if cols and any(len(c) != len(cols[0]) for c in cols):
-        raise ValueError("generator vectors have mixed lengths")
-    return cols
+    lat = Lattice.from_generators(matrix.ctx, matrix.nrows, matrix.columns())
+    rows = [[col[i] for col in lat.basis] for i in range(matrix.nrows)]
+    return (PadicMatrix.from_rows(matrix.ctx, rows),
+            list(lat.elementary_divisors))
 
 
 def _echelon_columns(
-    ctx: PadicContext, cols: list[tuple[int, ...]]
-) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
-    """Column engine behind column_reduce and Lattice, on reduced vectors.
+    ctx: PadicContext, cols
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
+    """Column engine behind every Lattice, on vectors reduced mod l^N.
 
     Returns the canonical basis and, per basis column, the (valuation, row)
-    of its pivot.
+    of its pivot.  The pivot is always the entry of least valuation v among
+    the columns not yet pivoted and the rows not yet used, ties broken by
+    (row, column).  It is found in stages: stage v scans the free rows in
+    order and, in each, the unpivoted columns in order, for the first entry
+    x with x mod l^(v+1) != 0.  No valuation is computed.  Elimination
+    never lowers a valuation below the pivot's, and a row scanned without
+    success in stage v stays divisible by l^(v+1), so one pass over the rows
+    per stage finds every pivot of that stage, in increasing row order, and
+    the pivots come out sorted.  The pivot column is scaled by the inverse
+    of its unit part (skipped when that is 1), so the pivot is l^v; the
+    pivot row is then cleared in the unpivoted columns and reduced mod l^v
+    in the pivoted ones.
     """
-    if not cols:
-        return [], []
     m, ell = ctx.modulus, ctx.ell
-    r = len(cols[0])
-    work = [list(c) for c in cols if any(c)]
-    pivots: list[tuple[int, int, int]] = []  # (valuation, row, column-index in `work`)
-    used_rows: set[int] = set()
-    remaining = list(range(len(work)))
-    while remaining:
-        # Minimal valuation entry among remaining columns, tie-broken by
-        # (row, column) for determinism.  Entries are reduced mod l^N, so a
-        # nonzero one has valuation < N.
-        best = None
-        for j in remaining:
-            col = work[j]
-            for i in range(r):
-                x = col[i]
-                if not x or i in used_rows:
-                    continue
-                v = 0
-                while x % ell == 0:
-                    x //= ell
-                    v += 1
-                if best is None or (v, i, j) < best:
-                    best = (v, i, j)
-        if best is None:
-            break
-        v, i, j = best
-        col = work[j]
-        u_inv = ctx.invert_unit(ctx.unit_part(col[i]))
-        work[j] = [(u_inv * x) % m for x in col]
-        piv = ell**v
-        # Fully clear the pivot row in not-yet-pivoted columns, and reduce it
-        # modulo the pivot in already-pivoted ones.
-        for k in range(len(work)):
-            if k == j:
+    work = [c for c in cols if any(c)]
+    if not work:
+        return (), ()
+    r = len(work[0])
+    live = list(range(len(work)))  # unpivoted nonzero columns, in order
+    pivoted = [False] * len(work)
+    row_used = [False] * r
+    found: list[tuple[int, int, int]] = []  # (valuation, row, column)
+    piv = 1  # l^v
+    for v in range(ctx.precision):
+        nxt = piv * ell
+        for i in range(r):
+            if row_used[i]:
                 continue
-            entry = work[k][i]
-            if entry == 0:
-                continue
-            if k in remaining:
-                if entry % piv:
-                    raise AssertionError("pivot was not minimal in its stage")
-                q = entry // piv
+            for j in live:
+                if work[j][i] % nxt:
+                    break
             else:
-                q = entry // piv  # leaves the residue entry % piv
-            if q:
-                work[k] = [(x - q * y) % m for x, y in zip(work[k], work[j])]
-        pivots.append((v, i, j))
-        used_rows.add(i)
-        remaining.remove(j)
-        remaining = [k for k in remaining if any(work[k])]
-    pivots.sort()
-    basis = [tuple(work[j]) for (_v, _i, j) in pivots]
-    return basis, [(v, i) for (v, i, _j) in pivots]
+                continue
+            col = work[j]
+            u = col[i] // piv
+            if u != 1:
+                u_inv = ctx.invert_unit(u)
+                col = work[j] = [u_inv * x % m for x in col]
+            for k, other in enumerate(work):
+                entry = other[i]
+                if not entry or k == j:
+                    continue
+                q, rem = divmod(entry, piv)
+                if rem and not pivoted[k]:
+                    raise AssertionError("pivot was not minimal in its stage")
+                if q:
+                    work[k] = [(x - q * y) % m for x, y in zip(other, col)]
+            found.append((v, i, j))
+            pivoted[j] = row_used[i] = True
+            live = [k for k in live if k != j and any(work[k])]
+            if not live:
+                return (tuple(tuple(work[j]) for _v, _i, j in found),
+                        tuple((v, i) for v, i, _j in found))
+        piv = nxt
+    raise AssertionError("a nonzero column kept no entry below the precision")
 
 
 def _smith_valuations(cols, ctx: PadicContext) -> list[int]:
@@ -361,16 +351,25 @@ class Lattice:
 
     @staticmethod
     def from_generators(ctx: PadicContext, ambient_rank: int, generators) -> "Lattice":
-        gens = [tuple(g) for g in generators]
-        for g in gens:
-            if len(g) != ambient_rank:
+        m = ctx.modulus
+        cols = []
+        for g in generators:
+            col = tuple([int(x) % m for x in g])
+            if len(col) != ambient_rank:
                 raise ValueError(
-                    f"generator length {len(g)} != ambient rank {ambient_rank}"
+                    f"generator length {len(col)} != ambient rank {ambient_rank}"
                 )
-        cols = _reduced_columns(ctx, gens)
+            cols.append(col)
+        return Lattice._from_reduced(ctx, ambient_rank, tuple(cols))
+
+    @staticmethod
+    def _from_reduced(ctx: PadicContext, ambient_rank: int,
+                      cols: tuple[tuple[int, ...], ...]) -> "Lattice":
+        """The lattice spanned by cols, which are already reduced mod l^N
+        and of length ambient_rank (as the basis of any Lattice is)."""
         basis, pivots = _echelon_columns(ctx, cols)
-        return Lattice(ctx, ambient_rank, tuple(basis), tuple(pivots),
-                       None if cols else (), tuple(cols))
+        return Lattice(ctx, ambient_rank, basis, pivots,
+                       None if cols else (), cols)
 
     @staticmethod
     def zero(ctx: PadicContext, ambient_rank: int) -> "Lattice":
@@ -426,17 +425,17 @@ class Lattice:
         pivot rows, and coefficient ambiguity at a pivot of valuation v is a
         multiple of l^(N-v), which kills the whole column mod l^N.
         """
-        m = self.ctx.modulus
+        m, ell = self.ctx.modulus, self.ctx.ell
         v = [int(x) % m for x in vec]
         if len(v) != self.ambient_rank:
             raise ValueError("vector length mismatch")
         coeffs = []
         for col, (val, row) in zip(self.basis, self.pivots):
-            piv = self.ctx.ell**val
-            entry = v[row]
-            if entry % piv:
-                return None
-            q = (entry // piv) % m
+            q = v[row]
+            if val:
+                q, rem = divmod(q, ell**val)
+                if rem:
+                    return None
             if q:
                 v = [(x - q * y) % m for x, y in zip(v, col)]
             coeffs.append(q)

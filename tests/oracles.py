@@ -651,3 +651,109 @@ def identities_full(ell, d, s, precision):
         conj @ sg - sg @ conj,
         block.block_diag(d).scale(s * s * ctx.invert_unit(w)))
     return out
+
+
+def echelon_columns_by_minimum(ctx, cols):
+    """(basis, pivots) of the column echelon form over Z/l^N, as the
+    engine behind Lattice computed them before its pivot search was staged.
+
+    Each step takes the entry of least valuation over the unpivoted columns
+    and unused rows, computing every valuation by repeated division, with
+    ties broken by (row, column); the pivot column is scaled by the inverse
+    of its unit part, the pivot row is cleared in the unpivoted columns and
+    reduced mod the pivot in the pivoted ones, and columns that become zero
+    are dropped.
+    """
+    if not cols:
+        return [], []
+    m, ell = ctx.modulus, ctx.ell
+    r = len(cols[0])
+    work = [list(c) for c in cols if any(c)]
+    pivots = []  # (valuation, row, column-index in `work`)
+    used_rows = set()
+    remaining = list(range(len(work)))
+    while remaining:
+        best = None
+        for j in remaining:
+            col = work[j]
+            for i in range(r):
+                x = col[i]
+                if not x or i in used_rows:
+                    continue
+                v = 0
+                while x % ell == 0:
+                    x //= ell
+                    v += 1
+                if best is None or (v, i, j) < best:
+                    best = (v, i, j)
+        if best is None:
+            break
+        v, i, j = best
+        col = work[j]
+        unit = col[i]
+        while unit % ell == 0:
+            unit //= ell
+        u_inv = pow(unit, -1, m)
+        work[j] = [(u_inv * x) % m for x in col]
+        piv = ell**v
+        for k in range(len(work)):
+            if k == j:
+                continue
+            entry = work[k][i]
+            if entry == 0:
+                continue
+            if k in remaining and entry % piv:
+                raise AssertionError("pivot was not minimal in its stage")
+            q = entry // piv
+            if q:
+                work[k] = [(x - q * y) % m for x, y in zip(work[k], work[j])]
+        pivots.append((v, i, j))
+        used_rows.add(i)
+        remaining.remove(j)
+        remaining = [k for k in remaining if any(work[k])]
+    pivots.sort()
+    basis = [tuple(work[j]) for (_v, _i, j) in pivots]
+    return basis, [(v, i) for (v, i, _j) in pivots]
+
+
+def column_reduce_by_minimum(matrix):
+    """column_reduce as it was computed before the staged engine: every
+    column reduced mod l^N, the engine above, and the clipped Smith
+    valuations of the reduced columns."""
+    from semistable_lab.padic import PadicMatrix, _clipped_divisors
+
+    ctx = matrix.ctx
+    m = ctx.modulus
+    cols = [tuple(int(x) % m for x in c) for c in matrix.columns()]
+    basis, _pivots = echelon_columns_by_minimum(ctx, cols)
+    rows = [[col[i] for col in basis] for i in range(matrix.nrows)]
+    return PadicMatrix.from_rows(ctx, rows), list(_clipped_divisors(ctx, cols))
+
+
+def node_lattice_by_single_divisions(rep, kernel, n):
+    """galois.node_lattice as it was computed before the content of the
+    basis was divided out at once: l^n T plus the kernel basis, echelonized,
+    then divided by l and echelonized again while every entry is a multiple
+    of l."""
+    from semistable_lab.padic import Lattice
+
+    ell = rep.ell
+    q = ell ** n
+    gens = [tuple(q if i == j else 0 for i in range(rep.rank))
+            for j in range(rep.rank)]
+    gens += [tuple(int(x) for x in b) for b in kernel.basis]
+    lat = Lattice.from_generators(rep.ctx, rep.rank, gens)
+    while lat.basis and all(x % ell == 0 for b in lat.basis for x in b):
+        lat = Lattice.from_generators(
+            rep.ctx, rep.rank, [tuple(x // ell for x in b) for b in lat.basis])
+    return lat
+
+
+def ell_multiple_by_echelon(lat):
+    """l * lat by an echelon pass over l times its basis."""
+    from semistable_lab.padic import Lattice
+
+    m = lat.ctx.modulus
+    return Lattice.from_generators(
+        lat.ctx, lat.ambient_rank,
+        [tuple((lat.ctx.ell * x) % m for x in b) for b in lat.basis])

@@ -10,6 +10,8 @@ from semistable_lab.galois import (
     FiltrationData,
     _atom,
     _block_inverses,
+    _check_tau_block,
+    _ell_multiple,
     _orbit_representatives,
     _word_algebra,
     build_rep,
@@ -25,6 +27,7 @@ from semistable_lab.galois import (
     teichmuller_unit,
     verify_identities,
 )
+from semistable_lab import cli, galois, padic
 from semistable_lab.padic import Lattice, PadicContext, PadicMatrix, intersect
 
 
@@ -482,3 +485,108 @@ class TestIdentitiesAgainstFullMatrices:
     def test_omega_at_three_is_the_newton_lift(self, precision):
         rep = build_rep(3, 1, 3, precision)
         assert rep.omega == teichmuller_unit(rep.ctx, 2) == rep.ctx.modulus - 1
+
+
+class TestTauBlockCheck:
+    @pytest.mark.parametrize("ell", [2, 3, 5])
+    def test_tampered_trace_or_determinant_raises(self, ell):
+        rep = build_rep(ell, 1, ell, 17)
+        ctx, w = rep.ctx, rep.omega
+        for rows, what in (([[0, -w], [1, 2 + w]], "trace"),
+                           ([[2, -w], [1, 0]], "trace"),
+                           ([[0, -w - 1], [1, 1 + w]], "determinant"),
+                           ([[0, -w], [ell, 1 + w]], "determinant")):
+            with pytest.raises(AssertionError, match=what):
+                _check_tau_block(PadicMatrix.from_rows(ctx, rows), w)
+
+    @pytest.mark.parametrize("ell, precision", [(2, 3), (3, 2), (5, 1)])
+    def test_trace_and_determinant_say_the_quadratic_relation(self, ell,
+                                                              precision):
+        """Over every 2x2 matrix of Z/l^N: det = omega and tr = 1 + omega
+        hold exactly when det = omega and (M - 1)(M - omega) = 0."""
+        ctx = PadicContext(ell, precision)
+        m = ctx.modulus
+        w = teichmuller_unit(ctx, 2) if ell == 5 else m - 1
+        ident = PadicMatrix.identity(ctx, 2)
+        agree = 0
+        for a, b, c, d in itertools.product(range(m), repeat=4):
+            mat = PadicMatrix.from_rows(ctx, [[a, b], [c, d]])
+            quad = mat @ mat - mat.scale(1 + w) + ident.scale(w)
+            want = mat.det() == w and not any(x for r in quad.rows for x in r)
+            try:
+                _check_tau_block(mat, w)
+                got = True
+            except AssertionError:
+                got = False
+            assert got == want, mat.rows
+            agree += got
+        assert agree > 0
+
+
+def _admitted_searches():
+    """(l, n, d, s) of every admitted level, at precision max(4, n + 2) as
+    isogeny-maximal builds it."""
+    for ell, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)):
+        for d in (1, 2):
+            for s in (ell, 2 * ell, 7 * ell):
+                yield ell, n, d, s
+
+
+class TestClosedForms:
+    """node_lattice and l * L against the echelon passes they replaced."""
+
+    @pytest.mark.parametrize("ell, n, d, s", list(_admitted_searches()))
+    def test_every_kernel_and_node(self, ell, n, d, s):
+        rep = build_rep(ell, d, s, max(4, n + 2))
+        for kernel in stable_submodules(rep, n):
+            node = node_lattice(rep, kernel, n)
+            want = oracles.node_lattice_by_single_divisions(rep, kernel, n)
+            assert (node.basis, node.pivots) == (want.basis, want.pivots)
+            for lat in (kernel, node):
+                got = _ell_multiple(lat)
+                want = oracles.ell_multiple_by_echelon(lat)
+                assert (got.basis, got.pivots) == (want.basis, want.pivots)
+                assert got.elementary_divisors == tuple(
+                    v for v, _row in want.pivots)
+
+    def test_work_counts_of_one_search(self, monkeypatch):
+        """isogeny-maximal --ell 2 --s 2 --n 2: l * L takes no echelon pass,
+        a node at most two per kernel, and no unit inverted is 1."""
+        scope = []
+        passes = {"node_lattice": [], "sigma_trivial_mod_ell": []}
+        units = []
+        engine = padic._echelon_columns
+        invert = PadicContext.invert_unit
+
+        def counted_engine(ctx, cols):
+            if scope:
+                passes[scope[-1]][-1] += 1
+            return engine(ctx, cols)
+
+        def scoped(name):
+            inner = getattr(galois, name)
+
+            def run(*args):
+                scope.append(name)
+                passes[name].append(0)
+                try:
+                    return inner(*args)
+                finally:
+                    scope.pop()
+            return run
+
+        def recorded_invert(self, u):
+            units.append(u)
+            return invert(self, u)
+
+        monkeypatch.setattr(padic, "_echelon_columns", counted_engine)
+        monkeypatch.setattr(PadicContext, "invert_unit", recorded_invert)
+        for name in passes:
+            monkeypatch.setattr(galois, name, scoped(name))
+        report, status = cli.run(
+            ["isogeny-maximal", "--ell", "2", "--s", "2", "--n", "2"])
+        assert status == 0
+        assert passes["sigma_trivial_mod_ell"]
+        assert set(passes["sigma_trivial_mod_ell"]) == {0}
+        assert passes["node_lattice"] and max(passes["node_lattice"]) <= 2
+        assert units and 1 not in units

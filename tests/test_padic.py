@@ -58,10 +58,9 @@ class TestContext:
         with pytest.raises(ValueError):
             PadicContext(3, 0)
 
-    def test_valuation_and_unit_part(self):
+    def test_valuation_and_unit_inverse(self):
         ctx = PadicContext(3, 4)
         assert ctx.valuation(18) == 2
-        assert ctx.unit_part(18) == 2
         assert ctx.valuation(0) == 4
         assert (ctx.invert_unit(2) * 2) % ctx.modulus == 1
 
@@ -689,6 +688,67 @@ class TestDeferredDivisors:
         meet = intersect(x, y)
         assert meet.elementary_divisors == tuple(v for v, _row in meet.pivots)
         assert calls == []
+
+
+def _engine_input(rng, ell, precision, rank, ncols):
+    """Columns for the echelon engine, reduced mod l^N: entries u * l^v of
+    every valuation v <= N (v = N is 0), plus zero, duplicate, l-scaled and
+    summed columns."""
+    m = ell**precision
+
+    def entry():
+        return rng.randrange(1, m) * ell ** rng.randint(0, precision) % m
+
+    cols = []
+    for _ in range(ncols):
+        kind = rng.randrange(6) if cols else 0
+        if kind <= 1:
+            col = [entry() for _ in range(rank)]
+        elif kind == 2:
+            col = [0] * rank
+        elif kind == 3:
+            col = list(rng.choice(cols))
+        elif kind == 4:
+            col = [ell * x % m for x in rng.choice(cols)]
+        else:
+            a, b = rng.choice(cols), rng.choice(cols)
+            c = rng.randrange(m)
+            col = [(x + c * y) % m for x, y in zip(a, b)]
+        cols.append(tuple(col))
+    rng.shuffle(cols)
+    return cols
+
+
+class TestStagedEngine:
+    """The staged pivot search against the minimum search it replaced."""
+
+    PRECISIONS = (1, 2, 3, 4, 5, 6, 17, 40)
+
+    def test_same_basis_and_pivots_as_the_minimum_search(self):
+        rng = random.Random(211)
+        for t in range(20_000):
+            ell = (2, 3, 5, 7)[t % 4]
+            precision = self.PRECISIONS[t // 4 % len(self.PRECISIONS)]
+            ctx = PadicContext(ell, precision)
+            cols = _engine_input(rng, ell, precision, rng.randint(0, 8),
+                                 rng.randint(0, 12))
+            basis, pivots = padic._echelon_columns(ctx, cols)
+            want = oracles.echelon_columns_by_minimum(ctx, cols)
+            assert (list(basis), list(pivots)) == want, (ell, precision, cols)
+
+    def test_column_reduce_as_before(self):
+        rng = random.Random(223)
+        for t in range(2_000):
+            ell = (2, 3, 5, 7)[t % 4]
+            precision = self.PRECISIONS[t // 4 % len(self.PRECISIONS)]
+            ctx = PadicContext(ell, precision)
+            rank = rng.randint(1, 6)
+            cols = _engine_input(rng, ell, precision, rank, rng.randint(0, 7))
+            matrix = PadicMatrix.from_rows(
+                ctx, [[c[i] for c in cols] for i in range(rank)])
+            reduced, divisors = column_reduce(matrix)
+            want, want_divisors = oracles.column_reduce_by_minimum(matrix)
+            assert (reduced, divisors) == (want, want_divisors)
 
 
 class TestStoredPivots:
