@@ -96,15 +96,23 @@ def ord_at(n: int, p: int) -> int:
 def prime_power(n: int) -> tuple[int, int] | None:
     """(p, k) with n = p^k, p prime and k >= 1, or None.
 
-    Trial division stops at the least prime factor.
+    Trial division by 2, then by the odd numbers up to n^(1/2); the first
+    divisor found is the least prime factor p, and n is a prime power
+    exactly when it is a power of p.  No divisor up to n^(1/2) means n is
+    prime.
     """
     if n < 2:
         return None
-    for p in range(2, math.isqrt(n) + 1):
-        if n % p == 0:
-            k = ord_at(n, p)
-            return (p, k) if n == p**k else None
-    return n, 1
+    if n % 2:
+        for p in range(3, math.isqrt(n) + 1, 2):
+            if n % p == 0:
+                break
+        else:
+            return n, 1
+    else:
+        p = 2
+    k = ord_at(n, p)
+    return (p, k) if n == p**k else None
 
 
 def sqrt_mod(n: int, p: int) -> int | None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
 from decimal import Decimal
 from fractions import Fraction
 
@@ -36,6 +35,7 @@ from .curves import (
     on_curve,
     point_order,
     reduce_model,
+    request_memo,
 )
 
 _INT_EXACT_LIMIT = 2**53 - 1
@@ -228,6 +228,12 @@ def _node_payload(node: galois.MaximalNode) -> dict:
 def _cmd_isogeny_maximal(args) -> tuple[dict, list[dict]]:
     ell, s, n = args.ell, args.s, args.n
     galois.require_searchable(ell, n, 2)
+    if n >= 2 and s and s % (ell * ell) == 0:
+        # past level 1 the search would end in a transfer that is not
+        # integral, or sooner in "s vanishes at this precision"
+        raise ValueError(
+            f"--n {n} needs v_l(s) = 1: l^2 divides s = {s}, and then a "
+            f"transfer past level 1 is not integral")
     precision = max(4, n + 2)
     rep1 = galois.build_rep(ell, 1, s, precision)
     rep2 = galois.build_rep(ell, 2, s, precision)
@@ -531,7 +537,10 @@ def run(argv: list[str] | None = None) -> tuple[dict, int]:
     parser = _build_parser(named if named in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
-        results, checks = args.handler(args)
+        # one request computes each point count and one-step isogeny
+        # quotient once, and keeps none of them afterwards
+        with request_memo():
+            results, checks = args.handler(args)
     except ValueError as exc:
         parser.error(str(exc))
     inputs = {k: v for k, v in vars(args).items()
@@ -544,6 +553,8 @@ def run(argv: list[str] | None = None) -> tuple[dict, int]:
         "checks": checks,
     })
     if args.meta:
+        from datetime import datetime, timezone  # only --meta needs a clock
+
         report["meta"] = {
             "generated_at": datetime.now(timezone.utc).isoformat(),
             "python": sys.version.split()[0],

@@ -12,6 +12,10 @@ reduction proves there is no rational point of order ell.  "Yes", with
 its witness, comes only from a rational root of the ell-division
 polynomial.
 
+Inside a `request_memo` block (the CLI opens one per request), each point
+count and each curve's list of one-step isogeny quotients is computed
+once; outside one nothing is cached.
+
 Minimality is the caller's contract.  The only model surgery provided is
 the standard (u, r, s, t) change of coordinates with scale u in {1, 2},
 which is enough to integralize and reduce every quotient produced by the
@@ -21,6 +25,7 @@ repaired.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -124,6 +129,39 @@ def local_data(e: WeierstrassCurve, p: int) -> LocalData:
 
 
 # ---------------------------------------------------------------------------
+# request memo
+
+# Facts that one request may need more than once: #E(F_q) under
+# (coefficients, q), and the one-step quotient list under
+# (coefficients, "quotients").  The memo is set only inside a
+# `request_memo` block, so a library call outside one caches nothing and
+# nothing outlives the request.
+_MEMO: ContextVar[dict | None] = ContextVar("curves_request_memo",
+                                            default=None)
+
+
+class request_memo:
+    """Context manager: within it, point counts and one-step quotients are
+    computed once; on leaving, the memo is dropped."""
+
+    def __enter__(self):
+        self._token = _MEMO.set({})
+
+    def __exit__(self, *exc_info):
+        _MEMO.reset(self._token)
+
+
+def _memoized(key, compute):
+    """compute(), kept under key in the request memo when one is set."""
+    memo = _MEMO.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+# ---------------------------------------------------------------------------
 # point counting
 
 _COUNT_LIMIT = 10**6
@@ -192,8 +230,13 @@ def _horner(field: GF, poly, x):
     return acc
 
 
+def _count(e: WeierstrassCurve, q: int) -> int:
+    """count_points, through the request memo."""
+    return _memoized((e.coefficients(), q), lambda: count_points(e, q))
+
+
 def trace_of_frobenius(e: WeierstrassCurve, q: int) -> int:
-    return q + 1 - count_points(e, q)
+    return q + 1 - _count(e, q)
 
 
 def is_ordinary(e: WeierstrassCurve, ell: int) -> bool:
@@ -331,7 +374,7 @@ def _ell_torsion_points(e: WeierstrassCurve, ell: int):
     """
     disc = _disc_from_b(*_b_invariants(e.coefficients()))
     good = [q for q in _FILTER_PRIMES if q != ell and disc % q]
-    if any(count_points(e, q) % ell for q in good[:_FILTER_GOOD_PRIMES]):
+    if any(_count(e, q) % ell for q in good[:_FILTER_GOOD_PRIMES]):
         return
     poly = two_division_poly(e) if ell == 2 else division_poly(e, ell)
     for x in rational_roots(poly):
@@ -403,23 +446,30 @@ def velu_quotient(e: WeierstrassCurve, pt: Point) -> WeierstrassCurve:
     return reduce_model(_integralize(coeffs))
 
 
+# the weight of each coefficient: a_i scales by u^-w under the moves below
+_WEIGHTS = (1, 2, 3, 4, 6)
+
+
+def _moved(e: WeierstrassCurve, r: int, s: int, t: int) -> tuple[int, ...]:
+    """Coefficients after x = x' + r, y = y' + s x' + t; dividing the i-th
+    by u^_WEIGHTS[i] gives the move with scale u."""
+    a1, a2, a3, a4, a6 = e.coefficients()
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
+
+
 def transform(e: WeierstrassCurve, u: int, r: int, s: int, t: int):
     """Coefficients after x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
 
     Returned as Fractions; the caller decides whether they are integral.
     """
-    a1 = Fraction(e.a1 + 2 * s, u)
-    a2 = Fraction(e.a2 - s * e.a1 + 3 * r - s * s, u**2)
-    a3 = Fraction(e.a3 + r * e.a1 + 2 * t, u**3)
-    a4 = Fraction(
-        e.a4 - s * e.a3 + 2 * r * e.a2 - (t + r * s) * e.a1 + 3 * r * r - 2 * s * t,
-        u**4,
-    )
-    a6 = Fraction(
-        e.a6 + r * e.a4 + r * r * e.a2 + r**3 - t * e.a3 - t * t - r * t * e.a1,
-        u**6,
-    )
-    return (a1, a2, a3, a4, a6)
+    return tuple(Fraction(c, u**w)
+                 for c, w in zip(_moved(e, r, s, t), _WEIGHTS))
 
 
 def _integralize(coeffs) -> WeierstrassCurve:
@@ -436,14 +486,23 @@ def _integralize(coeffs) -> WeierstrassCurve:
 
 
 def _try_scale_down(e: WeierstrassCurve) -> WeierstrassCurve | None:
-    if invariants(e).disc % 2**12:
+    """The model after the first move with u = 2, r < 4, s < 2 and t < 8,
+    in that order, whose coefficients are integers; None if there is none.
+
+    Integrality is tested on the integer numerators: the new a_i is
+    integral exactly when 2^w divides the i-th numerator, w its weight.
+    """
+    if _disc_from_b(*_b_invariants(e.coefficients())) % 2**12:
+        return None
+    if e.a1 % 2 or e.a3 % 2:  # then no r, s, t makes a1 and a3 integral
         return None
     for r in range(4):
         for s in range(2):
             for t in range(8):
-                cand = transform(e, 2, r, s, t)
-                if all(c.denominator == 1 for c in cand):
-                    return WeierstrassCurve(*(int(c) for c in cand))
+                moved = _moved(e, r, s, t)
+                if all(c % (1 << w) == 0 for c, w in zip(moved, _WEIGHTS)):
+                    return WeierstrassCurve(
+                        *(c >> w for c, w in zip(moved, _WEIGHTS)))
     return None
 
 
@@ -455,12 +514,18 @@ def reduce_model(e: WeierstrassCurve) -> WeierstrassCurve:
         if smaller is None:
             break
         e = smaller
-    s = -(e.a1 >> 1)
-    e = WeierstrassCurve(*(int(c) for c in transform(e, 1, 0, s, 0)))
+    e = WeierstrassCurve(*_moved(e, 0, -(e.a1 >> 1), 0))
     target = (e.a2 + 1) % 3 - 1  # same residue mod 3, so the shift is integral
-    e = WeierstrassCurve(*(int(c) for c in transform(e, 1, (target - e.a2) // 3, 0, 0)))
-    t = -(e.a3 >> 1)
-    return WeierstrassCurve(*(int(c) for c in transform(e, 1, 0, 0, t)))
+    e = WeierstrassCurve(*_moved(e, (target - e.a2) // 3, 0, 0))
+    return WeierstrassCurve(*_moved(e, 0, 0, -(e.a3 >> 1)))
+
+
+def _quotients(e: WeierstrassCurve) -> tuple[WeierstrassCurve, ...]:
+    """The Velu quotients of e by its rational points of order 2, 3, 5 and
+    7, in that order, through the request memo."""
+    return _memoized((e.coefficients(), "quotients"), lambda: tuple(
+        velu_quotient(e, pt) for ell in (2, 3, 5, 7)
+        for pt in _ell_torsion_points(e, ell)))
 
 
 def isogeny_class(e: WeierstrassCurve, depth: int = 3) -> list[WeierstrassCurve]:
@@ -476,13 +541,11 @@ def isogeny_class(e: WeierstrassCurve, depth: int = 3) -> list[WeierstrassCurve]
     for _ in range(depth):
         nxt = []
         for cur in frontier:
-            for ell in (2, 3, 5, 7):
-                for pt in _ell_torsion_points(cur, ell):
-                    quo = velu_quotient(cur, pt)
-                    key = quo.coefficients()
-                    if key not in seen:
-                        seen[key] = quo
-                        nxt.append(quo)
+            for quo in _quotients(cur):
+                key = quo.coefficients()
+                if key not in seen:
+                    seen[key] = quo
+                    nxt.append(quo)
         frontier = nxt
         if not frontier:
             break

@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from importlib import resources
 from itertools import product
 from math import isqrt
+from os import path
 
 from .arith import is_prime, ord_at, prime_power
 from .curves import (
     WeierstrassCurve,
-    _b_invariants,
     _disc_from_b,
     has_rational_ell_torsion,
     invariants,
@@ -107,23 +106,31 @@ def _prime_power_models(coeff_bound: int) -> tuple[tuple[WeierstrassCurve, int, 
     multiplicative reduction at p, in enumeration order.
 
     Nothing here depends on ell, so the box is filtered once per process
-    and bound.  The discriminant comes straight from the coefficients;
-    only survivors become curves, and each passes `invariants` (with its
-    identity check) once, which supplies c4 and j.
+    and bound.  The discriminant comes straight from the b-invariants, each
+    computed in the outermost loop it depends on; only survivors become
+    curves, and each passes `invariants` (with its identity check) once,
+    which supplies c4 and j.
     """
     out = []
     span = range(-coeff_bound, coeff_bound + 1)
-    for coeffs in product((0, 1), (-1, 0, 1), (0, 1), span, span):
-        disc = _disc_from_b(*_b_invariants(coeffs))
-        pk = prime_power(abs(disc))  # None for a singular model, disc = 0
-        if pk is None:
-            continue
-        e = WeierstrassCurve(*coeffs)
-        inv = invariants(e)
-        p = pk[0]
-        if inv.c4 % p == 0:  # additive: p divides disc and c4
-            continue
-        out.append((e, p, inv.j))
+    # b8 = b2 a6 + (a2 a3^2 - a1 a3 a4 - a4^2): b2 is fixed per (a1, a2, a3),
+    # b4 and the a4-part of b8 per a4, and only b6 and b8 move with a6
+    for a1, a2, a3 in product((0, 1), (-1, 0, 1), (0, 1)):
+        b2 = a1 * a1 + 4 * a2
+        for a4 in span:
+            b4 = 2 * a4 + a1 * a3
+            b8_a4 = a2 * a3 * a3 - a1 * a3 * a4 - a4 * a4
+            for a6 in span:
+                disc = _disc_from_b(b2, b4, a3 * a3 + 4 * a6, b2 * a6 + b8_a4)
+                pk = prime_power(abs(disc))  # None when disc = 0: singular
+                if pk is None:
+                    continue
+                e = WeierstrassCurve(a1, a2, a3, a4, a6)
+                inv = invariants(e)
+                p = pk[0]
+                if inv.c4 % p == 0:  # additive: p divides disc and c4
+                    continue
+                out.append((e, p, inv.j))
     return tuple(out)
 
 
@@ -211,11 +218,10 @@ def two_torsion_field_unramified_at(e: WeierstrassCurve, p: int) -> bool:
 def load_seed_rows() -> list[SeedRow]:
     """Rows of the packaged seed table: `ell p a1 a2 a3 a4 a6` per line,
     `#` comments allowed."""
-    text = (
-        resources.files("semistable_lab")
-        .joinpath("data/prime_conductor_curves.txt")
-        .read_text()
-    )
+    table = path.join(path.dirname(__file__), "data",
+                      "prime_conductor_curves.txt")
+    with open(table, encoding="utf-8") as f:
+        text = f.read()
     rows = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()

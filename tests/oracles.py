@@ -757,3 +757,57 @@ def ell_multiple_by_echelon(lat):
     return Lattice.from_generators(
         lat.ctx, lat.ambient_rank,
         [tuple((lat.ctx.ell * x) % m for x in b) for b in lat.basis])
+
+
+def prime_power_every_candidate(n):
+    """arith.prime_power as it was computed before it skipped even
+    candidates: trial division by every integer from 2 up to n^(1/2)."""
+    if n < 2:
+        return None
+    for p in range(2, math.isqrt(n) + 1):
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            return (p, k) if n == 1 else None
+    return n, 1
+
+
+def box_models_by_coefficient_tuples(coeff_bound):
+    """families._prime_power_models as it was computed before the
+    b-invariants were hoisted: every b-invariant recomputed from each
+    coefficient tuple of the box, in enumeration order."""
+    from semistable_lab.curves import (
+        WeierstrassCurve, _b_invariants, _disc_from_b, invariants)
+
+    out = []
+    span = range(-coeff_bound, coeff_bound + 1)
+    for coeffs in itertools.product((0, 1), (-1, 0, 1), (0, 1), span, span):
+        disc = _disc_from_b(*_b_invariants(coeffs))
+        pk = prime_power_every_candidate(abs(disc))
+        if pk is None:
+            continue
+        e = WeierstrassCurve(*coeffs)
+        inv = invariants(e)
+        if inv.c4 % pk[0] == 0:
+            continue
+        out.append((e, pk[0], inv.j))
+    return tuple(out)
+
+
+def scale_down_by_fractions(e):
+    """curves._try_scale_down as it was computed before integrality was
+    read from integer numerators: each of the 64 moves (2, r, s, t) built
+    as Fractions, the first with integral coefficients taken."""
+    from semistable_lab.curves import WeierstrassCurve, invariants, transform
+
+    if invariants(e).disc % 2**12:
+        return None
+    for r in range(4):
+        for s in range(2):
+            for t in range(8):
+                cand = transform(e, 2, r, s, t)
+                if all(c.denominator == 1 for c in cand):
+                    return WeierstrassCurve(*(int(c) for c in cand))
+    return None

@@ -16,6 +16,7 @@ from semistable_lab.arith import (
     sqrt_mod,
 )
 from semistable_lab.intlinalg import fl_echelon
+from oracles import prime_power_every_candidate
 from test_padic import _fl_rank, _fl_span
 
 # strong pseudoprimes to the prime bases 2..37 and 2..41
@@ -89,6 +90,19 @@ class TestPrimePower:
     @pytest.mark.parametrize("n", [0, -1, -8])
     def test_below_two_is_not_a_prime_power(self, n):
         assert prime_power(n) is None
+
+    def test_matches_the_every_candidate_loop(self):
+        """Odd candidates only, against trial division by every integer:
+        all n below 2 * 10^5, powers p^k (k <= 4) of the primes near 10^3
+        and 10^4, and products of two consecutive primes near 10^3, 10^4
+        and 10^5."""
+        near = [[q for q in range(c - 40, c + 40) if is_prime(q)]
+                for c in (10**3, 10**4, 10**5)]
+        cases = list(range(-2, 2 * 10**5))
+        cases += [q**k for qs in near[:2] for q in qs for k in range(1, 5)]
+        cases += [q * r for qs in near for q, r in zip(qs, qs[1:])]
+        for n in cases:
+            assert prime_power(n) == prime_power_every_candidate(n), n
 
 
 class TestSqrtMod:

@@ -94,6 +94,15 @@ class TestDeterminism:
         stripped = {k: v for k, v in tagged.items() if k != "meta"}
         assert stripped == plain
 
+    def test_clock_imported_only_under_meta(self):
+        code = ("import sys; from semistable_lab import cli; "
+                "cli.run(sys.argv[1:]); print('datetime' in sys.modules)")
+        for meta, imported in (([], "False"), (["--meta"], "True")):
+            r = subprocess.run(
+                [sys.executable, "-c", code, *meta, "dagger", "--ell", "3",
+                 "--p", "19"], capture_output=True, text=True)
+            assert r.stdout.strip() == imported, r.stderr
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):
@@ -341,6 +350,33 @@ class TestStableBytes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not integral" in captured.err
+
+
+class TestSquareShearRefusal:
+    """isogeny-maximal past level 1 needs v_l(s) = 1; with l^2 | s it is
+    refused before any lattice is built."""
+
+    @pytest.mark.parametrize("ell, s, n", [
+        (2, 4, 2), (2, 4, 3), (2, -8, 2), (2, 16, 2), (2, 16, 3),
+        (2, 120, 3), (3, 9, 2), (3, -27, 2), (3, 81, 2), (3, 270, 2)])
+    def test_refused_before_any_work(self, monkeypatch, capsys, ell, s, n):
+        def no_work(*args):
+            raise AssertionError("build_rep reached")
+
+        monkeypatch.setattr(galois, "build_rep", no_work)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["isogeny-maximal", "--ell", str(ell), "--s", str(s),
+                      "--n", str(n)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--n {n} needs v_l(s) = 1: l^2 divides s = {s}" in captured.err
+
+    @pytest.mark.parametrize("ell, s", [(2, 6), (3, -6)])
+    def test_valuation_one_is_searched(self, ell, s):
+        _, status = run_cli(["isogeny-maximal", "--ell", str(ell), "--s",
+                             str(s), "--n", "2"])
+        assert status == 0
 
 
 _LARGEST_IDENTITIES = [

@@ -7,7 +7,8 @@ from math import isqrt
 import pytest
 import sympy
 
-from semistable_lab import curves
+from oracles import scale_down_by_fractions
+from semistable_lab import cli, curves, families
 from semistable_lab.curves import (
     LocalData,
     SingularCurveError,
@@ -459,6 +460,39 @@ class TestReduceModel:
             assert reduce_model(moved) == red
             assert invariants(moved).j == invariants(red).j
 
+    def test_scale_down_matches_the_fraction_trials(self):
+        """Integer numerators pick the same move as the 64 Fraction trials:
+        on models blown up by u = 2 and shifted, on the seeds themselves,
+        and on blown-up models with a6 moved by 32, which a move with
+        u = 2 cannot undo."""
+        rng = random.Random("curve-scale-down")
+        outcomes = {"scaled": 0, "none": 0, "none-past-disc": 0}
+        for k in range(2000):
+            e = random_curve(rng)
+            blown = WeierstrassCurve(
+                2 * e.a1, 4 * e.a2, 8 * e.a3, 16 * e.a4, 64 * e.a6
+            )
+            r, s, t = (rng.randint(-9, 9) for _ in range(3))
+            moved = WeierstrassCurve(*(int(c) for c in transform(blown, 1, r, s, t)))
+            cases = [moved, e]
+            if k % 2:
+                try:
+                    cases.append(WeierstrassCurve(*moved.coefficients()[:4],
+                                                  moved.a6 + 32))
+                except SingularCurveError:
+                    pass
+            for c in cases:
+                got = curves._try_scale_down(c)
+                assert got == scale_down_by_fractions(c), c
+                if got is not None:
+                    outcomes["scaled"] += 1
+                elif invariants(c).disc % 2**12:
+                    outcomes["none"] += 1
+                else:
+                    outcomes["none-past-disc"] += 1
+        assert outcomes["scaled"] >= 2000
+        assert min(outcomes.values()) >= 100
+
     def test_unwinds_scale_two(self):
         rng = random.Random("curve-reduce-scale")
         for _ in range(50):
@@ -531,6 +565,96 @@ class TestIsogenyClass:
         keys = {c.coefficients() for c in cls}
         for member in cls:
             assert {c.coefficients() for c in isogeny_class(member)} == keys
+
+
+class TestRequestMemo:
+    """Within a request each point count and each one-step quotient list is
+    computed once; outside one nothing is cached."""
+
+    SEED_17 = WeierstrassCurve(1, -1, 1, -1, -14)
+
+    def test_library_calls_outside_a_request_are_never_cached(self,
+                                                              monkeypatch):
+        counts = counting(monkeypatch, "count_points")
+        first = isogeny_class(self.SEED_17)
+        n = len(counts)
+        assert n > 0
+        assert isogeny_class(self.SEED_17) == first
+        assert trace_of_frobenius(E1, 3) == trace_of_frobenius(E1, 3)
+        assert len(counts) == 2 * n + 2
+        assert curves._MEMO.get() is None
+
+    def test_a_request_block_computes_once_and_keeps_nothing(self,
+                                                             monkeypatch):
+        counts = counting(monkeypatch, "count_points")
+        quotients = counting(monkeypatch, "velu_quotient")
+        cls = isogeny_class(self.SEED_17)
+        n, m = len(counts), len(quotients)
+        with curves.request_memo():
+            assert isogeny_class(self.SEED_17) == cls
+            inside = len(counts) - n
+            assert isogeny_class(self.SEED_17) == cls
+            assert (len(counts), len(quotients)) == (n + inside, 2 * m)
+        # the search shares the counts of a curve across its four ell
+        assert 0 < inside < n
+        assert curves._MEMO.get() is None
+        assert isogeny_class(self.SEED_17) == cls
+        assert (len(counts), len(quotients)) == (2 * n + inside, 3 * m)
+
+    def test_paper_suite_computes_each_fact_once(self, monkeypatch, capsys):
+        counts = counting(monkeypatch, "count_points")
+        quotients = counting(monkeypatch, "velu_quotient")
+        assert cli.main(["paper-suite"]) == 0
+        keys = [(e.coefficients(), q) for e, q in counts]
+        assert len(keys) == len(set(keys)) > 0
+        kernels = [(e.coefficients(), pt) for e, pt in quotients]
+        assert len(kernels) == len(set(kernels)) > 0
+        assert curves._MEMO.get() is None
+
+    @pytest.mark.parametrize("argv, status", [
+        (["class-number", "--disc", "-164"], 0),
+        (["dagger", "--ell", "3", "--p", "19"], 0),
+        (["isogeny-maximal", "--ell", "2", "--s", "4", "--n", "1"], 1),
+    ])
+    def test_dropped_after_a_report(self, capsys, argv, status):
+        assert cli.main(argv) == status
+        assert curves._MEMO.get() is None
+
+    @pytest.mark.parametrize("argv", [
+        ["isogeny-maximal", "--ell", "2", "--s", "4", "--n", "2"],
+        ["dagger", "--ell", "2", "--p", "18"],
+    ])
+    def test_dropped_after_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert curves._MEMO.get() is None
+
+    def test_set_while_the_handler_runs_and_dropped_after_exit_3(
+            self, monkeypatch, capsys):
+        seen = []
+
+        def broken(args):
+            seen.append(curves._MEMO.get())
+            raise RuntimeError("invariant broke")
+
+        monkeypatch.setattr(cli, "_cmd_class_number", broken)
+        assert cli.main(["class-number", "--disc", "-4"]) == 3
+        assert seen == [{}]
+        assert curves._MEMO.get() is None
+
+    @pytest.mark.parametrize("ell, p", [(2, 17), (3, 19), (5, 11)])
+    def test_closure_check_still_sees_a_truncated_class(self, monkeypatch,
+                                                        ell, p):
+        """The closure check reuses the quotients the class search made,
+        yet still fails when that search stops one step early."""
+        monkeypatch.setattr(families, "isogeny_class",
+                            lambda e: isogeny_class(e, 1))
+        report, status = cli.run(["dagger", "--ell", str(ell), "--p", str(p)])
+        assert status == 1
+        closed = next(c for c in report["checks"]
+                      if c["name"] == "class-closed-under-quotients")
+        assert closed["pass"] is False
 
 
 class TestHyperellipticOddDisc:

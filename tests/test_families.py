@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import box_models_by_coefficient_tuples
 from semistable_lab import cli, families
 from semistable_lab.arith import prime_power
 from semistable_lab.curves import (
@@ -128,6 +129,11 @@ class TestBoxFilter:
                         if abs(e.a4) <= bound and abs(e.a6) <= bound]
             assert families._prime_power_models(bound) == tuple(expected)
         assert len(families._prime_power_models(8)) == 400
+
+    def test_hoisted_b_invariants_match_the_coefficient_tuple_loop(self):
+        for bound in range(13):
+            assert (families._prime_power_models(bound)
+                    == box_models_by_coefficient_tuples(bound))
 
     @pytest.mark.parametrize("ell", [3, 5, 7])
     def test_hits_match_the_per_model_loop(self, box_12, ell):
