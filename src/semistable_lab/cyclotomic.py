@@ -22,6 +22,7 @@ from operator import mul
 
 from . import intlinalg
 from .arith import is_prime
+from .padic import fl_echelon
 from .polynomials import GF, equal_degree_factor, fp_trim
 
 _ELL_LIMIT = 19
@@ -29,7 +30,13 @@ _ELL_LIMIT = 19
 
 @dataclass(frozen=True)
 class SplittingData:
-    """How the prime p splits in the ell-th (and 2ell-th) cyclotomic field."""
+    """How the prime p splits in the ell-th (and 2ell-th) cyclotomic field.
+
+    `g2`, the number of primes of Q(mu_{2ell}) over p, is the F_ell-rank of
+    the product of local units mod ell-th powers over p: one cyclic factor
+    of order ell per such prime, whose residue field contains the ell-th
+    roots of unity.
+    """
 
     ell: int
     p: int
@@ -82,15 +89,6 @@ def splitting(ell: int, p: int) -> SplittingData:
         g2 = g
     cond = g2 >= 2 and (ell != 2 or p % 8 == 1)
     return SplittingData(ell=ell, p=p, f=f, g=g, g2=g2, has_two_primes=cond)
-
-
-def gamma_rank(ell: int, p: int) -> int:
-    """F_ell-rank of the product of local units mod ell-th powers over p.
-
-    One cyclic factor of order ell per prime of Q(mu_{2ell}) over p: the
-    residue field at each such prime contains the ell-th roots of unity.
-    """
-    return splitting(ell, p).g2
 
 
 def _root_order(ell: int) -> int:
@@ -252,7 +250,7 @@ def unit_image_rank(ell: int, p: int, extra_units: tuple = ()) -> GammaSReport:
         for exponent, img in zip(vec, images):
             combo = [(a + exponent * b) % ell for a, b in zip(combo, img)]
         span.append(tuple(combo))
-    rank = len(intlinalg.fl_echelon(span, ell))
+    rank = len(fl_echelon(span, ell))
     g2 = splitting(ell, p).g2
     report = GammaSReport(
         ell=ell, p=p, gamma_rank=g2, unit_image_rank=rank, bound=g2 - rank

@@ -198,10 +198,6 @@ def verify_identities(rep: GaloisRep) -> tuple[IdentityCheck, ...]:
                  for name, lhs, rhs in sides)
 
 
-def identities_pass(rep: GaloisRep) -> bool:
-    return all(c.passed for c in verify_identities(rep))
-
-
 # Desk-scale limits of build_rep, checked before any work.  verify-identities
 # multiplies 2x2 blocks over Z/l^N and writes out 2d x 2d matrices; at both
 # limits with l = 5 (a 46,000-bit modulus) it answers in about 0.35 s as a
@@ -446,7 +442,7 @@ def _ell_multiple(lat: Lattice) -> Lattice:
     row as its first entry of least valuation, now l^(v+1), later columns
     stay zero in earlier pivot rows, and an entry reduced below l^v in a
     pivot row is now below l^(v+1).  A column with v + 1 >= N vanishes and
-    is dropped.  The divisors are read off the pivots, as in rebased().
+    is dropped.  Like rebased(), it is presented by its own basis.
     """
     ctx = lat.ctx
     m, ell = ctx.modulus, ctx.ell
@@ -455,7 +451,7 @@ def _ell_multiple(lat: Lattice) -> Lattice:
     pivots = tuple(p for _b, p in kept)
     return Lattice(ctx, lat.ambient_rank,
                    tuple(tuple(ell * x % m for x in b) for b, _p in kept),
-                   pivots, tuple(v for v, _row in pivots))
+                   pivots, len(pivots))
 
 
 @dataclass(frozen=True)

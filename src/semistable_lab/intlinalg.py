@@ -1,7 +1,10 @@
-"""Small exact integer matrix routines: Smith form, kernels, F_l echelon.
+"""Integer Smith form with transforms, and kernels modulo any modulus.
 
-Matrices are lists of row lists of Python ints. Sizes here are tiny
-(ambient rank <= 8), so the plain gcd-driven eliminations below are fine.
+These serve what the Z/l^N column engine of `padic` cannot: a kernel needs
+the column transform, and `cyclotomic.congruence_kernel` works modulo the
+composite l(l - 1).  Matrices are lists of row lists of Python ints. Sizes
+here are tiny (ambient rank <= 8), so the plain gcd-driven eliminations
+below are fine.
 """
 
 from __future__ import annotations
@@ -13,18 +16,8 @@ def _mat_copy(m: list[list[int]]) -> list[list[int]]:
     return [list(row) for row in m]
 
 
-def identity_matrix(n: int) -> list[list[int]]:
+def _identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_diagonal(mat: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    Returns min(rows, cols) nonnegative integers d_1 | d_2 | ... (zeros at
-    the end when the rank is deficient), read off smith_with_transforms.
-    """
-    d, _u, _v = smith_with_transforms(mat)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
 def smith_with_transforms(
@@ -37,8 +30,8 @@ def smith_with_transforms(
     m = _mat_copy(mat)
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
+    u = _identity_matrix(rows)
+    v = _identity_matrix(cols)
 
     def row_swap(i, j):
         m[i], m[j] = m[j], m[i]
@@ -151,33 +144,3 @@ def kernel_mod(mat: list[list[int]], modulus: int) -> list[list[int]]:
         if any(col):
             gens.append(col)
     return gens
-
-
-def fl_echelon(vectors, ell: int) -> list[tuple[int, ...]]:
-    """Reduced echelon basis of the F_ell span of the vectors, by pivot.
-
-    Each basis vector has pivot entry 1 and is zero in every other pivot
-    column; the rank of the span is the length of the basis.
-    """
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for v in vectors:
-        v = [x % ell for x in v]
-        for b, p in zip(basis, pivots):
-            if v[p]:
-                c = v[p]
-                v = [(x - c * y) % ell for x, y in zip(v, b)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            continue
-        inv = pow(v[piv], -1, ell)
-        v = [(inv * x) % ell for x in v]
-        for b in basis:
-            if b[piv]:
-                c = b[piv]
-                for i in range(len(v)):
-                    b[i] = (b[i] - c * v[i]) % ell
-        basis.append(v)
-        pivots.append(piv)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [tuple(basis[i]) for i in order]

@@ -17,26 +17,35 @@ current pivot's, so a stage needs one pass over the rows.  Generators are
 reduced mod l^N once, on the way in; bases of existing lattices, which are
 reduced already, go straight to the engine.
 
+The engine also gives the elementary divisors, with no Smith form.  Its
+column operations are invertible, every entry of a basis column has
+valuation at least that of its pivot, and a basis column is zero in the
+pivot rows found before its own.  So each basis column is l^v times a
+column with a unit pivot, these unit-pivot columns are triangular in the
+pivot rows and extend to a basis of (Z/l^N)^r, and the presentation is
+equivalent to the diagonal of the l^v plus one zero column per dependent
+generator.  Its Smith valuations, clipped at N, are therefore the pivot
+valuations padded with N up to min(r, number of generators).  At N = 1 the
+same engine is the reduced row echelon form over F_l (`fl_echelon`).
+
 Purity of X in T = (Z/l^N)^r means T/X is torsion free, detected by the
 Nakayama criterion: every elementary divisor of the basis is 0, equivalently
 the mod-l projection of X has dimension equal to the number of basis columns.
 A divisor that reaches the precision N is indistinguishable from an exact
 relation and is reported as a precision loss rather than silently dropped.
-The divisors of a generating set come from an integer Smith form, which is
-computed only when `elementary_divisors` (or `is_pure`) is first read.
 
-All objects are immutable apart from that cached read, which stores the
-same value whoever makes it; every operation returns fresh values, so the
+All objects are immutable and every operation returns fresh values, so the
 module is safe to drive from concurrent workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul
 
 from . import intlinalg
-from .arith import is_prime, ord_at
+from .arith import is_prime
 
 
 class PrecisionLossError(ArithmeticError):
@@ -53,25 +62,16 @@ class PadicContext:
 
     ell: int
     precision: int
-    modulus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.ell):
             raise ValueError(f"ell must be prime, got {self.ell}")
         if self.precision < 1:
             raise ValueError(f"precision must be >= 1, got {self.precision}")
-        object.__setattr__(self, "modulus", self.ell**self.precision)
 
-    def valuation(self, x: int) -> int:
-        """l-adic valuation of x in the work ring, clipped at the precision."""
-        x %= self.modulus
-        if x == 0:
-            return self.precision
-        v = 0
-        while x % self.ell == 0:
-            x //= self.ell
-            v += 1
-        return v
+    @cached_property
+    def modulus(self) -> int:
+        return self.ell**self.precision
 
     def invert_unit(self, u: int) -> int:
         """The inverse of a unit of the work ring.
@@ -316,20 +316,6 @@ def _echelon_columns(
     raise AssertionError("a nonzero column kept no entry below the precision")
 
 
-def _smith_valuations(cols, ctx: PadicContext) -> list[int]:
-    """l-valuations of the integer Smith diagonal of the column matrix."""
-    if not cols:
-        return []
-    r = len(cols[0])
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(r)]
-    diag = intlinalg.smith_diagonal(mat)
-    return sorted(ord_at(d, ctx.ell) if d else ctx.precision for d in diag)
-
-
-def _clipped_divisors(ctx: PadicContext, cols) -> tuple[int, ...]:
-    return tuple(min(v, ctx.precision) for v in _smith_valuations(cols, ctx))
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Submodule of (Z/l^N)^r given by a canonical echelon basis.
@@ -338,16 +324,15 @@ class Lattice:
     echelon pass found them.  Since the basis is canonical, == compares
     modules: two presentations of one module are equal even when their
     elementary divisors differ.  Those divisors belong to the presentation
-    a lattice was built from and are computed on first read; until then
-    only the reduced presentation is kept.
+    a lattice was built from; `generator_count` is its size, and with the
+    pivots it determines them (see the module docstring).
     """
 
     ctx: PadicContext
     ambient_rank: int
     basis: tuple[tuple[int, ...], ...]
     pivots: tuple[tuple[int, int], ...] = field(compare=False)
-    _divisors: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-    _presentation: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
+    generator_count: int = field(compare=False, repr=False)
 
     @staticmethod
     def from_generators(ctx: PadicContext, ambient_rank: int, generators) -> "Lattice":
@@ -368,12 +353,11 @@ class Lattice:
         """The lattice spanned by cols, which are already reduced mod l^N
         and of length ambient_rank (as the basis of any Lattice is)."""
         basis, pivots = _echelon_columns(ctx, cols)
-        return Lattice(ctx, ambient_rank, basis, pivots,
-                       None if cols else (), cols)
+        return Lattice(ctx, ambient_rank, basis, pivots, len(cols))
 
     @staticmethod
     def zero(ctx: PadicContext, ambient_rank: int) -> "Lattice":
-        return Lattice(ctx, ambient_rank, (), (), ())
+        return Lattice(ctx, ambient_rank, (), (), 0)
 
     @staticmethod
     def full(ctx: PadicContext, ambient_rank: int) -> "Lattice":
@@ -385,16 +369,11 @@ class Lattice:
 
     @property
     def elementary_divisors(self) -> tuple[int, ...]:
-        """Smith valuations of the presentation, clipped at the precision."""
-        # Read the presentation before the cache: a concurrent first read
-        # stores the divisors before it drops the presentation.
-        presentation = self._presentation
-        divisors = self._divisors
-        if divisors is None:
-            divisors = _clipped_divisors(self.ctx, presentation)
-            object.__setattr__(self, "_divisors", divisors)
-            object.__setattr__(self, "_presentation", ())
-        return divisors
+        """Smith valuations of the presentation, clipped at the precision:
+        the pivot valuations, then N for each dependent generator, up to
+        min(ambient rank, generator count)."""
+        pad = min(self.ambient_rank, self.generator_count) - len(self.pivots)
+        return tuple(v for v, _row in self.pivots) + (self.ctx.precision,) * pad
 
     @property
     def declared_rank(self) -> int:
@@ -412,8 +391,8 @@ class Lattice:
         itself) are discarded.  Operation outputs are rebased so purity
         reflects the module, not a presentation.
         """
-        divisors = tuple(v for v, _row in self.pivots)
-        return Lattice(self.ctx, self.ambient_rank, self.basis, self.pivots, divisors)
+        return Lattice(self.ctx, self.ambient_rank, self.basis, self.pivots,
+                       len(self.basis))
 
     def contains(self, vec) -> bool:
         return self.coordinates(vec) is not None
@@ -554,15 +533,28 @@ def lattice_sum(x: Lattice, y: Lattice) -> tuple[Lattice, bool, bool]:
     return total, direct, pure
 
 
+def fl_echelon(vectors, ell: int) -> list[tuple[int, ...]]:
+    """Reduced echelon basis of the F_ell span of the vectors, by pivot.
+
+    Each basis vector has pivot entry 1 and is zero in every other pivot
+    position; the rank of the span is the length of the basis.  This is the
+    column engine over Z/l^1: every pivot has valuation 0, so its row is
+    cleared in every other column, and the pivots come out in row order.
+    """
+    basis, _pivots = _echelon_columns(
+        PadicContext(ell, 1), [tuple(x % ell for x in v) for v in vectors])
+    return list(basis)
+
+
 def project_mod_ell(x: Lattice) -> list[tuple[int, ...]]:
     """Basis (reduced echelon over F_l) of the image of X in F_l^r."""
-    return intlinalg.fl_echelon(x.basis, x.ctx.ell)
+    return fl_echelon(x.basis, x.ctx.ell)
 
 
 def _fl_dim_intersection(a: list[tuple[int, ...]], b: list[tuple[int, ...]], ell: int) -> int:
     if not a or not b:
         return 0
-    return len(a) + len(b) - len(intlinalg.fl_echelon(a + b, ell))
+    return len(a) + len(b) - len(fl_echelon(a + b, ell))
 
 
 @dataclass(frozen=True)

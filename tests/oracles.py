@@ -97,7 +97,7 @@ def smith_invariants(rows):
 
 def smith_valuations(generators, ell, precision, ambient_rank):
     """Sorted l-valuations (clipped at `precision`) of the Smith invariants."""
-    if not generators:
+    if not generators or not ambient_rank:
         return []
     mat = sympy.Matrix([[g[i] for g in generators] for i in range(ambient_rank)])
     inv = invariant_factors(mat)
@@ -113,6 +113,45 @@ def smith_valuations(generators, ell, precision, ambient_rank):
             v += 1
         out.append(min(v, precision))
     return sorted(out)
+
+
+def smith_diagonal(mat):
+    """Diagonal of the Smith normal form of an integer matrix, read off
+    intlinalg.smith_with_transforms: min(rows, cols) nonnegative integers
+    d_1 | d_2 | ..., zeros last.  This is how padic.Lattice computed its
+    elementary divisors before it read them off the echelon pivots."""
+    from semistable_lab.intlinalg import smith_with_transforms
+
+    d, _u, _v = smith_with_transforms(mat)
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+
+
+def fl_echelon(vectors, ell):
+    """Reduced echelon basis of the F_ell span of the vectors, by pivot, by
+    one vector at a time: the F_l elimination the library kept before
+    padic.fl_echelon ran the column engine at precision 1."""
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for v in vectors:
+        v = [x % ell for x in v]
+        for b, p in zip(basis, pivots):
+            if v[p]:
+                c = v[p]
+                v = [(x - c * y) % ell for x, y in zip(v, b)]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            continue
+        inv = pow(v[piv], -1, ell)
+        v = [(inv * x) % ell for x in v]
+        for b in basis:
+            if b[piv]:
+                c = b[piv]
+                for i in range(len(v)):
+                    b[i] = (b[i] - c * v[i]) % ell
+        basis.append(v)
+        pivots.append(piv)
+    order = sorted(range(len(basis)), key=lambda i: pivots[i])
+    return [tuple(basis[i]) for i in order]
 
 
 def brute_intersection(gens_a, gens_b, modulus, ambient_rank, cap=200000):
@@ -719,15 +758,18 @@ def echelon_columns_by_minimum(ctx, cols):
 def column_reduce_by_minimum(matrix):
     """column_reduce as it was computed before the staged engine: every
     column reduced mod l^N, the engine above, and the clipped Smith
-    valuations of the reduced columns."""
-    from semistable_lab.padic import PadicMatrix, _clipped_divisors
+    valuations of the reduced columns (sympy's, with each zero invariant,
+    which sympy leaves out, read as N)."""
+    from semistable_lab.padic import PadicMatrix
 
     ctx = matrix.ctx
     m = ctx.modulus
     cols = [tuple(int(x) % m for x in c) for c in matrix.columns()]
     basis, _pivots = echelon_columns_by_minimum(ctx, cols)
     rows = [[col[i] for col in basis] for i in range(matrix.nrows)]
-    return PadicMatrix.from_rows(ctx, rows), list(_clipped_divisors(ctx, cols))
+    divisors = smith_valuations(cols, ctx.ell, ctx.precision, matrix.nrows)
+    divisors += [ctx.precision] * (min(matrix.nrows, len(cols)) - len(divisors))
+    return PadicMatrix.from_rows(ctx, rows), divisors
 
 
 def node_lattice_by_single_divisions(rep, kernel, n):

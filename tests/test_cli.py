@@ -263,7 +263,7 @@ class TestRequestBudget:
         assert galois._PRECISION_LIMIT >= 9000 and galois._BLOCK_LIMIT >= 2
         for ell, s, precision, d in ((3, 3, 9000, 2), (5, 5, 6200, 2)):
             rep = galois.build_rep(ell, d, s, precision)
-            assert galois.identities_pass(rep)
+            assert all(c.passed for c in galois.verify_identities(rep))
 
     def test_largest_admitted_request_answers(self):
         report, status = run_cli(

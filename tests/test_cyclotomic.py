@@ -102,18 +102,18 @@ class TestSplitting:
 
 class TestGammaRank:
     def test_frozen(self):
-        assert cyclotomic.gamma_rank(5, 31) == 4
-        assert cyclotomic.gamma_rank(2, 17) == 2
-        assert cyclotomic.gamma_rank(3, 7) == 2
-        assert cyclotomic.gamma_rank(7, 29) == 6
-        assert cyclotomic.gamma_rank(3, 5) == 1
+        assert cyclotomic.splitting(5, 31).g2 == 4
+        assert cyclotomic.splitting(2, 17).g2 == 2
+        assert cyclotomic.splitting(3, 7).g2 == 2
+        assert cyclotomic.splitting(7, 29).g2 == 6
+        assert cyclotomic.splitting(3, 5).g2 == 1
 
     def test_equals_place_count(self):
         for ell in ELLS:
             for p in (2, 11, 31):
                 if p == ell:
                     continue
-                assert cyclotomic.gamma_rank(ell, p) == orbit_count(ell, p)
+                assert cyclotomic.splitting(ell, p).g2 == orbit_count(ell, p)
 
 
 class TestUnitGenerators:
@@ -302,7 +302,7 @@ class TestUnitImageRank:
         with pytest.raises(ValueError):
             cyclotomic.unit_image_rank(5, 5)
         with pytest.raises(ValueError):
-            cyclotomic.gamma_rank(6, 7)
+            cyclotomic.splitting(6, 7).g2
 
     def test_character_search_skips_constants(self, monkeypatch):
         """For f > 1 every constant is an ell-th power; the search for a

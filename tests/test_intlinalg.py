@@ -1,11 +1,30 @@
-"""Tests for the exact integer matrix routines."""
+"""Tests for the exact integer matrix routines: the Smith form with
+transforms, whose diagonal is checked against sympy."""
 
 import random
 
 import pytest
+import sympy
 
 import oracles
-from semistable_lab.intlinalg import smith_diagonal
+from semistable_lab.intlinalg import smith_with_transforms
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def checked_diagonal(mat):
+    """The diagonal of smith_with_transforms, after checking u*mat*v = d,
+    that d is diagonal, and that u and v are unimodular."""
+    d, u, v = smith_with_transforms(mat)
+    rows, cols = len(mat), len(mat[0]) if mat else 0
+    assert _product(_product(u, mat), v) == d
+    assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    for t in (u, v):
+        assert not t or abs(sympy.Matrix(t).det()) == 1
+    return [d[i][i] for i in range(min(rows, cols))]
 
 
 def _check_chain(diag):
@@ -31,7 +50,7 @@ class TestSmithDiagonal:
     ])
     def test_edge_shapes(self, mat, expected):
         before = [list(row) for row in mat]
-        diag = smith_diagonal(mat)
+        diag = checked_diagonal(mat)
         assert diag == expected
         assert diag == oracles.smith_invariants(mat)
         assert mat == before
@@ -48,7 +67,7 @@ class TestSmithDiagonal:
                 a, b = rng.sample(range(rows), 2)
                 c = rng.randint(-3, 3)
                 mat[a] = [c * x for x in mat[b]]
-            diag = smith_diagonal(mat)
+            diag = checked_diagonal(mat)
             assert len(diag) == min(rows, cols)
             assert diag == oracles.smith_invariants(mat)
             _check_chain(diag)

@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 from semistable_lab import intlinalg
+from semistable_lab.arith import ord_at
 from semistable_lab.padic import (
     Lattice,
     PadicContext,
@@ -58,10 +59,8 @@ class TestContext:
         with pytest.raises(ValueError):
             PadicContext(3, 0)
 
-    def test_valuation_and_unit_inverse(self):
+    def test_unit_inverse(self):
         ctx = PadicContext(3, 4)
-        assert ctx.valuation(18) == 2
-        assert ctx.valuation(0) == 4
         assert (ctx.invert_unit(2) * 2) % ctx.modulus == 1
 
     def test_invert_non_unit_fails(self):
@@ -631,39 +630,42 @@ class TestOrthogonal:
 
 
 class TestDeferredDivisors:
-    def count_smith_calls(self, monkeypatch):
-        calls = []
-        original = intlinalg.smith_diagonal
+    """Elementary divisors are read off the echelon pivots: no Smith form
+    is computed when a lattice is built or its divisors are read."""
 
-        def counting(mat):
-            calls.append(mat)
-            return original(mat)
+    @staticmethod
+    def refuse_smith_form(monkeypatch):
+        def refuse(mat):
+            raise AssertionError("a Smith form was computed")
 
-        monkeypatch.setattr(intlinalg, "smith_diagonal", counting)
-        return calls
+        monkeypatch.setattr(intlinalg, "smith_with_transforms", refuse)
 
-    def test_no_smith_form_until_divisors_are_read(self, monkeypatch):
-        calls = self.count_smith_calls(monkeypatch)
+    def test_no_smith_form_when_divisors_are_read(self, monkeypatch):
+        self.refuse_smith_form(monkeypatch)
         ctx = make_context(3, 3)
         lat = Lattice.from_generators(ctx, 3, [(1, 2, 0), (0, 3, 0)])
         assert lat.contains((1, 5, 0))
         assert lat.member_count() == 27 * 9
         assert lat.coordinates((1, 5, 0)) == [1, 1]
-        lat.rebased()
-        assert calls == []
+        assert lat.rebased().elementary_divisors == (0, 1)
         assert lat.elementary_divisors == (0, 1)
-        assert len(calls) == 1
         assert not is_pure(lat)
-        assert len(calls) == 1
 
     def test_divisors_read_later_match_the_oracle(self):
+        """Against sympy and against the integer Smith diagonal the
+        divisors were once computed from, on redundant presentations,
+        rank 0, all-zero generators, N = 1 and 17, and more generators
+        than the rank."""
         rng = random.Random(89)
         floor_hits = 0
-        for _ in range(80):
-            ctx = PadicContext(rng.choice([2, 3, 5]), rng.randint(2, 4))
-            r = rng.randint(1, 4)
+        for t in range(160):
+            ctx = PadicContext(rng.choice([2, 3, 5]),
+                               rng.choice([1, 2, 3, 4, 17]))
+            r = rng.randint(0, 4)
             gens = [[rng.randrange(ctx.modulus) for _ in range(r)]
-                    for _ in range(rng.randint(1, r))]
+                    for _ in range(rng.randint(1, r + 2))]
+            if t % 8 == 0:
+                gens = [[0] * r for _ in gens]
             # redundant presentation: append combinations of the generators
             for _ in range(rng.randint(1, 3)):
                 cs = [rng.randrange(ctx.modulus) for _ in gens]
@@ -674,6 +676,11 @@ class TestDeferredDivisors:
             # sympy leaves out zero invariants; each one reads N here
             expected += [ctx.precision] * (min(r, len(gens)) - len(expected))
             assert list(lat.elementary_divisors) == sorted(expected)
+            diag = oracles.smith_diagonal(
+                [[g[i] for g in gens] for i in range(r)])
+            assert list(lat.elementary_divisors) == sorted(
+                min(ord_at(d, ctx.ell), ctx.precision) if d else ctx.precision
+                for d in diag)
             if ctx.precision in lat.elementary_divisors:
                 floor_hits += 1
                 with pytest.raises(PrecisionLossError):
@@ -681,13 +688,14 @@ class TestDeferredDivisors:
         assert floor_hits > 5
 
     def test_operation_outputs_need_no_smith_form(self, monkeypatch):
-        calls = self.count_smith_calls(monkeypatch)
         ctx = make_context(2, 4)
         x = Lattice.from_generators(ctx, 2, [(1, 0), (2, 2)])
         y = Lattice.from_generators(ctx, 2, [(1, 1)])
-        meet = intersect(x, y)
+        meet = intersect(x, y)  # its kernel needs a Smith form
+        self.refuse_smith_form(monkeypatch)
         assert meet.elementary_divisors == tuple(v for v, _row in meet.pivots)
-        assert calls == []
+        assert meet.elementary_divisors == (1,)
+        assert not is_pure(meet)
 
 
 def _engine_input(rng, ell, precision, rank, ncols):
@@ -760,8 +768,9 @@ class TestStoredPivots:
             lat, _ = random_lattice(rng, ctx, r, rng.randint(1, 5))
             recomputed = []
             for col in lat.basis:
-                v = min(ctx.valuation(x) for x in col)
-                row = next(i for i, x in enumerate(col) if ctx.valuation(x) == v)
+                vals = [ord_at(x, ctx.ell) if x else ctx.precision for x in col]
+                v = min(vals)
+                row = vals.index(v)
                 assert col[row] == ctx.ell**v
                 recomputed.append((v, row))
             assert list(lat.pivots) == recomputed == sorted(recomputed)
