@@ -492,26 +492,7 @@ def _fl_rank(vectors, ell, r):
 
 def _fl_span(vectors, ell, r):
     """Fully reduced echelon basis (set) of the F_ell span: canonical."""
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for v in vectors:
-        v = [x % ell for x in v]
-        for b, p in zip(basis, pivots):
-            if v[p]:
-                c = v[p]
-                v = [(a - c * bb) % ell for a, bb in zip(v, b)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            continue
-        inv = pow(v[piv], -1, ell)
-        v = [(inv * x) % ell for x in v]
-        for idx, (b, p) in enumerate(zip(basis, pivots)):
-            if b[piv]:
-                c = b[piv]
-                basis[idx] = [(a - c * vv) % ell for a, vv in zip(b, v)]
-        basis.append(v)
-        pivots.append(piv)
-    return frozenset(tuple(b) for b in basis)
+    return frozenset(oracles.fl_echelon(vectors, ell))
 
 
 class TestProjection:
