@@ -1,8 +1,11 @@
-"""Write tests/golden_reports.json, the corpus that test_golden.py checks.
+"""Write the corpora that test_golden.py checks.
 
-The corpus is every distinct request of the `paper`, `fields` and
-`lattice` benchmark workloads at seeds 1 to 5, in first-seen order, each
-run in process through `cli.main`.  Run it from the root of a checkout:
+`golden_reports.json` holds every distinct request of the `paper`,
+`fields` and `lattice` benchmark workloads at seeds 1 to 5, in first-seen
+order.  `golden_limits.json` holds every row of the README limits table:
+requests at the limit, which are answered, and one past it, which exit 2
+and so pin the refusal text.  Each request is run in process through
+`cli.main`.  Run it from the root of a checkout:
 
     PYTHONPATH=src python tests/make_golden.py
 
@@ -19,11 +22,88 @@ import sys
 from pathlib import Path
 
 from semistable_lab import cli
+from semistable_lab.arith import PRIMALITY_BOUND as _PSI_13
 
 CORPUS = Path(__file__).with_name("golden_reports.json")
+LIMITS = Path(__file__).with_name("golden_limits.json")
 # argparse wraps usage lines to the terminal width, read from COLUMNS
 COLUMNS = "80"
 SEEDS = range(1, 6)
+
+_FIRST_PRIMES = [p for p in range(2, 8000)
+                 if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+# README limits-table row (its first cell, without backticks) -> requests
+# at the limit, then past it.  The boundary values: 99999999995 is the
+# largest fundamental |D| <= 10^11, 99999999947 the largest prime
+# p = 3 mod 4 below it (so D = -p), and psi_13 - 168 the largest prime
+# below psi_13.
+LIMIT_REQUESTS = {
+    "_DISC_LIMIT": (
+        ("class-number", "--disc", "-99999999995"),
+        ("controlled-degree", "--p", "99999999947"),
+        ("class-number", "--disc", "-100000000003"),
+        ("controlled-degree", "--p", "100000000003"),
+    ),
+    "_ELL_LIMIT": (
+        ("gamma-rank", "--ell", "19", "--p", "191"),
+        ("gamma-rank", "--ell", "23", "--p", "47"),
+    ),
+    "require_searchable": (
+        ("isogeny-maximal", "--ell", "2", "--s", "2", "--n", "3"),
+        ("isogeny-maximal", "--ell", "3", "--s", "3", "--n", "2"),
+        ("isogeny-maximal", "--ell", "2", "--s", "2", "--n", "4"),
+        ("isogeny-maximal", "--ell", "3", "--s", "3", "--n", "3"),
+        ("isogeny-maximal", "--ell", "5", "--s", "5", "--n", "2"),
+    ),
+    "v_l(s) = 1 past level 1": (
+        ("isogeny-maximal", "--ell", "2", "--s", "6", "--n", "2"),
+        ("isogeny-maximal", "--ell", "2", "--s", "4", "--n", "1"),
+        ("isogeny-maximal", "--ell", "2", "--s", "4", "--n", "2"),
+    ),
+    "_PRECISION_LIMIT": (
+        ("verify-identities", "--ell", "5", "--s", "5",
+         "--precision", "20000", "--d", "4"),
+        ("verify-identities", "--ell", "5", "--s", "5",
+         "--precision", "20001", "--d", "1"),
+    ),
+    "_BLOCK_LIMIT": (
+        ("verify-identities", "--ell", "5", "--s", "5",
+         "--precision", "4", "--d", "4"),
+        ("verify-identities", "--ell", "5", "--s", "5",
+         "--precision", "4", "--d", "5"),
+    ),
+    "ψ₁₃ refusal (PRIMALITY_BOUND)": (
+        ("curve-info", "--curve", "0,-1,1,-10,-20",
+         "--primes", str(_PSI_13 - 168)),
+        ("curve-info", "--curve", "0,-1,1,-10,-20",
+         "--primes", str(_PSI_13)),
+    ),
+    "_NS_BOUND_LIMIT": (
+        ("ns-enumerate", "--bound", str(10**10)),
+        ("ns-enumerate", "--bound", str(10**10 + 1)),
+    ),
+    "_BOX_LIMIT": (
+        ("miyawaki-search", "--ell", "3", "--bound", "32"),
+        ("miyawaki-search", "--ell", "3", "--bound", "33"),
+    ),
+    "_ORDERS_LIMIT": (
+        ("ramification", "--orders", ",".join(["4"] + ["2"] * 126 + ["1"]),
+         "--ell", "2"),
+        ("ramification", "--orders", ",".join(["4"] + ["2"] * 127 + ["1"]),
+         "--ell", "2"),
+    ),
+    "_PRIMES_LIMIT": (
+        ("curve-info", "--curve", "0,-1,1,-10,-20",
+         "--primes", ",".join(map(str, _FIRST_PRIMES[:1000]))),
+        ("curve-info", "--curve", "0,-1,1,-10,-20",
+         "--primes", ",".join(map(str, _FIRST_PRIMES[:1001]))),
+    ),
+}
+# Limits-table rows that no request reaches, so neither side has a row.
+UNREACHED = {
+    "_COUNT_LIMIT": "count_points is reached by requests only at q <= 37",
+}
 
 
 def run_request(argv):
@@ -53,16 +133,24 @@ def requests():
     return list(seen)
 
 
+def _row(argv, **extra):
+    status, out, err = run_request(argv)
+    return {**extra, "argv": list(argv), "status": status,
+            "stdout_sha256": out, "stderr_sha256": err}
+
+
+def _write(path, rows):
+    path.write_text("[\n" + ",\n".join(json.dumps(r, ensure_ascii=False)
+                                       for r in rows) + "\n]\n")
+    print(f"{len(rows)} requests written to {path.name}")
+
+
 def main():
     os.environ["COLUMNS"] = COLUMNS
-    rows = []
-    for argv in requests():
-        status, out, err = run_request(argv)
-        rows.append({"argv": list(argv), "status": status,
-                     "stdout_sha256": out, "stderr_sha256": err})
-    CORPUS.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows)
-                      + "\n]\n")
-    print(f"{len(rows)} requests written to {CORPUS.name}")
+    _write(CORPUS, [_row(argv) for argv in requests()])
+    _write(LIMITS, [_row(argv, limit=name)
+                    for name, reqs in LIMIT_REQUESTS.items()
+                    for argv in reqs])
 
 
 if __name__ == "__main__":

@@ -1,19 +1,42 @@
-"""The golden report corpus: every distinct request of the benchmark
-workloads, replayed in process and compared byte for byte.
+"""The golden report corpora, replayed in process and compared byte for
+byte: every distinct request of the benchmark workloads, and every row of
+the README limits table at the limit and one past it.
 
-`golden_reports.json` holds one row per request: the argv, the exit
-status, and the SHA-256 of stdout and of stderr.  `make_golden.py` writes
-it; a change that means to alter report bytes regenerates it and names
-each changed row.
+`golden_reports.json` and `golden_limits.json` hold one row per request:
+the argv, the exit status, and the SHA-256 of stdout and of stderr; a
+limits row also names its README table row.  `make_golden.py` writes
+both; a change that means to alter report bytes regenerates them and
+names each changed row.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
-from make_golden import COLUMNS, CORPUS, run_request
+from make_golden import COLUMNS, CORPUS, LIMITS, UNREACHED, run_request
 
 ROWS = json.loads(CORPUS.read_text())
+LIMIT_ROWS = json.loads(LIMITS.read_text())
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_limits():
+    """First cells of the README limits table, without backticks."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| limit | value | module | guards |") + 2
+    names = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        names.append(line.split("|")[1].strip().replace("`", ""))
+    return names
+
+
+def _request_id(argv):
+    """The argv as one line, with long value lists shortened."""
+    return " ".join(a if len(a) <= 30 else f"<{a.count(',') + 1} values>"
+                    for a in argv)
 
 
 def test_corpus_covers_the_workloads():
@@ -21,7 +44,22 @@ def test_corpus_covers_the_workloads():
     assert len({tuple(row["argv"]) for row in ROWS}) == len(ROWS)
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[" ".join(r["argv"]) for r in ROWS])
+def test_limits_cover_the_readme_table():
+    """Each reachable limit has a request it answers and one it refuses
+    with exit 2."""
+    table = _readme_limits()
+    assert set(UNREACHED) < set(table)
+    assert [n for n in table if n not in UNREACHED] == list(
+        dict.fromkeys(row["limit"] for row in LIMIT_ROWS))
+    for name in table:
+        statuses = {row["status"] for row in LIMIT_ROWS
+                    if row["limit"] == name}
+        assert not statuses or (2 in statuses and statuses - {2}), name
+    assert len({tuple(row["argv"]) for row in LIMIT_ROWS}) == len(LIMIT_ROWS)
+
+
+@pytest.mark.parametrize("row", ROWS + LIMIT_ROWS,
+                         ids=[_request_id(r["argv"]) for r in ROWS + LIMIT_ROWS])
 def test_report_bytes(monkeypatch, row):
     monkeypatch.setenv("COLUMNS", COLUMNS)
     got = run_request(row["argv"])
