@@ -13,8 +13,9 @@ its witness, comes only from a rational root of the ell-division
 polynomial.
 
 Inside a `request_memo` block (the CLI opens one per request), each point
-count and each curve's list of one-step isogeny quotients is computed
-once; outside one nothing is cached.
+count, each division-polynomial torsion verdict and each curve's list of
+one-step isogeny quotients is computed once; outside one nothing is
+cached.
 
 Minimality is the caller's contract.  The only model surgery provided is
 the standard (u, r, s, t) change of coordinates with scale u in {1, 2},
@@ -132,10 +133,11 @@ def local_data(e: WeierstrassCurve, p: int) -> LocalData:
 # request memo
 
 # Facts that one request may need more than once: #E(F_q) under
-# (coefficients, q), and the one-step quotient list under
-# (coefficients, "quotients").  The memo is set only inside a
-# `request_memo` block, so a library call outside one caches nothing and
-# nothing outlives the request.
+# (coefficients, q), the division-polynomial verdict and witness of
+# has_rational_ell_torsion under (coefficients, "torsion", ell), and the
+# one-step quotient list under (coefficients, "quotients").  The memo is
+# set only inside a `request_memo` block, so a library call outside one
+# caches nothing and nothing outlives the request.
 _MEMO: ContextVar[dict | None] = ContextVar("curves_request_memo",
                                             default=None)
 
@@ -360,22 +362,32 @@ _FILTER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _FILTER_GOOD_PRIMES = 4
 
 
-def _ell_torsion_points(e: WeierstrassCurve, ell: int):
-    """Rational points of exact order ell, one per rational root x of the
-    ell-division polynomial, in increasing x.
+def _counts_rule_out(e: WeierstrassCurve, ell: int) -> bool:
+    """Does a point count prove that there is no rational point of order
+    ell?
 
-    Point counts reject first.  If q != ell and the model has good reduction
-    at q, reduction mod q is injective on E(Q)[ell] (Silverman, AEC,
-    Prop. VII.3.1), so ell not dividing #E(F_q) proves that there is no
-    rational point of order ell, and nothing is yielded.  Up to
-    _FILTER_GOOD_PRIMES such q are tried; a curve that passes them all, or
-    has too few good q among _FILTER_PRIMES, goes to the division
-    polynomial, which alone finds points.
+    If q != ell and the model has good reduction at q, reduction mod q is
+    injective on E(Q)[ell] (Silverman, AEC, Prop. VII.3.1), so ell not
+    dividing #E(F_q) proves it.  Up to _FILTER_GOOD_PRIMES such q are
+    tried; a curve that passes them all, or has too few good q among
+    _FILTER_PRIMES, is left to the division polynomial.
     """
     disc = _disc_from_b(*_b_invariants(e.coefficients()))
     good = [q for q in _FILTER_PRIMES if q != ell and disc % q]
-    if any(_count(e, q) % ell for q in good[:_FILTER_GOOD_PRIMES]):
-        return
+    return any(_count(e, q) % ell for q in good[:_FILTER_GOOD_PRIMES])
+
+
+def _ell_torsion_points(e: WeierstrassCurve, ell: int):
+    """Rational points of exact order ell, in increasing x: none when
+    point counts rule them out, else _division_points."""
+    if _counts_rule_out(e, ell):
+        return iter(())
+    return _division_points(e, ell)
+
+
+def _division_points(e: WeierstrassCurve, ell: int):
+    """Rational points of exact order ell, one per rational root x of the
+    ell-division polynomial, in increasing x."""
     poly = two_division_poly(e) if ell == 2 else division_poly(e, ell)
     for x in rational_roots(poly):
         # y solves a monic quadratic; rational iff 4g + h^2 is a square at x
@@ -399,11 +411,18 @@ def has_rational_ell_torsion(e: WeierstrassCurve, ell: int):
     Prop. VII.3.1), so ell not dividing #E(F_q) rules the point out.
     "Yes" and the witness come only from a rational root of the
     ell-division polynomial, lifted and checked to have order ell.
+    Within a request each division-polynomial answer is computed once; a
+    point-count "no" reads counts the memo keeps anyway.
     """
     if ell not in (2, 3, 5, 7):
         raise ValueError("torsion search supports ell in {2, 3, 5, 7}")
-    pt = next(_ell_torsion_points(e, ell), None)
-    return pt is not None, pt
+    if _counts_rule_out(e, ell):
+        return False, None
+
+    def search():
+        pt = next(_division_points(e, ell), None)
+        return pt is not None, pt
+    return _memoized((e.coefficients(), "torsion", ell), search)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ The stable submodules of (Z/l^n)^(2d) are found from their atoms, the
 stable closures of single vectors: one vector per orbit of the unit group
 is closed in one echelon pass, as the span of its images under a basis of
 the word algebra in sigma and tau, and the atoms that are not sums of
-smaller ones are then summed in every way.
+smaller ones are then summed, each module keeping the set of atoms inside
+it so that only sums that may be new are computed.  A node lattice is
+written down from its kernel's canonical basis, with no echelon pass.
 """
 
 from __future__ import annotations
@@ -267,10 +269,11 @@ def _word_algebra(rep: GaloisRep,
 
 
 def _atom(algebra: tuple[PadicMatrix, ...], vec: tuple[int, ...]) -> Lattice:
-    """The stable closure A vec of vec: one echelon pass over its images."""
+    """The stable closure A vec of vec: one echelon pass over its images,
+    which apply() returns reduced."""
     ctx, rank = algebra[0].ctx, algebra[0].nrows
-    return Lattice.from_generators(ctx, rank,
-                                   [a.apply(vec) for a in algebra])
+    return Lattice._from_reduced(ctx, rank,
+                                 tuple(a.apply(vec) for a in algebra))
 
 
 def stable_submodules(rep: GaloisRep, n: int) -> list[Lattice]:
@@ -285,11 +288,11 @@ def stable_submodules(rep: GaloisRep, n: int) -> list[Lattice]:
     A x, it lies in a stable module exactly when x does, and every
     containment test below is one membership test of a generator.  An atom
     that is the sum of the smaller atoms inside it is dropped; by induction
-    on size, every atom is a sum of the kept ones.  The kept atoms are then
-    added one at a time to every module found so far that does not contain
-    them, so after k atoms every sum of a subset of the first k is found,
-    and after the last every stable module.  Modules come rebased (divisors
-    read off their echelon basis), ordered by size then basis.
+    on size, every atom is a sum of the kept ones.  Only atoms of strictly
+    smaller member count are tested: an atom of equal count inside would be
+    equal, and atoms are distinct.  The kept atoms are then summed by
+    _sums_of_atoms.  Modules come rebased (divisors read off their echelon
+    basis), ordered by size then basis.
     """
     ell = rep.ell
     require_searchable(ell, n, rep.d)
@@ -301,24 +304,83 @@ def stable_submodules(rep: GaloisRep, n: int) -> list[Lattice]:
     for vec in _orbit_representatives(ell, n, rank):
         lat = _atom(algebra, vec)
         atoms.setdefault(lat.basis, (lat, vec))
-    irreducible: list[tuple[Lattice, tuple[int, ...]]] = []
+    irreducible: list[tuple[Lattice, tuple[int, ...], int]] = []
     for atom, vec in sorted(atoms.values(),
                             key=lambda av: av[0].member_count()):
-        inside = tuple(b for a, g in irreducible if atom.contains(g)
+        size = atom.member_count()
+        inside = tuple(b for a, g, count in irreducible
+                       if count < size and atom.contains(g)
                        for b in a.basis)
         if Lattice._from_reduced(ctx, rank, inside).basis != atom.basis:
-            irreducible.append((atom, vec))
-    # Largest atoms first: later ones then often lie inside and need no join.
-    zero = Lattice.zero(ctx, rank)
-    found = {zero.basis: zero}
-    for atom, vec in reversed(irreducible):
-        for cur in list(found.values()):
-            if not cur.contains(vec):
-                total = Lattice._from_reduced(
-                    ctx, rank, cur.basis + atom.basis)
-                found.setdefault(total.basis, total)
-    return sorted((lat.rebased() for lat in found.values()),
+            irreducible.append((atom, vec, size))
+    found = _sums_of_atoms(
+        ctx, rank, [(atom, vec) for atom, vec, _c in reversed(irreducible)])
+    return sorted((lat.rebased() for lat in found),
                   key=lambda l: (l.member_count(), l.basis))
+
+
+def _sums_of_atoms(ctx: PadicContext, rank: int, atoms) -> list[Lattice]:
+    """Every sum of a subset of atoms, given as (atom, generator) pairs,
+    largest first.
+
+    Round j adds atom a_j to every module found before it (an old module)
+    that does not contain it, so after round j every sum of a subset of
+    a_0..a_j is found (largest first: later atoms often lie inside and need
+    no sum).  Most of those sums are old modules, and two exact rules skip
+    them without an echelon pass.  Every module M carries its atom set
+    S(M), an int with bit i set when a_i lies in M: round i sets bit i on
+    the old modules from the membership test it makes anyway, and a module
+    new in round i gets bit i plus the OR of S(cur) over the pairs
+    cur + a_i computed to equal it.
+
+    S is exact.  An old module M at round j is a sum of atoms of index
+    below j, so M is the sum of the atoms a_i, i < j, inside it; hence for
+    old modules X and Y, X is inside Y exactly when S(X) is inside S(Y).
+    A module N new in round j has the canonical producer cur = the sum of
+    the atoms of index below j inside N: it is old, it does not contain
+    a_j (or N would be old), and cur + a_j = N.  The rules below skip only
+    sums that are old modules, so that pair is always computed, and
+    S(cur) is all of N's bits below j; every other producer lies inside N
+    and adds no bit.
+
+    The modules without a_j are taken in increasing member count:
+    - subset rule: if cur' + a_j is an old module for some cur' inside
+      cur, so is cur + a_j = cur + (cur' + a_j), a sum of old modules;
+    - index-l cover rule: if an old module M holds a_j and cur, and
+      |M| = l |cur|, then cur < cur + a_j <= M forces cur + a_j = M.
+    """
+    ell = ctx.ell
+    zero = Lattice.zero(ctx, rank)
+    # module basis -> [module, atom set, member count]
+    found = {zero.basis: [zero, 0, 1]}
+    for j, (atom, vec) in enumerate(atoms):
+        bit = 1 << j
+        outside = []
+        covers: dict[int, list[int]] = {}  # member count -> atom sets
+        for rec in found.values():
+            if rec[0].contains(vec):
+                rec[1] |= bit
+                covers.setdefault(rec[2], []).append(rec[1])
+            else:
+                outside.append(rec)
+        outside.sort(key=lambda rec: rec[2])
+        lands_old: list[int] = []  # atom sets of cur with cur + a_j old
+        new: dict[tuple, list] = {}
+        for cur, inside, count in outside:
+            if any(not s & ~inside for s in lands_old):
+                continue
+            if any(not inside & ~s for s in covers.get(ell * count, ())):
+                lands_old.append(inside)
+                continue
+            total = Lattice._from_reduced(ctx, rank, cur.basis + atom.basis)
+            if total.basis in found:
+                lands_old.append(inside)
+            else:
+                rec = new.setdefault(total.basis,
+                                     [total, bit, total.member_count()])
+                rec[1] |= inside
+        found.update(new)
+    return [rec[0] for rec in found.values()]
 
 
 @dataclass(frozen=True)
@@ -393,16 +455,30 @@ def component_transfer(kernel: Lattice, phi_ell: int,
 
 
 def node_lattice(rep: GaloisRep, kernel: Lattice, n: int) -> Lattice:
-    """Quotient lattice for a level-n kernel, homothety-normalized.
+    """Quotient lattice for a level-n kernel, homothety-normalized, in
+    canonical form without an echelon pass.
 
     The quotient is l^n T plus lifts of the kernel basis, inside the
     ambient at precision N.  Common l factors are divided out so that
     kernels describing the same quotient (0 and the full level, a kernel
     and its level bump) land on one canonical representative.
 
-    The content of the echelon basis is l^j for its least pivot valuation
-    j (a pivot is the first entry of least valuation in its column), and
-    the basis is divided by l^j at once.  The quotient of an entry x by
+    Its canonical basis is the kernel's, entries read as integers below
+    l^n, then l^n e_row with pivot (n, row) for each row that is not a
+    kernel pivot row, ascending.  These columns lie in the lattice, and
+    they span it: a kernel column of pivot (v, i) is l^v times a column
+    c_i with pivot 1, all entries having valuation at least v, and the c_i
+    with the e_row are unit-triangular in the pivot rows, so they are a
+    basis of T and l^n T is spanned by l^(n-v) times the kernel columns
+    and the l^n e_row.  The basis is canonical: columns sorted by pivot
+    (valuation, row), each pivot the first entry of least valuation, every
+    column zero in the pivot rows before its own (the e_row columns are
+    zero in the kernel's pivot rows) and reduced below l^n in the rows of
+    the e_row pivots, since kernel entries are.
+
+    The content of the basis is l^j for its least pivot valuation j, and
+    the basis is divided by l^j at once; that keeps every condition above,
+    with each pivot valuation lowered by j.  The quotient of an entry x by
     l^j is one lift of x / l^j, defined up to l^(N-j) T; the lattice
     contains l^n T and N >= n + 2, so the divided span contains
     l^(n-j) T, which absorbs that choice: the module is the exact quotient
@@ -410,17 +486,21 @@ def node_lattice(rep: GaloisRep, kernel: Lattice, n: int) -> Lattice:
     """
     if rep.ctx.precision < n + 2:
         raise ValueError("precision too small for a level-n node")
+    if (kernel.ctx.ell, kernel.ctx.precision) != (rep.ell, n):
+        raise ValueError("kernel does not live at level n")
     rank = rep.rank
     q = rep.ell ** n
-    gens = [tuple(q if i == j else 0 for i in range(rank))
-            for j in range(rank)]
-    lat = Lattice.from_generators(rep.ctx, rank, gens + list(kernel.basis))
-    j = lat.pivots[0][0]
+    used = {row for _v, row in kernel.pivots}
+    free = [row for row in range(rank) if row not in used]
+    basis = kernel.basis + tuple(
+        tuple(q if i == row else 0 for i in range(rank)) for row in free)
+    pivots = kernel.pivots + tuple((n, row) for row in free)
+    j = pivots[0][0]
     if j:
         div = rep.ell ** j
-        lat = Lattice._from_reduced(
-            rep.ctx, rank, tuple(tuple(x // div for x in b) for b in lat.basis))
-    return lat
+        basis = tuple(tuple(x // div for x in b) for b in basis)
+        pivots = tuple((v - j, row) for v, row in pivots)
+    return Lattice(rep.ctx, rank, basis, pivots, rank)
 
 
 def sigma_trivial_mod_ell(rep: GaloisRep, lat: Lattice) -> bool:

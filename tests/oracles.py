@@ -525,6 +525,45 @@ def close_by_images(sigma, tau, vec):
     return lat
 
 
+def stable_submodules_by_every_join(rep, n):
+    """galois.stable_submodules as it was computed before the join pass
+    kept atom sets: every irreducibility test made, and every irreducible
+    atom added to every module found so far that does not contain it."""
+    from semistable_lab.galois import (
+        _orbit_representatives,
+        _word_algebra,
+        require_searchable,
+    )
+    from semistable_lab.padic import Lattice, PadicContext
+
+    ell, rank = rep.ell, rep.rank
+    require_searchable(ell, n, rep.d)
+    ctx = PadicContext(ell, n)
+    algebra = _word_algebra(rep, ctx)
+    atoms = {}
+    for vec in _orbit_representatives(ell, n, rank):
+        lat = Lattice.from_generators(ctx, rank,
+                                      [a.apply(vec) for a in algebra])
+        atoms.setdefault(lat.basis, (lat, vec))
+    irreducible = []
+    for atom, vec in sorted(atoms.values(),
+                            key=lambda av: av[0].member_count()):
+        inside = tuple(b for a, g in irreducible if atom.contains(g)
+                       for b in a.basis)
+        if Lattice.from_generators(ctx, rank, inside).basis != atom.basis:
+            irreducible.append((atom, vec))
+    zero = Lattice.zero(ctx, rank)
+    found = {zero.basis: zero}
+    for atom, vec in reversed(irreducible):
+        for cur in list(found.values()):
+            if not cur.contains(vec):
+                total = Lattice.from_generators(
+                    ctx, rank, cur.basis + atom.basis)
+                found.setdefault(total.basis, total)
+    return sorted((lat.rebased() for lat in found.values()),
+                  key=lambda l: (l.member_count(), l.basis))
+
+
 def word_closure(sigma, tau, modulus):
     """Every product of sigma and tau mod modulus, the identity included.
 

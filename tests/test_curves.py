@@ -568,8 +568,9 @@ class TestIsogenyClass:
 
 
 class TestRequestMemo:
-    """Within a request each point count and each one-step quotient list is
-    computed once; outside one nothing is cached."""
+    """Within a request each point count, each torsion verdict and each
+    one-step quotient list is computed once; outside one nothing is
+    cached."""
 
     SEED_17 = WeierstrassCurve(1, -1, 1, -1, -14)
 
@@ -609,6 +610,16 @@ class TestRequestMemo:
         assert len(keys) == len(set(keys)) > 0
         kernels = [(e.coefficients(), pt) for e, pt in quotients]
         assert len(kernels) == len(set(kernels)) > 0
+        assert curves._MEMO.get() is None
+
+    def test_miyawaki_search_decides_each_torsion_once(self, monkeypatch,
+                                                      capsys):
+        """The handler re-checks every hit the search found: the verdict
+        and witness come from the memo."""
+        searches = counting(monkeypatch, "_division_points")
+        assert cli.main(["miyawaki-search", "--ell", "3"]) == 0
+        keys = [(e.coefficients(), ell) for e, ell in searches]
+        assert len(keys) == len(set(keys)) > 0
         assert curves._MEMO.get() is None
 
     @pytest.mark.parametrize("argv, status", [

@@ -531,6 +531,56 @@ def _admitted_searches():
                 yield ell, n, d, s
 
 
+class TestSumsOfAtoms:
+    """The atom-set join pass against the one that summed every pair."""
+
+    @pytest.mark.parametrize("ell, n, d, s", list(_admitted_searches()))
+    def test_same_modules_as_every_join(self, ell, n, d, s):
+        rep = build_rep(ell, d, s, max(4, n + 2))
+        got = stable_submodules(rep, n)
+        want = oracles.stable_submodules_by_every_join(rep, n)
+        assert ([(lat.basis, lat.pivots) for lat in got]
+                == [(lat.basis, lat.pivots) for lat in want])
+
+    def test_work_counts_of_one_search(self, monkeypatch):
+        """isogeny-maximal --ell 2 --s 2 --n 2: the d = 2, n = 2 search
+        sums its atoms in at most 250 echelon passes (616 when every pair
+        was summed), and a node takes none."""
+        records, scope = [], []
+        engine = padic._echelon_columns
+
+        def counted_engine(ctx, cols):
+            if scope:
+                scope[-1][1] += 1
+            return engine(ctx, cols)
+
+        def scoped(name, key):
+            inner = getattr(galois, name)
+
+            def run(*args):
+                rec = [key(*args), 0]
+                records.append(rec)
+                scope.append(rec)
+                try:
+                    return inner(*args)
+                finally:
+                    scope.pop()
+            monkeypatch.setattr(galois, name, run)
+
+        monkeypatch.setattr(padic, "_echelon_columns", counted_engine)
+        scoped("_sums_of_atoms",
+               lambda ctx, rank, atoms: (rank // 2, ctx.precision))
+        scoped("node_lattice", lambda rep, kernel, n: "node")
+        report, status = cli.run(
+            ["isogeny-maximal", "--ell", "2", "--s", "2", "--n", "2"])
+        assert status == 0
+        joins = {key: count for key, count in records if key != "node"}
+        assert set(joins) == {(1, 1), (1, 2), (2, 1), (2, 2)}
+        assert joins[(2, 2)] <= 250
+        nodes = [count for key, count in records if key == "node"]
+        assert nodes and set(nodes) == {0}
+
+
 class TestClosedForms:
     """node_lattice and l * L against the echelon passes they replaced."""
 
@@ -547,6 +597,13 @@ class TestClosedForms:
                 assert (got.basis, got.pivots) == (want.basis, want.pivots)
                 assert got.elementary_divisors == tuple(
                     v for v, _row in want.pivots)
+
+    def test_node_refuses_a_kernel_of_another_level(self):
+        rep = build_rep(2, 1, 2, 5)
+        kernel = Lattice.from_generators(PadicContext(2, 2), 2, [(1, 1)])
+        with pytest.raises(ValueError, match="level n"):
+            node_lattice(rep, kernel, 1)
+        assert node_lattice(rep, kernel, 2).basis == ((1, 1), (0, 4))
 
     def test_work_counts_of_one_search(self, monkeypatch):
         """isogeny-maximal --ell 2 --s 2 --n 2: l * L takes no echelon pass,
