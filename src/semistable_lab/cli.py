@@ -42,9 +42,10 @@ _INT_EXACT_LIMIT = 2**53 - 1
 
 _MIYAWAKI_PRIMES = {3: [19, 37], 5: [11], 7: []}
 _GENUS2_REFERENCE = ((0, -1, 2, -2, 0, 1), (1,))
-# ramification's round trip costs O(n^2) Fraction additions in the list
-# length n; local data costs up to ~0.4 ms per prime near psi_13
-_ORDERS_LIMIT = 128
+# ramification's round trip probes about 2n points, each phi O(1) and each
+# psi one bisection, so O(n log n) in the list length n; local data costs
+# up to ~0.4 ms per prime near psi_13
+_ORDERS_LIMIT = 2048
 _PRIMES_LIMIT = 1000
 _CLASS_NUMBER_TABLE = {-3: (1, "trivial"), -4: (1, "trivial"),
                        -164: (8, "paper"), -292: (4, "derived")}

@@ -133,8 +133,8 @@ def local_data(e: WeierstrassCurve, p: int) -> LocalData:
 # request memo
 
 # Facts that one request may need more than once: #E(F_q) under
-# (coefficients, q), the division-polynomial verdict and witness of
-# has_rational_ell_torsion under (coefficients, "torsion", ell), and the
+# (coefficients, q), the rational points of order ell that the division
+# polynomial gives under (coefficients, "torsion", ell), and the
 # one-step quotient list under (coefficients, "quotients").  The memo is
 # set only inside a `request_memo` block, so a library call outside one
 # caches nothing and nothing outlives the request.
@@ -377,12 +377,14 @@ def _counts_rule_out(e: WeierstrassCurve, ell: int) -> bool:
     return any(_count(e, q) % ell for q in good[:_FILTER_GOOD_PRIMES])
 
 
-def _ell_torsion_points(e: WeierstrassCurve, ell: int):
+def _torsion_points(e: WeierstrassCurve, ell: int) -> tuple:
     """Rational points of exact order ell, in increasing x: none when
-    point counts rule them out, else _division_points."""
+    point counts rule them out, else _division_points, computed once per
+    request through the memo."""
     if _counts_rule_out(e, ell):
-        return iter(())
-    return _division_points(e, ell)
+        return ()
+    return _memoized((e.coefficients(), "torsion", ell),
+                     lambda: tuple(_division_points(e, ell)))
 
 
 def _division_points(e: WeierstrassCurve, ell: int):
@@ -416,13 +418,8 @@ def has_rational_ell_torsion(e: WeierstrassCurve, ell: int):
     """
     if ell not in (2, 3, 5, 7):
         raise ValueError("torsion search supports ell in {2, 3, 5, 7}")
-    if _counts_rule_out(e, ell):
-        return False, None
-
-    def search():
-        pt = next(_division_points(e, ell), None)
-        return pt is not None, pt
-    return _memoized((e.coefficients(), "torsion", ell), search)
+    points = _torsion_points(e, ell)
+    return (True, points[0]) if points else (False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +541,7 @@ def _quotients(e: WeierstrassCurve) -> tuple[WeierstrassCurve, ...]:
     7, in that order, through the request memo."""
     return _memoized((e.coefficients(), "quotients"), lambda: tuple(
         velu_quotient(e, pt) for ell in (2, 3, 5, 7)
-        for pt in _ell_torsion_points(e, ell)))
+        for pt in _torsion_points(e, ell)))
 
 
 def isogeny_class(e: WeierstrassCurve, depth: int = 3) -> list[WeierstrassCurve]:

@@ -74,35 +74,11 @@ class PadicContext:
         return self.ell**self.precision
 
     def invert_unit(self, u: int) -> int:
-        """The inverse of a unit of the work ring.
-
-        CPython's pow(u, -1, m) runs the extended Euclidean algorithm, whose
-        cost is quadratic in the size of m, with a large constant.  Above
-        precision _NEWTON_BASE the inverse is instead lifted from the
-        inverse mod l^ceil(N/2) by one Newton step y(2 - uy), two products
-        at full size, so an inversion costs a few multiplications.  At
-        lattice-search precisions (at most 6) this is the plain pow call.
-        """
+        """The inverse of a unit of the work ring."""
         u %= self.modulus
         if u % self.ell == 0:
             raise ZeroDivisionError(f"{u} is not a unit mod {self.ell}^{self.precision}")
-        return _unit_inverse(u, self.ell, self.precision, self.modulus)
-
-
-# Up to this precision pow(u, -1, m) is cheap, and lattice searches (at most
-# precision 6) keep it.
-_NEWTON_BASE = 16
-
-
-def _unit_inverse(u: int, ell: int, n: int, m: int) -> int:
-    """u^-1 mod m = ell^n for a unit u, by Newton lifting with precision
-    doubling: if uy = 1 mod ell^h then u y(2 - uy) = 1 - (1 - uy)^2 = 1 mod
-    ell^2h."""
-    if n <= _NEWTON_BASE:
-        return pow(u, -1, m)
-    h = (n + 1) // 2
-    y = _unit_inverse(u, ell, h, ell**h)
-    return y * (2 - u * y) % m
+        return pow(u, -1, self.modulus)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ local Galois group's ramification subgroups; all computations here consume
 orders only, never field elements.  The transition function phi (and its
 inverse psi) convert to upper numbering; the conductor exponent of an
 abelian extension is phi(c) + 1 where c is the last nontrivial index.
+Both are read in closed form from the prefix sums S_i = |G_1| + ... + |G_i|
+(Serre, Local Fields, IV 3): phi(u) = (S_m + (u - m) |G_(m+1)|) / |G_0|
+with m = floor(u), and psi inverts it by one bisection over S.
 
 Towers model E over F over M over Q_l with M the l-th cyclotomic field:
 `total` is the filtration of Gal(E/Q_l), `sub` that of Gal(E/F), and the
@@ -17,8 +20,11 @@ silently sampled over.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Mapping
 
 from .arith import is_prime, ord_at
@@ -59,14 +65,16 @@ class RamFiltration:
             raise ValueError("lower numbering starts at 0")
         return self.orders[i] if i < len(self.orders) else 1
 
+    @cached_property
+    def sums(self) -> tuple[int, ...]:
+        """Prefix sums (0, |G_1|, |G_1| + |G_2|, ...) over the orders."""
+        return tuple(accumulate(self.orders[1:], initial=0))
+
     @property
     def last_break(self) -> int | None:
-        """Largest i with G_i nontrivial, None for the trivial filtration."""
-        c = None
-        for i, o in enumerate(self.orders):
-            if o > 1:
-                c = i
-        return c
+        """Largest i with G_i nontrivial, None for the trivial filtration:
+        normalization leaves exactly one trailing 1."""
+        return len(self.orders) - 2 if len(self.orders) > 1 else None
 
     def is_trivial(self) -> bool:
         return self.last_break is None
@@ -76,39 +84,32 @@ def herbrand_phi(f: RamFiltration, u) -> Fraction:
     """Transition function phi(u) = integral of dt/[G_0 : G_t] from 0 to u.
 
     The integrand on (i-1, i] is |G_i| / |G_0| (ceiling convention), making
-    phi piecewise linear with breakpoints at integers, phi(0) = 0.
+    phi piecewise linear with breakpoints at integers, phi(0) = 0, so
+    phi(u) = (S_m + (u - m) |G_(m+1)|) / |G_0| with m = floor(u).  Every order
+    from the trailing 1 on is 1, so m is capped at that index and the same
+    line covers the tail.
     """
     u = Fraction(u)
     if u < 0:
         raise ValueError("phi is defined for u >= 0")
-    g0 = f.order(0)
-    m = int(u)  # floor; the partial segment is (m, u]
-    total = Fraction(0)
-    for i in range(1, m + 1):
-        total += Fraction(f.order(i), g0)
-    if u > m:
-        total += (u - m) * Fraction(f.order(m + 1), g0)
-    return total
+    m = min(u.numerator // u.denominator, len(f.orders) - 1)
+    return (f.sums[m] + (u - m) * f.order(m + 1)) / f.orders[0]
 
 
 def herbrand_psi(f: RamFiltration, y) -> Fraction:
-    """Inverse of the transition function: phi(psi(y)) = y."""
+    """Inverse of the transition function: phi(psi(y)) = y.
+
+    With t = y |G_0| and m the largest index with S_m <= t,
+    psi(y) = m + (t - S_m) / |G_(m+1)|; past the last index the orders
+    are 1 and the same line holds.
+    """
     y = Fraction(y)
     if y < 0:
         raise ValueError("psi is defined for y >= 0")
-    g0 = f.order(0)
-    x = 0
-    acc = Fraction(0)
-    while True:
-        order = f.order(x + 1)
-        if order == 1:  # past the last break phi has slope 1/|G_0|
-            return x + (y - acc) * g0
-        slope = Fraction(order, g0)
-        nxt = acc + slope
-        if nxt >= y:
-            return x + (y - acc) / slope
-        acc = nxt
-        x += 1
+    t = y * f.orders[0]
+    # S holds integers, so S_m <= t exactly when S_m <= floor(t)
+    m = bisect_right(f.sums, t.numerator // t.denominator) - 1
+    return m + (t - f.sums[m]) / f.order(m + 1)
 
 
 def upper_jumps(f: RamFiltration) -> list[Fraction]:

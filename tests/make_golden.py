@@ -87,12 +87,10 @@ LIMIT_REQUESTS = {
         ("miyawaki-search", "--ell", "3", "--bound", "32"),
         ("miyawaki-search", "--ell", "3", "--bound", "33"),
     ),
-    "_ORDERS_LIMIT": (
-        ("ramification", "--orders", ",".join(["4"] + ["2"] * 126 + ["1"]),
-         "--ell", "2"),
-        ("ramification", "--orders", ",".join(["4"] + ["2"] * 127 + ["1"]),
-         "--ell", "2"),
-    ),
+    "_ORDERS_LIMIT": tuple(
+        ("ramification", "--orders", ",".join(["4"] + ["2"] * twos + ["1"]),
+         "--ell", "2")
+        for twos in (cli._ORDERS_LIMIT - 2, cli._ORDERS_LIMIT - 1)),
     "_PRIMES_LIMIT": (
         ("curve-info", "--curve", "0,-1,1,-10,-20",
          "--primes", ",".join(map(str, _FIRST_PRIMES[:1000]))),

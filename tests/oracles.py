@@ -287,6 +287,26 @@ def phi_by_integration(orders, u):
     return total
 
 
+def psi_by_steps(orders, y):
+    """Inverse transition function by walking phi one lower index at a time.
+
+    Adds the slope |G_(x+1)| / |G_0| of each unit interval until the running
+    phi reaches y, then interpolates inside that interval; the trivial tail
+    is walked one step at a time as well.
+    """
+    from fractions import Fraction
+
+    y = Fraction(y)
+    g0 = orders[0]
+    x, acc = 0, Fraction(0)
+    while True:
+        slope = Fraction(orders[x + 1] if x + 1 < len(orders) else 1, g0)
+        if acc + slope >= y:
+            return x + (y - acc) / slope
+        acc += slope
+        x += 1
+
+
 def brute_orthogonal(gens, gram, modulus, ambient_rank):
     """All y with x^T gram y = 0 for x in the closure of gens (tiny cases)."""
     members = closure_members(gens, modulus, ambient_rank)

@@ -409,16 +409,18 @@ class TestIdentitiesWork:
 
     def test_no_unit_inverse_above_the_newton_base(self, monkeypatch,
                                                     capsys):
-        sizes = []
-        inverse = padic._unit_inverse
+        """The identities use closed-form inverses: no unit of the work
+        ring is inverted at all."""
+        units = []
+        inverse = padic.PadicContext.invert_unit
 
-        def counted(u, ell, n, m):
-            sizes.append(n)
-            return inverse(u, ell, n, m)
+        def counted(self, u):
+            units.append(u)
+            return inverse(self, u)
 
-        monkeypatch.setattr(padic, "_unit_inverse", counted)
+        monkeypatch.setattr(padic.PadicContext, "invert_unit", counted)
         assert cli.main(_LARGEST_IDENTITIES) == 0
-        assert all(n <= padic._NEWTON_BASE for n in sizes), sizes
+        assert units == []
 
     def test_each_big_integer_is_rendered_once(self, monkeypatch, capsys):
         rendered = []

@@ -622,6 +622,16 @@ class TestRequestMemo:
         assert len(keys) == len(set(keys)) > 0
         assert curves._MEMO.get() is None
 
+    def test_paper_suite_decides_each_torsion_once(self, monkeypatch,
+                                                   capsys):
+        """The torsion verdicts and the one-step quotients read the same
+        memoized points of each (curve, ell)."""
+        searches = counting(monkeypatch, "_division_points")
+        assert cli.main(["paper-suite"]) == 0
+        keys = [(e.coefficients(), ell) for e, ell in searches]
+        assert len(keys) == len(set(keys)) > 0
+        assert curves._MEMO.get() is None
+
     @pytest.mark.parametrize("argv, status", [
         (["class-number", "--disc", "-164"], 0),
         (["dagger", "--ell", "3", "--p", "19"], 0),

@@ -75,7 +75,7 @@ def _is_inverse_pow(node) -> bool:
 def test_work_ring_inverse_has_one_home():
     """galois and padic invert units mod l^N only through
     PadicContext.invert_unit: pow(_, -1, _) appears once in those two
-    modules, inside its helper padic._unit_inverse."""
+    modules, inside that method."""
     found, home = [], []
     for path in SOURCES:
         if path.name not in ("galois.py", "padic.py"):
@@ -84,7 +84,7 @@ def test_work_ring_inverse_has_one_home():
         allowed = set()
         for node in ast.walk(tree):
             if (path.name == "padic.py" and isinstance(node, ast.FunctionDef)
-                    and node.name == "_unit_inverse"):
+                    and node.name == "invert_unit"):
                 allowed.update(range(node.lineno, node.end_lineno + 1))
         for node in ast.walk(tree):
             if _is_inverse_pow(node):

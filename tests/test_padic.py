@@ -90,9 +90,8 @@ class TestInvertUnit:
             for u in random_units(rng, ell, m, 4 if n > 64 else 12):
                 assert ctx.invert_unit(u) == pow(u, -1, m), (ell, n, u)
 
-    @pytest.mark.parametrize("n", [padic._NEWTON_BASE, padic._NEWTON_BASE + 1])
+    @pytest.mark.parametrize("n", [16, 17])
     def test_recursion_base(self, n):
-        assert padic._NEWTON_BASE == 16
         rng = random.Random(n)
         for ell in (2, 3, 5, 7):
             ctx = PadicContext(ell, n)

@@ -19,7 +19,7 @@ from semistable_lab.ramification import (
     upper_jumps,
 )
 
-from oracles import phi_by_integration
+from oracles import phi_by_integration, psi_by_steps
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
@@ -132,6 +132,74 @@ class TestHerbrandPsi:
         # with no walk over the 60 * 5^12 integers below it
         t0 = time.perf_counter()
         assert herbrand_psi(RamFiltration((5**12, 1)), 60) == 60 * 5**12
+        assert time.perf_counter() - t0 < 0.1
+
+
+def random_divisor_chain(rng: random.Random, top: int) -> tuple[int, ...]:
+    """Chain from top down to 1, each order a divisor of the previous one,
+    repeats allowed: the ratios need not be prime powers."""
+    chain = [top, top]
+    while chain[-1] > 1:
+        chain.append(rng.choice([d for d in range(1, chain[-1] + 1)
+                                 if chain[-1] % d == 0]))
+    return tuple(chain)
+
+
+def every_ratio_shape(rng: random.Random):
+    """Seeded filtrations of each shape: l-power chains, non-prime-power
+    ratios, flat chains of at least 500 orders, and the powers 2^k, ..., 1."""
+    yield (1,)
+    for _ in range(30):
+        yield random_ell_chain(rng, rng.choice((2, 3, 5, 7)), 4)
+    yield (12, 6, 2, 1)
+    for _ in range(30):
+        yield random_divisor_chain(rng, rng.choice((12, 60, 360, 720)))
+    for length in (500, rng.randint(501, 700)):
+        yield (4,) + (2,) * (length - 2) + (1,)
+    for k in (1, 2, 7, 20):
+        yield tuple(2**i for i in range(k, -1, -1))
+
+
+class TestClosedForms:
+    """phi and psi read from the prefix sums, against the integration and
+    step-walk oracles on every ratio shape."""
+
+    def test_against_the_oracles(self):
+        rng = random.Random(418)
+        for chain in every_ratio_shape(rng):
+            f = RamFiltration(chain + (1,) * rng.randint(0, 2))
+            breaks = [i for i, o in enumerate(chain) if o > 1]
+            assert f.last_break == (breaks[-1] if breaks else None), chain
+            c = f.last_break or 0
+            # half-integers before, at and past the last break, and a few
+            # anywhere up to three past it
+            points = [Fraction(k, 2) for k in range(max(0, 2 * c - 2), 2 * c + 7)]
+            points += [Fraction(rng.randint(0, 2 * c + 6), 2) for _ in range(4)]
+            for u in points:
+                y = herbrand_phi(f, u)
+                assert y == phi_by_integration(f.orders, u), (chain, u)
+                assert herbrand_psi(f, y) == psi_by_steps(f.orders, y) == u
+            # psi at half-integers too, from 0 up to phi(c + 3)
+            top = int(2 * herbrand_phi(f, c + 3))
+            for k in {0, top, *(rng.randint(0, top) for _ in range(6))}:
+                y = Fraction(k, 2)
+                assert herbrand_psi(f, y) == psi_by_steps(f.orders, y), (chain, y)
+
+    def test_sums_are_the_prefix_sums(self):
+        f = RamFiltration((12, 6, 2, 1, 1))
+        assert f.sums == (0, 6, 8, 9)
+        assert RamFiltration.trivial().sums == (0,)
+        # a cached value on the instance, outside equality, hash and repr
+        assert f == RamFiltration((12, 6, 2, 1))
+        assert hash(f) == hash(RamFiltration((12, 6, 2, 1)))
+        assert repr(f) == "RamFiltration(orders=(12, 6, 2, 1), base_field_tag='')"
+
+    def test_far_tail_in_constant_time(self):
+        f = RamFiltration((4, 2, 1))
+        t0 = time.perf_counter()
+        # phi(u) = (u + 1) / 4 from u = 2 on
+        assert herbrand_phi(f, 10**6) == Fraction(10**6 + 1, 4)
+        assert herbrand_psi(f, 10**6) == 4 * 10**6 - 1
         assert time.perf_counter() - t0 < 0.1
 
 
