@@ -157,6 +157,12 @@ def sqrt_mod(n: int, p: int) -> int | None:
 
 
 def is_squarefree(n: int) -> bool:
+    """Whether no square of a prime divides n; trial division to n^(1/3).
+
+    Odd d are tried while d^3 <= m, the cofactor left after the divisors
+    found so far.  Then every prime factor of m exceeds m^(1/3), so m has
+    at most two of them and is squarefree unless it is a prime's square.
+    """
     n = abs(n)
     if n == 0:
         return False
@@ -165,10 +171,10 @@ def is_squarefree(n: int) -> bool:
     if n % 2 == 0:
         n //= 2
     d = 3
-    while d * d <= n:
+    while d * d * d <= n:
         if n % (d * d) == 0:
             return False
         while n % d == 0:
             n //= d
         d += 2
-    return True
+    return n == 1 or math.isqrt(n) ** 2 != n

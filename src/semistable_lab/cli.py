@@ -242,7 +242,7 @@ def _cmd_isogeny_maximal(args) -> tuple[dict, list[dict]]:
     product = galois.find_ell_maximal(rep2, ell * ell, n)
     filt1, filt2 = galois.filtration(rep1, 1), galois.filtration(rep2, 1)
     multiplicative = True
-    subs = galois.stable_submodules(rep1, 1)
+    subs = single.level_one
     own = [galois.component_transfer(k, ell, filt1) for k in subs]
     for k1, t1 in zip(subs, own):
         for k2, t2 in zip(subs, own):

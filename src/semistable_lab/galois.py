@@ -555,6 +555,7 @@ class MaximalSearchReport:
     maximal_part: int
     maximal_count: int
     sigma_trivial_exactly_on_maximal: bool
+    level_one: tuple[Lattice, ...]  # stable_submodules(rep, 1), in order
 
 
 def find_ell_maximal(rep: GaloisRep, phi_ell_start: int,
@@ -577,7 +578,10 @@ def find_ell_maximal(rep: GaloisRep, phi_ell_start: int,
     nodes: dict[tuple, list] = {}
     for n in range(1, n_max + 1):
         filt = filtration(rep, n)
-        for kernel in stable_submodules(rep, n):
+        kernels = stable_submodules(rep, n)
+        if n == 1:
+            level_one = tuple(kernels)
+        for kernel in kernels:
             part = component_transfer(kernel, phi_ell_start, filt)
             lat = node_lattice(rep, kernel, n)
             rec = nodes.get(lat.basis)
@@ -600,7 +604,7 @@ def find_ell_maximal(rep: GaloisRep, phi_ell_start: int,
         ell=rep.ell, d=rep.d, s=rep.s, n_max=n_max, phi_start=phi_ell_start,
         nodes=tuple(built), maximal_part=top,
         maximal_count=sum(1 for nd in built if nd.ell_part == top),
-        sigma_trivial_exactly_on_maximal=exact)
+        sigma_trivial_exactly_on_maximal=exact, level_one=level_one)
 
 
 def product_kernel(k1: Lattice, k2: Lattice) -> Lattice:

@@ -6,10 +6,17 @@ D = b^2 - 4ac < 0 is reduced when |b| <= a <= c, with b >= 0 whenever
 form, so counting reduced forms of a fundamental discriminant D gives the
 class number of Q(sqrt(D)).
 
-The forms are found without scanning b: a runs up to sqrt(|D|/3), and for
-each a the admissible b are the square roots of D mod 4a, built from roots
-mod the primes dividing a (Tonelli-Shanks), lifted to prime powers and
-glued by the Chinese remainder theorem (Cohen, A Course in Computational
+With b = 2t + delta and delta = D mod 2, the reduced forms with leading
+coefficient a come from the roots t mod a of 4a | (2t + delta)^2 - D: each
+gives the one b of (-a, a] in its class, and the form when c >= a; a runs
+up to sqrt(|D|/3).  The number r(a) of roots is multiplicative in a and
+fixed by the Kronecker symbols (D/p), so one sieve over the primes up to
+sqrt(|D|/3) writes every r(a).  When 4a^2 < |D| every root has c > a, so
+class_number adds up r(a) there and lists roots only in the window
+sqrt(|D|)/2 < a <= sqrt(|D|/3), about 13 % of the a.  The roots are built
+from those mod the primes dividing a (Tonelli-Shanks), lifted to prime
+powers and glued by the Chinese remainder theorem, by the one routine
+that reduced_forms runs for every a (Cohen, A Course in Computational
 Algebraic Number Theory, 1.5 and 5.3).  A call costs about sqrt(|D|)
 steps; |D| above _DISC_LIMIT is refused before any work.
 
@@ -26,9 +33,9 @@ from math import isqrt
 
 from .arith import is_prime, is_squarefree, ord_at, sqrt_mod
 
-# Largest |D| answered: the sieve in reduced_forms has sqrt(|D|/3) entries
-# and is_squarefree trial-divides up to sqrt(|D|); a call near the limit
-# takes about 0.6 s on one 2-vCPU Xeon core.
+# Largest |D| answered: the sieves have sqrt(|D|/3) entries and
+# is_squarefree trial-divides up to |D|^(1/3); class_number near the limit
+# takes about 0.15 s on one 2-vCPU Xeon core.
 _DISC_LIMIT = 10**11
 
 
@@ -83,14 +90,39 @@ def _require_fundamental(disc: int) -> None:
 
 
 def _least_prime_factors(n: int) -> list[int]:
-    """spf[m] = least prime factor of m, for 2 <= m <= n."""
+    """spf[m] = least prime factor of m, for 2 <= m <= n.
+
+    Every k from isqrt(n) down to 2 stamps itself on its multiples from
+    k^2 on.  The least prime factor p of a composite m has p^2 <= m, so p
+    stamps m, and last: no k with 2 <= k < p divides m.
+    """
     spf = list(range(n + 1))
-    for p in range(2, isqrt(n) + 1):
-        if spf[p] == p:
-            for m in range(p * p, n + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
+    for k in range(isqrt(n), 1, -1):
+        spf[k * k::k] = [k] * len(range(k * k, n + 1, k))
     return spf
+
+
+def _root_counts(disc: int, top: int, spf: list[int]) -> list[int]:
+    """r[a] = #{t mod a : 4a | (2t + delta)^2 - D} for 1 <= a <= top.
+
+    r is multiplicative, and its factor at p^e || a depends only on the
+    Kronecker symbol (D/p): 2 when it is 1 (p splits), 0 when it is -1
+    (p is inert), and when p | D (p ramifies) 1 at e = 1 and 0 at e >= 2,
+    D being fundamental.  (D/2) is read off D mod 8, and (D/p) for odd p
+    by Euler's criterion.  So one pass over the primes writes list slices:
+    double the multiples of a split p, zero those of an inert p and those
+    of p^2 for a ramified p.
+    """
+    r = [0] + [1] * top
+    for p in [m for m in range(2, top + 1) if spf[m] == m]:
+        # 1: split, 0: ramified, any other: inert; D = 5 mod 8 is inert at 2
+        euler = pow(disc, p >> 1, p) if p > 2 else disc % 8 * (disc & 1)
+        if euler == 1:
+            r[p::p] = [2 * x for x in r[p::p]]
+        else:
+            step = p * p if euler == 0 else p
+            r[step::step] = [0] * len(range(step, top + 1, step))
+    return r
 
 
 def _half_roots(disc: int, p: int, e: int) -> list[int]:
@@ -123,59 +155,71 @@ def _half_roots(disc: int, p: int, e: int) -> list[int]:
     return [(r - delta) * half % q for r in (s, q - s)]
 
 
-def _reduced_triples(disc: int):
-    """The (a, b, c) of every reduced form of a fundamental discriminant.
+def _forms_at(disc: int, a: int, spf: list[int],
+              local: dict[int, list[int]]) -> list[tuple[int, int]]:
+    """The (b, c) of the reduced forms of discriminant D with leading a.
 
-    a runs up to sqrt(|D|/3) (forced by |b| <= a <= c).  With b = 2t + delta
-    and delta = D mod 2, 4a | b^2 - D is a condition on t mod a.  Its roots
-    mod a come from those mod a / q and mod q = p^e, the power of the least
-    prime p of a (read off a sieve), glued by CRT; each root gives the one b
-    of (-a, a] in its class.  The cost is about sqrt(|D|) steps plus one
-    per root, in place of the |D| / 6 of a scan over b.  Forms come ordered
-    by a, then b.
+    With b = 2t + delta, 4a | b^2 - D is a condition on t mod a.  Its
+    roots mod each prime power q = p^e || a (p read off the sieve spf,
+    kept in local by q) are glued by CRT; each root gives the one b of
+    (-a, a] in its class, and the form is reduced when c >= a, with
+    b >= 0 if c = a.  Pairs come in no set order.
     """
-    _require_fundamental(disc)
-    top = isqrt(-disc // 3)
-    spf = _least_prime_factors(top)
     delta = disc & 1
-    roots_at: dict[int, list[int]] = {}  # q = p^e -> _half_roots(disc, p, e)
-    roots = [[], [0]]  # roots[a]: the t mod a, for every a done so far
-    yield 1, delta, (delta - disc) // 4  # a = 1 allows b = delta
-    for a in range(2, top + 1):
-        p = spf[a]
-        q, rest, e = p, a // p, 1
+    ts, m, rest = [0], 1, a
+    while rest > 1:
+        p = spf[rest]
+        q, e = p, 1
+        rest //= p
         while rest % p == 0:
             rest //= p
             q *= p
             e += 1
-        ts = roots[rest]
-        if ts:
-            rs = roots_at.get(q)
-            if rs is None:
-                rs = roots_at[q] = _half_roots(disc, p, e)
-            if rest == 1 or not rs:
-                ts = rs
-            else:
-                inv = pow(rest, -1, q)
-                ts = [t + rest * ((r - t) * inv % q) for t in ts for r in rs]
-        roots.append(ts)
-        if not ts:
-            continue
-        bs = [2 * t + delta for t in ts]
-        bs = sorted(b - 2 * a if b > a else b for b in bs)
-        for b in bs:
-            c = (b * b - disc) // (4 * a)
-            if c >= a and not (b < 0 and c == a):
-                yield a, b, c
+        rs = local.get(q)
+        if rs is None:
+            rs = local[q] = _half_roots(disc, p, e)
+        inv = pow(m, -1, q)
+        ts = [t + m * ((r - t) * inv % q) for t in ts for r in rs]
+        m *= q
+    out = []
+    for t in ts:
+        b = 2 * t + delta
+        if b > a:
+            b -= 2 * a
+        c = (b * b - disc) // (4 * a)
+        if c >= a and not (b < 0 and c == a):
+            out.append((b, c))
+    return out
+
+
+def _sieved(disc: int) -> tuple[int, list[int], list[int]]:
+    """top = isqrt(|D|/3), the bound on a forced by |b| <= a <= c, with
+    the least-prime-factor sieve and the root counts r up to top."""
+    _require_fundamental(disc)
+    top = isqrt(-disc // 3)
+    spf = _least_prime_factors(top)
+    return top, spf, _root_counts(disc, top, spf)
 
 
 def reduced_forms(disc: int) -> list[QuadForm]:
-    """All reduced forms of the given fundamental discriminant."""
-    return [QuadForm(a, b, c) for a, b, c in _reduced_triples(disc)]
+    """All reduced forms of the given fundamental discriminant, ordered by
+    a, then b; a runs over the a <= isqrt(|D|/3) with r[a] > 0."""
+    top, spf, r = _sieved(disc)
+    local: dict[int, list[int]] = {}
+    return [QuadForm(a, b, c) for a in range(1, top + 1) if r[a]
+            for b, c in sorted(_forms_at(disc, a, spf, local))]
 
 
 def class_number(disc: int) -> int:
-    return sum(1 for _ in _reduced_triples(disc))
+    """The number of reduced forms of the fundamental discriminant D: r[a]
+    for each a with 4a^2 < |D|, where every b in (-a, a] has c > a, and the
+    forms listed for each a above that."""
+    top, spf, r = _sieved(disc)
+    low = isqrt((-disc - 1) // 4)  # the largest a with 4a^2 < |D|
+    local: dict[int, list[int]] = {}
+    return sum(r[:low + 1]) + sum(
+        len(_forms_at(disc, a, spf, local))
+        for a in range(low + 1, top + 1) if r[a])
 
 
 @dataclass(frozen=True)

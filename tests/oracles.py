@@ -875,6 +875,13 @@ def prime_power_every_candidate(n):
     return n, 1
 
 
+def squarefree_by_trial(n):
+    """arith.is_squarefree as it was computed before it stopped at the
+    cube root: no d^2 divides n, for every d from 2 up to |n|^(1/2)."""
+    n = abs(n)
+    return n != 0 and all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
+
+
 def box_models_by_coefficient_tuples(coeff_bound):
     """families._prime_power_models as it was computed before the
     b-invariants were hoisted: every b-invariant recomputed from each

@@ -11,13 +11,14 @@ from semistable_lab.arith import (
     PRIMALITY_BOUND,
     factorize,
     is_prime,
+    is_squarefree,
     ord_at,
     prime_power,
     sqrt_mod,
 )
 from semistable_lab.padic import fl_echelon
 import oracles
-from oracles import prime_power_every_candidate
+from oracles import prime_power_every_candidate, squarefree_by_trial
 
 # strong pseudoprimes to the prime bases 2..37 and 2..41
 # (Sorenson & Webster, Math. Comp. 86, 2017)
@@ -103,6 +104,32 @@ class TestPrimePower:
         cases += [q * r for qs in near for q, r in zip(qs, qs[1:])]
         for n in cases:
             assert prime_power(n) == prime_power_every_candidate(n), n
+
+
+class TestSquarefree:
+    def test_matches_trial_division(self):
+        """Trial division to the cube root, then a square test, against
+        trial division to the square root: all n below 2 * 10^4, and seeded
+        p^2, p^2 q, p^3 and pq with p, q near the cube root of n."""
+        rng = random.Random(19)
+        primes = [q for q in range(3, 600) if is_prime(q)]
+        cases = list(range(-50, 2 * 10**4))
+        for _ in range(100):
+            p, q = rng.sample(primes, 2)
+            cases += [p * p, p * p * q, p**3, p * q, 2 * p * q, 2 * p * p,
+                      4 * p * q]
+        # pq with q the primes nearest p^2, so that p is the cube root of
+        # pq to within a factor 1 + 1/p, and p^2 q with q the primes
+        # next to p
+        for p in primes[:60]:
+            below = next(q for q in range(p * p, 1, -1) if is_prime(q))
+            above = next(q for q in range(p * p, 2 * p * p) if is_prime(q))
+            cases += [p * below, p * above, 2 * p * below, 2 * p * above]
+            left = max(q for q in primes if q < p) if p > 3 else 2
+            right = min(q for q in primes if q > p)
+            cases += [p * p * left, p * p * right, p * p * p]
+        for n in cases:
+            assert is_squarefree(n) == squarefree_by_trial(n), n
 
 
 class TestSqrtMod:

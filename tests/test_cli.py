@@ -483,6 +483,24 @@ class TestMaximalSearchWithoutIntersections:
         assert all(check["pass"] for check in report["checks"])
 
 
+class TestIsogenyMaximalSearches:
+    def test_level_one_kernels_come_from_the_single_search(self, monkeypatch,
+                                                           capsys):
+        """The multiplicativity check reuses the level-1 kernels that the
+        single search found: one stable-submodule search per (d, n)."""
+        calls = []
+        search = galois.stable_submodules
+
+        def counted(rep, n):
+            calls.append((rep.d, n))
+            return search(rep, n)
+
+        monkeypatch.setattr(galois, "stable_submodules", counted)
+        assert cli.main(["isogeny-maximal", "--ell", "2", "--s", "2",
+                         "--n", "2"]) == 0
+        assert calls == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
 class TestMiyawakiTorsionCheck:
     def test_hit_without_torsion_fails_the_check(self, monkeypatch):
         # |disc| = 19 and multiplicative at 19, but its torsion is 3, not 5

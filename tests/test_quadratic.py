@@ -151,6 +151,80 @@ class TestRootEnumeration:
         assert forms == reduced_forms_brute(disc)
 
 
+def fundamental_draws(rng, lo, hi, k, residue=None):
+    """k distinct seeded fundamental D with lo <= |D| < hi; with a residue,
+    each draw is moved down (|D| up by less than 8) to D = residue mod 8."""
+    out = []
+    while len(out) < k:
+        d = -rng.randrange(lo, hi)
+        if residue is not None:
+            d -= (d - residue) % 8
+        if is_fundamental_discriminant(d) and d not in out:
+            out.append(d)
+    return out
+
+
+class TestSieveCount:
+    """class_number adds up the root-count sieve for 4a^2 < |D| and lists
+    roots only in the window above it; reduced_forms lists every a."""
+
+    @pytest.mark.parametrize("band", [10**5, 10**6, 10**7, 10**8])
+    def test_seeded_bands(self, band):
+        for d in fundamental_draws(random.Random(band), band, 10 * band, 4):
+            assert class_number(d) == len(reduced_forms(d)), d
+
+    def test_leading_coefficient_at_the_window_edge(self):
+        """|D| = 4a^2 + k puts a just below the window, |D| = 4a^2 - k puts
+        it first in the window; forms with that leading a are met both
+        ways."""
+        rng = random.Random(41)
+        met = {+1: 0, -1: 0}
+        for a in rng.sample(range(2, 1500), 40):
+            for k in range(1, 16):
+                for sign in (+1, -1):
+                    d = -(4 * a * a + sign * k)
+                    if not is_fundamental_discriminant(d):
+                        continue
+                    forms = reduced_forms(d)
+                    assert class_number(d) == len(forms), d
+                    met[sign] += any(f.a == a for f in forms)
+        assert met[+1] > 20 and met[-1] > 20
+
+    @pytest.mark.parametrize("residue", [1, 5, 0, 4])
+    def test_each_class_mod_8(self, residue):
+        # D = 1 mod 8: 2 splits; 5 mod 8: 2 is inert; 0 and 4 mod 8: 2
+        # ramifies (D = 4m with m = 2 mod 4 and m = 3 mod 4)
+        rng = random.Random(residue)
+        for d in fundamental_draws(rng, 2 * 10**4, 4 * 10**4, 3, residue):
+            assert class_number(d) == len(reduced_forms(d)) == len(
+                reduced_forms_brute(d)), d
+        for d in fundamental_draws(rng, 10**6, 10**7, 6, residue):
+            assert class_number(d) == len(reduced_forms(d)), d
+
+    def test_smallest_discriminants(self):
+        for d in (-3, -4, -7, -8):
+            assert class_number(d) == len(reduced_forms(d)) == 1, d
+
+    def test_near_the_limit(self):
+        rng = random.Random(11)
+        for d in fundamental_draws(rng, quadratic._DISC_LIMIT - 10**6,
+                                   quadratic._DISC_LIMIT + 1, 3):
+            assert class_number(d) == len(reduced_forms(d)), d
+
+    @pytest.mark.parametrize("residue", [1, 5, 0, 4])
+    def test_root_counts_match_a_scan_over_t(self, residue):
+        """r[a] = #{t mod a : 4a | (2t + delta)^2 - D}, for every a the
+        sieve covers, from the Kronecker symbols alone."""
+        for d in fundamental_draws(random.Random(residue), 10**4, 10**5, 2,
+                                   residue):
+            top, _spf, r = quadratic._sieved(d)
+            delta = d & 1
+            assert r[1:] == [
+                sum(((2 * t + delta) ** 2 - d) % (4 * a) == 0
+                    for t in range(a))
+                for a in range(1, top + 1)], d
+
+
 class TestDiscLimit:
     def test_refused_before_squarefree_test(self, monkeypatch):
         def never(n):
