@@ -118,6 +118,8 @@ def prime_power(n: int) -> tuple[int, int] | None:
 def sqrt_mod(n: int, p: int) -> int | None:
     """The least r in [0, p) with r^2 = n mod the prime p, or None.
 
+    For p = 3 mod 4, r = n^((p+1)/4) has r^2 = n n^((p-1)/2), so n is a
+    residue exactly when r^2 = n, and then r is a root.  Otherwise
     Tonelli-Shanks; the non-residue it needs is the least one, found by
     Euler's criterion, so the result is deterministic.  p must be prime;
     a composite p is refused only where a loop would otherwise not end.
@@ -125,6 +127,9 @@ def sqrt_mod(n: int, p: int) -> int | None:
     n %= p
     if n == 0 or p == 2:
         return n
+    if p % 4 == 3:
+        r = pow(n, (p + 1) // 4, p)
+        return min(r, p - r) if r * r % p == n else None
     half = (p - 1) // 2
     if pow(n, half, p) != 1:
         return None

@@ -1,10 +1,10 @@
 """Integral Weierstrass curve arithmetic at desk scale.
 
-Exact invariants, reduction type at a prime, point counts over small prime
-powers, rational torsion, isogeny quotients by a rational prime-order
-point, and the odd part of a genus-2 model discriminant.  All arithmetic is
-exact: integers, Fractions, and the dense polynomial layer; nothing here
-floats.
+Exact invariants, reduction type at a prime, point counts over F_p and,
+through the trace recurrence, over F_{p^k}, rational torsion, isogeny
+quotients by a rational prime-order point, and the odd part of a genus-2
+model discriminant.  All arithmetic is exact: integers, Fractions, and
+the dense polynomial layer; nothing here floats.
 
 Rational ell-torsion is decided in two steps.  "No" comes from point
 counts: ell not dividing #E(F_q) at a small prime q != ell of good
@@ -33,10 +33,8 @@ from math import isqrt
 
 from .arith import factorize, is_prime, ord_at, prime_power
 from .polynomials import (
-    GF,
     degree,
     discriminant,
-    find_irreducible,
     padd,
     peval,
     pmul,
@@ -170,7 +168,13 @@ _COUNT_LIMIT = 10**6
 
 
 def count_points(e: WeierstrassCurve, q: int) -> int:
-    """Number of points over F_q, including infinity; good reduction only."""
+    """Number of points over F_q, including infinity; good reduction only.
+
+    Only F_p is enumerated.  For q = p^k with k > 1 the count is
+    q + 1 - s_k, where s_0 = 2, s_1 = a_p = p + 1 - #E(F_p) and
+    s_k = a_p s_(k-1) - p s_(k-2) (Silverman, AEC, V.2.3.1); #E(F_p) is
+    read through the request memo.
+    """
     if q > _COUNT_LIMIT:
         raise ValueError(f"q exceeds the desk-scale limit {_COUNT_LIMIT}")
     pk = prime_power(q)
@@ -179,57 +183,31 @@ def count_points(e: WeierstrassCurve, q: int) -> int:
     p, k = pk
     if _disc_from_b(*_b_invariants(e.coefficients())) % p == 0:
         raise ValueError(f"bad reduction at {p}")
-    h = (e.a3, e.a1)  # y-linear part
-    g = (e.a6, e.a4, e.a2, 1)
-    if k == 1 and p > 2:
+    if k > 1:
+        ap = p + 1 - _count(e, p)
+        prev, s = 2, ap
+        for _ in range(k - 1):
+            prev, s = s, ap * s - p * prev
+        count = q + 1 - s
+    elif p > 2:
         # z = 2y + h(x) turns the count into counting square roots of 4g + h^2
+        h = (e.a3, e.a1)  # y-linear part
+        g = (e.a6, e.a4, e.a2, 1)
         f = trim(padd(pscale(g, 4), pmul(h, h)))
         ns = [0] * p
         for z in range(p):
             ns[z * z % p] += 1
         count = 1 + sum(ns[peval(f, x) % p] for x in range(p))
-    elif k == 1:
+    else:
         count = 1
         for x in (0, 1):
             for y in (0, 1):
                 lhs = y * y + e.a1 * x * y + e.a3 * y
                 rhs = x**3 + e.a2 * x * x + e.a4 * x + e.a6
                 count += (lhs - rhs) % 2 == 0
-    else:
-        field = GF(p, find_irreducible(p, k))
-        elems = field.elements()
-        count = 1
-        if p > 2:
-            ns: dict = {}
-            for z in elems:
-                key = field.mul(z, z)
-                ns[key] = ns.get(key, 0) + 1
-            f = trim(padd(pscale(g, 4), pmul(h, h)))
-            for x in elems:
-                count += ns.get(_horner(field, f, x), 0)
-        else:
-            for x in elems:
-                hx = _horner(field, h, x)
-                gx = _horner(field, g, x)
-                if hx == field.zero:
-                    count += 1  # squaring is a bijection in characteristic 2
-                    continue
-                u = field.mul(gx, field.pow(hx, -2))
-                tr, sq = field.zero, u
-                for _ in range(k):
-                    tr = field.add(tr, sq)
-                    sq = field.mul(sq, sq)
-                count += 2 if tr == field.zero else 0
     if (q + 1 - count) ** 2 > 4 * q:
         raise AssertionError("count outside the Hasse interval")
     return count
-
-
-def _horner(field: GF, poly, x):
-    acc = field.zero
-    for c in reversed(poly):
-        acc = field.add(field.mul(acc, x), field.element((c,)))
-    return acc
 
 
 def _count(e: WeierstrassCurve, q: int) -> int:
@@ -298,12 +276,16 @@ def multiply_point(e: WeierstrassCurve, k: int, pt: Point) -> Point:
     return acc
 
 
-def point_order(e: WeierstrassCurve, pt: Point, cap: int = 12) -> int:
-    """Order of a torsion point; rational torsion is bounded by 12."""
+# Mazur: a rational torsion point has order at most 12.
+_TORSION_ORDER_BOUND = 12
+
+
+def point_order(e: WeierstrassCurve, pt: Point) -> int:
+    """Order of a torsion point of order at most _TORSION_ORDER_BOUND."""
     if not on_curve(e, pt):
         raise ValueError("point not on curve")
     acc = pt
-    for k in range(1, cap + 1):
+    for k in range(1, _TORSION_ORDER_BOUND + 1):
         if acc is None:
             return k
         acc = add_points(e, acc, pt)
@@ -491,13 +473,13 @@ def transform(e: WeierstrassCurve, u: int, r: int, s: int, t: int):
 def _integralize(coeffs) -> WeierstrassCurve:
     """Scale up x = x'/u^2, y = y'/u^3 until all coefficients are integers."""
     needs: dict[int, int] = {}
-    for c, weight in zip(coeffs, (1, 2, 3, 4, 6)):
+    for c, weight in zip(coeffs, _WEIGHTS):
         for q, v in factorize(Fraction(c).denominator).items():
             needs[q] = max(needs.get(q, 0), -(-v // weight))
     u = 1
     for q, n in needs.items():
         u *= q**n
-    scaled = [int(c * u**k) for c, k in zip(coeffs, (1, 2, 3, 4, 6))]
+    scaled = [int(c * u**w) for c, w in zip(coeffs, _WEIGHTS)]
     return WeierstrassCurve(*scaled)
 
 

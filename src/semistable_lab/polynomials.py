@@ -3,9 +3,9 @@
 Polynomials are coefficient tuples in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple.  Integer resultants
 use the subresultant remainder sequence, so no rationals appear even for
-non-monic inputs.  The GF class models F_{p^f} just far enough for point
-counting and root-of-unity work: elements are coefficient tuples reduced
-modulo a fixed monic irreducible.
+non-monic inputs.  The GF class models F_{p^f} just far enough for the
+root-of-unity work of `cyclotomic`: elements are coefficient tuples
+reduced modulo a fixed monic irreducible.
 
 Products in a quotient ring F_p[y]/(m) of degree f run on packed integers
 (Kronecker substitution; von zur Gathen & Gerhard, Modern Computer Algebra,
@@ -418,18 +418,18 @@ def is_irreducible(m, p) -> bool:
     return True
 
 
-def find_irreducible(p, k, seed=0):
+def find_irreducible(p, k):
     """Some monic irreducible of degree k over F_p, deterministically."""
     if k == 1:
         return (0, 1)
-    rng = random.Random(f"irr:{p}:{k}:{seed}")
+    rng = random.Random(f"irr:{p}:{k}:0")
     while True:
         coeffs = [rng.randrange(p) for _ in range(k)] + [1]
         if is_irreducible(coeffs, p):
             return trim(coeffs)
 
 
-def equal_degree_factor(poly, f, p, seed=0):
+def equal_degree_factor(poly, f, p):
     """An irreducible degree-f factor of a squarefree polynomial over F_p.
 
     Every irreducible factor of `poly` must have degree f (the caller
@@ -441,7 +441,7 @@ def equal_degree_factor(poly, f, p, seed=0):
     work = fp_trim(pscale(work, inv), p)
     if degree(work) % f:
         raise ValueError("degree is not a multiple of f")
-    rng = random.Random(f"edf:{p}:{f}:{seed}:{len(poly)}")
+    rng = random.Random(f"edf:{p}:{f}:0:{len(poly)}")
     while degree(work) > f:
         a = tuple(rng.randrange(p) for _ in range(degree(work)))
         if degree(fp_trim(a, p)) < 1 and f > 1:

@@ -919,3 +919,48 @@ def scale_down_by_fractions(e):
                 if all(c.denominator == 1 for c in cand):
                     return WeierstrassCurve(*(int(c) for c in cand))
     return None
+
+
+def count_points_by_enumeration(e, q):
+    """curves.count_points over F_q, q = p^k with k > 1, as it was computed
+    before the count came from #E(F_p) by the trace recurrence: every x of
+    F_q enumerated as a GF coefficient tuple.  For odd p it counts square
+    roots of 4g + h^2 from a table of squares; for p = 2 an x with h(x) != 0
+    has two points when the absolute trace of g(x)/h(x)^2 is 0, none else."""
+    from semistable_lab.arith import prime_power
+    from semistable_lab.polynomials import GF, find_irreducible, padd, pscale
+
+    p, k = prime_power(q)
+    field = GF(p, find_irreducible(p, k))
+
+    def horner(poly, x):
+        acc = field.zero
+        for c in reversed(poly):
+            acc = field.add(field.mul(acc, x), field.element((c,)))
+        return acc
+
+    h = (e.a3, e.a1)  # y-linear part
+    g = (e.a6, e.a4, e.a2, 1)
+    elems = field.elements()
+    count = 1
+    if p > 2:
+        squares = {}
+        for z in elems:
+            key = field.mul(z, z)
+            squares[key] = squares.get(key, 0) + 1
+        f = trim(padd(pscale(g, 4), pmul(h, h)))
+        for x in elems:
+            count += squares.get(horner(f, x), 0)
+        return count
+    for x in elems:
+        hx, gx = horner(h, x), horner(g, x)
+        if hx == field.zero:
+            count += 1  # squaring is a bijection in characteristic 2
+            continue
+        u = field.mul(gx, field.pow(hx, -2))
+        tr, sq = field.zero, u
+        for _ in range(k):
+            tr = field.add(tr, sq)
+            sq = field.mul(sq, sq)
+        count += 2 if tr == field.zero else 0
+    return count

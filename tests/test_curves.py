@@ -1,13 +1,14 @@
 """Weierstrass curve layer: invariants, reduction, counting, torsion, quotients."""
 
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 import sympy
 
-from oracles import scale_down_by_fractions
+from oracles import count_points_by_enumeration, scale_down_by_fractions
 from semistable_lab import cli, curves, families
 from semistable_lab.curves import (
     LocalData,
@@ -204,6 +205,52 @@ class TestCounting:
     def test_oversized_field_rejected(self):
         with pytest.raises(ValueError):
             count_points(E1, 10**6 + 3)
+
+
+def _good_curve(rng: random.Random, p: int) -> WeierstrassCurve:
+    while True:
+        e = random_curve(rng)
+        if invariants(e).disc % p:
+            return e
+
+
+class TestPrimePowerCounts:
+    """#E(F_{p^k}) from #E(F_p) by the trace recurrence."""
+
+    def test_matches_enumeration(self):
+        # every q = p^k <= 729 with k >= 2: 23 fields, 3 curves each
+        rng = random.Random("curve-prime-powers")
+        qs = [p**k for p in sympy.primerange(2, 28)
+              for k in range(2, 10) if p**k <= 729]
+        assert len(qs) == 23
+        for q in qs:
+            p = sympy.factorint(q).popitem()[0]
+            for _ in range(3):
+                e = _good_curve(rng, p)
+                assert count_points(e, q) == count_points_by_enumeration(e, q)
+
+    def test_largest_powers_answer_fast(self):
+        # every prime p < 1,000 at its largest power p^k <= 10^6, k >= 2
+        rng = random.Random("curve-largest-powers")
+        cases = []
+        for p in sympy.primerange(2, 1000):
+            q = p * p
+            while q * p <= curves._COUNT_LIMIT:
+                q *= p
+            cases.append((_good_curve(rng, p), q))
+        t0 = time.perf_counter()
+        traces = [q + 1 - count_points(e, q) for e, q in cases]
+        assert time.perf_counter() - t0 < 1.0
+        assert len(cases) == 168
+        assert all(t * t <= 4 * q for t, (_, q) in zip(traces, cases))
+
+    def test_prime_count_shared_through_the_memo(self, monkeypatch):
+        counts = counting(monkeypatch, "count_points")
+        with curves.request_memo():
+            assert curves._count(E1, 2**5) == count_points_by_enumeration(E1, 32)
+            assert curves._count(E1, 2) == 2
+            assert curves._count(E1, 2**3) == 14
+        assert [q for _, q in counts] == [32, 2, 8]
 
 
 class TestPointArithmetic:

@@ -1,6 +1,7 @@
 """Source rules that hold for every module of the package."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -91,4 +92,49 @@ def test_work_ring_inverse_has_one_home():
                 where = home if node.lineno in allowed else found
                 where.append(f"{path.name}:{node.lineno}")
     assert len(home) == 1
+    assert found == []
+
+
+def _readme_tests_names() -> set[str]:
+    """Every dotted part of each backticked name in the README "Tests"
+    section, so `padic.PadicMatrix.transpose` names `transpose` too."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("\n## Tests\n", 1)[1].split("\n## ", 1)[0]
+    return {part for token in re.findall(r"`([^`\s]+)`", section)
+            for part in token.split(".")}
+
+
+def test_unreferenced_definitions_are_named_in_readme():
+    """A module-level function or class, or a method, that no code of the
+    package references outside its own body is kept only for a reason the
+    README "Tests" section gives, so it must be named there.  Dunders, the
+    `_cmd_*` handlers and `main` are reached by the interpreter and the
+    command line, not by name."""
+    defs, refs = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defs += [(path, sub, f"{node.name}.{sub.name}")
+                         for sub in node.body
+                         if isinstance(sub, ast.FunctionDef)]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((path, node, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, path, node.lineno))
+    named = _readme_tests_names()
+    found = []
+    for path, node, qualname in defs:
+        name = node.name
+        if (name.startswith("__") and name.endswith("__")
+                or name.startswith("_cmd_") or name == "main"
+                or name in named):
+            continue
+        body = range(node.lineno, node.end_lineno + 1)
+        if not any(ref == name and not (where == path and line in body)
+                   for ref, where, line in refs):
+            found.append(f"{path.name}:{qualname}")
     assert found == []
