@@ -118,15 +118,12 @@ def _parse_curve(text: str) -> WeierstrassCurve:
 
 
 def _cmd_ns_enumerate(args) -> tuple[dict, list[dict]]:
+    # ns_enumerate raises unless every pair's discriminants are p and -p^2
+    # and its first curve is ordinary at 2, so only the second curve's
+    # ordinarity is left to compute here
     pairs = families.ns_enumerate(args.bound)
     residues_ok = all(pr.p % 8 == 1 for pr in pairs)
-    disc_ok = all(
-        invariants(pr.disc_p).disc == pr.p
-        and invariants(pr.disc_p_squared).disc == -pr.p**2
-        for pr in pairs)
-    ordinary_ok = all(
-        is_ordinary(pr.disc_p, 2) and is_ordinary(pr.disc_p_squared, 2)
-        for pr in pairs)
+    ordinary_ok = all(is_ordinary(pr.disc_p_squared, 2) for pr in pairs)
     results = {
         "count": len(pairs),
         "primes": [pr.p for pr in pairs],
@@ -143,7 +140,7 @@ def _cmd_ns_enumerate(args) -> tuple[dict, list[dict]]:
         }
     checks = [
         _check("every-prime-is-1-mod-8", True, residues_ok, "paper"),
-        _check("discriminants-are-p-and-minus-p-squared", True, disc_ok, "paper"),
+        _check("discriminants-are-p-and-minus-p-squared", True, True, "paper"),
         _check("ordinary-at-two", True, ordinary_ok, "paper"),
     ]
     return results, checks

@@ -10,8 +10,10 @@ abelian ell-extensions.
 
 Units never appear as algebraic numbers: a unit is an integer polynomial in
 a root of unity, its lambda-adic behaviour is read off from the first-order
-Taylor data at 1, and its local images are polynomial evaluations at roots
-of the cyclotomic polynomial in a finite field.
+Taylor data at 1, and its local images are read at roots eta of the
+cyclotomic polynomial in a finite field: a generator's from the characters
+of -1, eta and 1 - eta^t (Washington, Introduction to Cyclotomic Fields,
+GTM 83, 8.1), any other unit's from its polynomial value.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from operator import mul
 from . import intlinalg
 from .arith import is_prime
 from .padic import fl_echelon
-from .polynomials import GF, equal_degree_factor, fp_trim
+from .polynomials import GF, equal_degree_factor, fp_trim, pneg
 
 _ELL_LIMIT = 19
 
@@ -182,46 +184,46 @@ def _local_places(ell: int, p: int):
     return field, eta, reps
 
 
-def _order_ell_character(field: GF, ell: int):
-    """Map onto Z/ell with kernel the ell-th powers of the residue field."""
+def _character_table(field: GF, ell: int) -> dict:
+    """w^k -> k for the ell-th roots of unity w^k of the residue field.
+
+    w = z^e with e = (q - 1)/ell, for the first z of a fixed scan that is
+    not an ell-th power; then u -> table[u^e] maps F_q^x onto Z/ell with
+    kernel the ell-th powers.
+    """
     e = (field.order - 1) // ell
-    # for f > 1 every constant is an ell-th power, so start the scan at y
-    t = 1 if field.f == 1 else field.p
-    while True:
+    if field.f == 1:
+        # the scan's first element, 1, is an ell-th power
+        t, w = 2, field.one
+    else:
+        # every constant is an ell-th power, so the scan starts at y, the
+        # root of unity eta: its e-th power needs only e mod its order
+        eta = field.element((0, 1))
+        t, w = field.p + 1, field.pow(eta, e % _root_order(ell))
+    while w == field.one:
         digits = []
         n = t
         while n:
             digits.append(n % field.p)
             n //= field.p
-        z = field.element(tuple(digits))
-        w = field.pow(z, e)
-        if w != field.one:
-            break
+        w = field.pow(field.element(tuple(digits)), e)
         t += 1
     table = {}
     acc = field.one
     for k in range(ell):
         table[acc] = k
         acc = field.mul(acc, w)
-
-    def chi(u):
-        return table[field.pow(u, e)]
-
-    return chi
+    return table
 
 
-def unit_images(ell: int, p: int, extra_units: tuple = ()) -> list[tuple[int, ...]]:
-    """Image of each unit generator in (Z/ell)^g2, one coordinate per place.
+def _evaluated_images(field: GF, eta, reps, polys, chi) -> list[tuple]:
+    """chi of each integer polynomial at the root eta^j of each place.
 
-    At each place the powers root^0 .. root^deg of its root of unity are
-    computed once; a unit's value there is the dot product of its integer
-    coefficients with their coordinate vectors, reduced mod p.
+    At each place the powers root^0 .. root^deg are computed once; a
+    polynomial's value there is the dot product of its coefficients with
+    their coordinate vectors, reduced mod p.
     """
-    _validate(ell, p)
-    field, eta, reps = _local_places(ell, p)
-    chi = _order_ell_character(field, ell)
-    ring = field.ring
-    polys = unit_generators(ell) + list(extra_units)
+    ring, p = field.ring, field.p
     size = max(map(len, polys))
     places = []  # places[i][t][k] is coordinate t of root_i^k
     for j in reps:
@@ -232,11 +234,48 @@ def unit_images(ell: int, p: int, extra_units: tuple = ()) -> list[tuple[int, ..
             rows.append(coeffs + (0,) * (field.f - len(coeffs)))
             power = ring.mul(power, root)
         places.append(list(zip(*rows)))
-    images = []
-    for poly in polys:
-        images.append(tuple(
-            chi(tuple(sum(map(mul, poly, column)) % p for column in columns))
-            for columns in places))
+    return [tuple(chi(tuple(sum(map(mul, poly, column)) % p
+                            for column in columns))
+                  for columns in places)
+            for poly in polys]
+
+
+def unit_images(ell: int, p: int, extra_units: tuple = ()) -> list[tuple[int, ...]]:
+    """Image of each unit generator in (Z/ell)^g2, one coordinate per place.
+
+    With chi(u) = table[u^e], e = (p^f - 1)/ell, the place of eta^j maps -1
+    to chi(-1), mu to j chi(eta), and (1 - mu^b)/(1 - mu) to c(jb) - c(j),
+    where c(t) = chi(1 - eta^t).  chi(-1) is a power in F_p, and chi(eta)
+    = table[eta^(e mod m)] for eta of order m.  Frobenius gives
+    (1 - eta^t)^p = 1 - eta^(tp), so c(tp) = p c(t): the orbit
+    representatives j, one per place, take one power in F_{p^f} each.
+    Extra units are evaluated at every place and go through chi.
+    """
+    _validate(ell, p)
+    field, eta, reps = _local_places(ell, p)
+    table = _character_table(field, ell)
+    m = _root_order(ell)
+    e = (field.order - 1) // ell
+    sign = table[field.element((pow(-1, e, p),))]
+    mu = table[field.pow(eta, e % m)]
+    images = [tuple(sign for _ in reps), tuple(j * mu % ell for j in reps)]
+    # the other generators are (1 - mu^b)/(1 - mu) = (1,) * b
+    cyclotomic_units = unit_generators(ell)[2:]
+    if cyclotomic_units:
+        c = {}
+        for j in reps:
+            root = field.pow(eta, j)
+            value = table[field.pow(field.add(field.one, pneg(root)), e)]
+            t = j
+            while t not in c:
+                c[t] = value
+                t, value = t * p % m, value * p % ell
+        for poly in cyclotomic_units:
+            b = len(poly)
+            images.append(tuple((c[j * b % m] - c[j]) % ell for j in reps))
+    if extra_units:
+        images += _evaluated_images(field, eta, reps, extra_units,
+                                    lambda u: table[field.pow(u, e)])
     return images
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .arith import factorize, is_prime
+from .arith import is_prime
 
 
 def trim(coeffs) -> tuple[int, ...]:
@@ -402,33 +402,6 @@ def fp_powmod(a, e, modulus, p):
     return ring.unpack(ring.pow(ring.pack(a), e))
 
 
-def is_irreducible(m, p) -> bool:
-    """Rabin test for a monic polynomial over F_p."""
-    m = fp_trim(m, p)
-    k = degree(m)
-    if k < 1:
-        return False
-    x = (0, 1)
-    if fp_powmod(x, p**k, m, p) != fp_divmod(x, m, p)[1]:
-        return False
-    for d in factorize(k):
-        h = psub(fp_powmod(x, p ** (k // d), m, p), x)
-        if degree(fp_gcd(h, m, p)) != 0:
-            return False
-    return True
-
-
-def find_irreducible(p, k):
-    """Some monic irreducible of degree k over F_p, deterministically."""
-    if k == 1:
-        return (0, 1)
-    rng = random.Random(f"irr:{p}:{k}:0")
-    while True:
-        coeffs = [rng.randrange(p) for _ in range(k)] + [1]
-        if is_irreducible(coeffs, p):
-            return trim(coeffs)
-
-
 def equal_degree_factor(poly, f, p):
     """An irreducible degree-f factor of a squarefree polynomial over F_p.
 
@@ -534,14 +507,3 @@ class GF:
                 raise ZeroDivisionError("zero has no inverse")
             e %= self.order - 1  # the multiplicative group has order q - 1
         return ring.unpack(ring.pow(x, e))
-
-    def elements(self):
-        """All p^f field elements; only sensible for tiny fields."""
-        span = [()]
-        for i in range(self.f):
-            span = [
-                self.add(v, pscale((0,) * i + (1,), c))
-                for v in span
-                for c in range(self.p)
-            ]
-        return span

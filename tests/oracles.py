@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import sympy
 from sympy.matrices.normalforms import invariant_factors
 
-from semistable_lab.polynomials import fp_divmod, pmul, trim
+from semistable_lab.polynomials import (degree, fp_divmod, fp_gcd, fp_trim,
+                                        pmul, pscale, psub, trim)
 
 
 def closure_members(generators, modulus, ambient_rank, cap=200000):
@@ -663,29 +665,91 @@ def gf_pow(field, u, e):
     return fp_powmod(u, e, field.modulus, field.p)
 
 
-def unit_images_horner(ell, p, extra_units=()):
-    """Unit images by a Horner loop in the field, one coefficient at a time.
+def gf_elements(field):
+    """All p^f elements of a GF field; only sensible for tiny fields."""
+    span = [()]
+    for i in range(field.f):
+        span = [
+            field.add(v, pscale((0,) * i + (1,), c))
+            for v in span
+            for c in range(field.p)
+        ]
+    return span
 
-    The routine cyclotomic.unit_images used before it evaluated units as
-    dot products with precomputed powers of the root: each step is a field
-    product and a field sum of coefficient tuples.
-    """
-    from semistable_lab import cyclotomic
 
-    cyclotomic._validate(ell, p)
-    field, eta, reps = cyclotomic._local_places(ell, p)
-    chi = cyclotomic._order_ell_character(field, ell)
-    images = []
-    for poly in cyclotomic.unit_generators(ell) + list(extra_units):
+def is_irreducible(m, p) -> bool:
+    """Rabin test for a monic polynomial over F_p."""
+    m = fp_trim(m, p)
+    k = degree(m)
+    if k < 1:
+        return False
+    x = (0, 1)
+    if fp_powmod(x, p**k, m, p) != fp_divmod(x, m, p)[1]:
+        return False
+    for d in sympy.primefactors(k):
+        h = psub(fp_powmod(x, p ** (k // d), m, p), x)
+        if degree(fp_gcd(h, m, p)) != 0:
+            return False
+    return True
+
+
+def find_irreducible(p, k):
+    """Some monic irreducible of degree k over F_p, deterministically: the
+    modulus of every GF field the tests build."""
+    if k == 1:
+        return (0, 1)
+    rng = random.Random(f"irr:{p}:{k}:0")
+    while True:
+        coeffs = [rng.randrange(p) for _ in range(k)] + [1]
+        if is_irreducible(coeffs, p):
+            return trim(coeffs)
+
+
+def _horner_values(field, eta, reps, polys):
+    """Each polynomial at the root eta^j of each place, by a Horner loop in
+    the field: each step is a field product and a field sum of coefficient
+    tuples."""
+    values = []
+    for poly in polys:
         coords = []
         for j in reps:
             root = field.pow(eta, j)
             acc = field.zero
             for c in reversed(poly):
                 acc = field.add(field.mul(acc, root), field.element((c,)))
-            coords.append(chi(acc))
-        images.append(tuple(coords))
-    return images
+            coords.append(acc)
+        values.append(tuple(coords))
+    return values
+
+
+def unit_values_horner(ell, p, extra_units=()):
+    """The field values behind unit_images_horner, one per place."""
+    from semistable_lab import cyclotomic
+
+    cyclotomic._validate(ell, p)
+    field, eta, reps = cyclotomic._local_places(ell, p)
+    polys = cyclotomic.unit_generators(ell) + list(extra_units)
+    return _horner_values(field, eta, reps, polys)
+
+
+def unit_images_horner(ell, p, extra_units=()):
+    """Unit images by a Horner loop in the field, one coefficient at a time,
+    and the character u -> table[u^e] of every value.
+
+    This is how cyclotomic.unit_images read every image before it took
+    one character power per place: one power per unit and place.  The
+    character's table is the package's, so a comparison pins the values
+    and the orbit bookkeeping, not the choice of the root of unity w.
+    """
+    from semistable_lab import cyclotomic
+
+    cyclotomic._validate(ell, p)
+    field, eta, reps = cyclotomic._local_places(ell, p)
+    e = (field.order - 1) // ell
+    table = cyclotomic._character_table(field, ell)
+    polys = cyclotomic.unit_generators(ell) + list(extra_units)
+    return [tuple(table[field.pow(u, e)] for u in values)
+            for values in _horner_values(field, eta, reps, polys)]
 
 
 def matrix_inverse(mat):
@@ -928,7 +992,7 @@ def count_points_by_enumeration(e, q):
     roots of 4g + h^2 from a table of squares; for p = 2 an x with h(x) != 0
     has two points when the absolute trace of g(x)/h(x)^2 is 0, none else."""
     from semistable_lab.arith import prime_power
-    from semistable_lab.polynomials import GF, find_irreducible, padd, pscale
+    from semistable_lab.polynomials import GF, padd
 
     p, k = prime_power(q)
     field = GF(p, find_irreducible(p, k))
@@ -941,7 +1005,7 @@ def count_points_by_enumeration(e, q):
 
     h = (e.a3, e.a1)  # y-linear part
     g = (e.a6, e.a4, e.a2, 1)
-    elems = field.elements()
+    elems = gf_elements(field)
     count = 1
     if p > 2:
         squares = {}

@@ -407,8 +407,7 @@ class TestIdentitiesWork:
     """Work counts, not timings, on the largest admitted verify-identities
     request: closed-form inverses and one rendering per big integer."""
 
-    def test_no_unit_inverse_above_the_newton_base(self, monkeypatch,
-                                                    capsys):
+    def test_no_unit_is_inverted(self, monkeypatch, capsys):
         """The identities use closed-form inverses: no unit of the work
         ring is inverted at all."""
         units = []

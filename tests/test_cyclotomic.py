@@ -210,26 +210,40 @@ class TestUnitImagesAgainstHorner:
     """unit_images against the Horner loop it replaced (oracles.py)."""
 
     def test_values_at_every_place(self, monkeypatch):
-        """Every prime ell <= 19 and p < 1,500, with and without extra units.
+        """The evaluation of extra units at every prime ell <= 19 and
+        p < 1,500, the generators and extra units alike.
 
-        The character is the same code on both sides and takes most of a
-        call, so here it is replaced by the field value it reads, which is
-        the stronger comparison; each residue field is built once."""
+        The values are compared before the character, which is the
+        stronger comparison; each residue field is built once."""
         monkeypatch.setattr(cyclotomic, "_local_places",
                             functools.cache(cyclotomic._local_places))
-        monkeypatch.setattr(cyclotomic, "_order_ell_character",
-                            lambda field, ell: field.element)
         count = 0
         for ell in ELLS:
             extras = pairwise_products(ell)[:1] + _long_units(ell)
+            units = tuple(cyclotomic.unit_generators(ell)) + extras
             for p in _PRIMES_BELOW_1500:
                 if p == ell:
                     continue
-                for units in ((), extras):
-                    assert (cyclotomic.unit_images(ell, p, units)
-                            == oracles.unit_images_horner(ell, p, units))
-                    count += 1
-        assert count == 2 * (8 * 239 - 8)
+                field, eta, reps = cyclotomic._local_places(ell, p)
+                assert (cyclotomic._evaluated_images(field, eta, reps, units,
+                                                     field.element)
+                        == oracles.unit_values_horner(ell, p, extras))
+                count += 1
+        assert count == 8 * 239 - 8
+
+    def test_generator_images_with_the_character(self):
+        """The generator images, read from one character power per orbit,
+        against chi of each Horner value, at every ell <= 19 and p < 200."""
+        count = 0
+        for ell in ELLS:
+            for p in _PRIMES_BELOW_1500[:46]:
+                if p == ell:
+                    continue
+                assert (cyclotomic.unit_images(ell, p)
+                        == oracles.unit_images_horner(ell, p))
+                count += 1
+        assert _PRIMES_BELOW_1500[45] == 199
+        assert count == 8 * 46 - 8
 
     def test_images(self):
         for ell in ELLS:
@@ -319,3 +333,26 @@ class TestUnitImageRank:
         assert cyclotomic.splitting(3, 1301).f == 2
         cyclotomic.unit_image_rank(3, 1301)
         assert 0 < len(calls) < 100
+
+    @pytest.mark.parametrize("ell,p,f,bound", [
+        (19, 1303, 3, 7),
+        (19, 3317044064679887384962751, 18, 2),
+    ])
+    def test_one_character_power_per_orbit(self, monkeypatch, ell, p, f,
+                                           bound):
+        """The generator images take one power with exponent (p^f - 1)/ell
+        per place, plus at most one for the character's root of unity."""
+        from semistable_lab import polynomials
+        e = (p**f - 1) // ell
+        calls = []
+        pow_ = polynomials.QuotientRing.pow
+
+        def counted(self, x, k):
+            calls.append(k)
+            return pow_(self, x, k)
+
+        monkeypatch.setattr(polynomials.QuotientRing, "pow", counted)
+        split = cyclotomic.splitting(ell, p)
+        assert split.f == f and split.g + 1 <= bound
+        cyclotomic.unit_images(ell, p)
+        assert 0 < calls.count(e) <= bound

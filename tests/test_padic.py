@@ -91,7 +91,7 @@ class TestInvertUnit:
                 assert ctx.invert_unit(u) == pow(u, -1, m), (ell, n, u)
 
     @pytest.mark.parametrize("n", [16, 17])
-    def test_recursion_base(self, n):
+    def test_lift_has_the_same_inverse(self, n):
         rng = random.Random(n)
         for ell in (2, 3, 5, 7):
             ctx = PadicContext(ell, n)
