@@ -9,7 +9,10 @@ import random
 # The prime bases 2..41 make Miller-Rabin deterministic below psi_13, the
 # least strong pseudoprime to all of them (Sorenson & Webster, Math. Comp.
 # 86, 2017); the bases 2..37 alone pass psi_12 = 318665857834031151167461.
+# Below psi_5 = 2152302898747, the least strong pseudoprime to the bases
+# 2..11 (Jaeschke, Math. Comp. 61, 1993), those five bases suffice.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_5 = 2152302898747
 PRIMALITY_BOUND = 3317044064679887385961981  # psi_13
 
 
@@ -27,7 +30,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:5] if n < _PSI_5 else _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

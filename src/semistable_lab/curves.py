@@ -461,15 +461,6 @@ def _moved(e: WeierstrassCurve, r: int, s: int, t: int) -> tuple[int, ...]:
     )
 
 
-def transform(e: WeierstrassCurve, u: int, r: int, s: int, t: int):
-    """Coefficients after x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
-
-    Returned as Fractions; the caller decides whether they are integral.
-    """
-    return tuple(Fraction(c, u**w)
-                 for c, w in zip(_moved(e, r, s, t), _WEIGHTS))
-
-
 def _integralize(coeffs) -> WeierstrassCurve:
     """Scale up x = x'/u^2, y = y'/u^3 until all coefficients are integers."""
     needs: dict[int, int] = {}

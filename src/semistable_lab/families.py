@@ -17,7 +17,7 @@ from itertools import product
 from math import isqrt
 from os import path
 
-from .arith import is_prime, ord_at, prime_power
+from .arith import is_prime, ord_at, prime_power, sqrt_mod
 from .curves import (
     WeierstrassCurve,
     _disc_from_b,
@@ -33,7 +33,7 @@ EXCEPTIONAL_PRIME = 17
 EXCEPTIONAL_SEED = WeierstrassCurve(1, -1, 1, -1, -14)
 
 # Desk-scale limits, checked before any work: ns_enumerate costs about
-# bound^(1/2) prime tests (about a second at the limit); miyawaki_search
+# bound^(1/2)/10 prime tests (about 0.3 s at the limit); miyawaki_search
 # filters 12 (2 coeff_bound + 1)^2 models once per process and bound (about
 # 0.4 s at the limit), then tests the survivors for ell-torsion (under 0.1 s
 # per ell at the limit).
@@ -83,10 +83,21 @@ def ns_enumerate(bound: int) -> list[SquarePlus64Pair]:
     if bound > _NS_BOUND_LIMIT:
         raise ValueError(
             f"bound exceeds the desk-scale limit {_NS_BOUND_LIMIT}, got {bound}")
+    u_max = isqrt(max(bound - 64, 0))
+    # For odd u every prime factor q of u^2 + 64 is 1 mod 4, and q divides
+    # it exactly when u = +-8 sqrt(-1) mod q.  Those u are struck for q up
+    # to 2,000, except u^2 + 64 = q itself; the full test runs on the rest.
+    alive = bytearray([1]) * (u_max + 1)
+    for q in range(5, min(2000, u_max) + 1, 4):
+        if is_prime(q):
+            root = 8 * sqrt_mod(q - 1, q) % q
+            for r in (root, q - root):
+                first = r + q if r * r + 64 == q else r
+                alive[first::q] = bytes(len(range(first, u_max + 1, q)))
     out = []
-    for u_abs in range(1, isqrt(max(bound - 64, 0)) + 1, 2):
+    for u_abs in range(1, u_max + 1, 2):
         p = u_abs * u_abs + 64
-        if not is_prime(p):
+        if not alive[u_abs] or not is_prime(p):
             continue
         u = u_abs if u_abs % 4 == 1 else -u_abs
         a2 = (u - 1) // 4

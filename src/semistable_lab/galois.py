@@ -11,10 +11,12 @@ formula across quotients by stable kernels.
 The stable submodules of (Z/l^n)^(2d) are found from their atoms, the
 stable closures of single vectors: one vector per orbit of the unit group
 is closed in one echelon pass, as the span of its images under a basis of
-the word algebra in sigma and tau, and the atoms that are not sums of
-smaller ones are then summed, each module keeping the set of atoms inside
-it so that only sums that may be new are computed.  A node lattice is
-written down from its kernel's canonical basis, with no echelon pass.
+the word algebra in sigma and tau.  The atoms are then summed smallest
+first, each module keeping the set of atoms inside it.  Those sets give
+M ∩ a and so the size |M| |a| / |M ∩ a| of a sum M + a, which tells a sum
+found already from a new one: every echelon pass makes a new module.  A
+node lattice is written down from its kernel's canonical basis, with no
+echelon pass.
 """
 
 from __future__ import annotations
@@ -286,13 +288,9 @@ def stable_submodules(rep: GaloisRep, n: int) -> list[Lattice]:
     for the word algebra A, so it is one echelon pass over the images of x
     under a basis of A, which is computed once per call.  Since an atom is
     A x, it lies in a stable module exactly when x does, and every
-    containment test below is one membership test of a generator.  An atom
-    that is the sum of the smaller atoms inside it is dropped; by induction
-    on size, every atom is a sum of the kept ones.  Only atoms of strictly
-    smaller member count are tested: an atom of equal count inside would be
-    equal, and atoms are distinct.  The kept atoms are then summed by
-    _sums_of_atoms.  Modules come rebased (divisors read off their echelon
-    basis), ordered by size then basis.
+    containment test is one membership test of a generator.  The distinct
+    atoms are summed by _sums_of_atoms.  Modules come rebased (divisors
+    read off their echelon basis), ordered by size then basis.
     """
     ell = rep.ell
     require_searchable(ell, n, rep.d)
@@ -304,83 +302,88 @@ def stable_submodules(rep: GaloisRep, n: int) -> list[Lattice]:
     for vec in _orbit_representatives(ell, n, rank):
         lat = _atom(algebra, vec)
         atoms.setdefault(lat.basis, (lat, vec))
-    irreducible: list[tuple[Lattice, tuple[int, ...], int]] = []
-    for atom, vec in sorted(atoms.values(),
-                            key=lambda av: av[0].member_count()):
-        size = atom.member_count()
-        inside = tuple(b for a, g, count in irreducible
-                       if count < size and atom.contains(g)
-                       for b in a.basis)
-        if Lattice._from_reduced(ctx, rank, inside).basis != atom.basis:
-            irreducible.append((atom, vec, size))
-    found = _sums_of_atoms(
-        ctx, rank, [(atom, vec) for atom, vec, _c in reversed(irreducible)])
+    found = _sums_of_atoms(ctx, rank, atoms.values())
     return sorted((lat.rebased() for lat in found),
                   key=lambda l: (l.member_count(), l.basis))
 
 
 def _sums_of_atoms(ctx: PadicContext, rank: int, atoms) -> list[Lattice]:
-    """Every sum of a subset of atoms, given as (atom, generator) pairs,
-    largest first.
+    """Every sum of a subset of the distinct atoms, given as (atom,
+    generator) pairs: one echelon pass per module that is not zero or an
+    atom, and none for a sum that was found already.
 
-    Round j adds atom a_j to every module found before it (an old module)
-    that does not contain it, so after round j every sum of a subset of
-    a_0..a_j is found (largest first: later atoms often lie inside and need
-    no sum).  Most of those sums are old modules, and two exact rules skip
-    them without an echelon pass.  Every module M carries its atom set
-    S(M), an int with bit i set when a_i lies in M: round i sets bit i on
-    the old modules from the membership test it makes anyway, and a module
-    new in round i gets bit i plus the OR of S(cur) over the pairs
-    cur + a_i computed to equal it.
+    The atoms a_0, a_1, ... are taken smallest first, so an atom strictly
+    inside a_j comes before it.  After round j - 1 the found modules are
+    the sums of a_0..a_(j-1), and each module M carries its atom set S(M),
+    an int with bit i set when the i-th kept atom lies in M.  A found
+    module is the sum of the kept atoms inside it (a reducible atom, which
+    is not kept, is the sum of earlier kept ones), so S is injective on
+    found modules.  Round j first reads S(a), a = a_j, by testing the kept
+    atoms smaller than a, skipping those that hold one found outside it.
 
-    S is exact.  An old module M at round j is a sum of atoms of index
-    below j, so M is the sum of the atoms a_i, i < j, inside it; hence for
-    old modules X and Y, X is inside Y exactly when S(X) is inside S(Y).
-    A module N new in round j has the canonical producer cur = the sum of
-    the atoms of index below j inside N: it is old, it does not contain
-    a_j (or N would be old), and cur + a_j = N.  The rules below skip only
-    sums that are old modules, so that pair is always computed, and
-    S(cur) is all of N's bits below j; every other producer lies inside N
-    and adds no bit.
-
-    The modules without a_j are taken in increasing member count:
-    - subset rule: if cur' + a_j is an old module for some cur' inside
-      cur, so is cur + a_j = cur + (cur' + a_j), a sum of old modules;
-    - index-l cover rule: if an old module M holds a_j and cur, and
-      |M| = l |cur|, then cur < cur + a_j <= M forces cur + a_j = M.
+    - M ∩ a is a sum of earlier atoms, for M that does not hold a: the
+      atom of each of its elements lies in a and is not a, so it is
+      smaller.  M ∩ a is therefore the found module with atom set
+      S(M) ∩ S(a), and |M + a| = |M| |a| / |M ∩ a|.  With M = 0: a is
+      reducible exactly when the found module with atom set S(a), the sum
+      of the kept atoms inside a, has as many members as a.  Then every
+      sum with a is found already, and a is not kept.
+    - M + a is found already exactly when some module N that holds a,
+      with S(N) ⊇ S(M), has that size: N holds M and a, so it holds M + a,
+      and equal sizes make them equal.  Membership of a in M is tested
+      only when S(a) ⊆ S(M), which it implies.
+    - A round starts with a itself as its first new module, with atom set
+      S(a) + bit j, and takes the modules outside a largest first.  A new
+      module N has the largest producer cur = the sum of the earlier atoms
+      inside N: cur + a = N, and every other producer lies in cur, so it
+      is smaller and comes later.  So cur makes N, S(N) = S(cur) + bit j is
+      N's full atom set, every later producer of N is caught by the size
+      test, and every echelon pass makes a module not found before.  Both
+      the predicted size and the novelty are checked as the passes run.
     """
-    ell = ctx.ell
     zero = Lattice.zero(ctx, rank)
-    # module basis -> [module, atom set, member count]
-    found = {zero.basis: [zero, 0, 1]}
-    for j, (atom, vec) in enumerate(atoms):
-        bit = 1 << j
+    found = {0: (zero, 1)}  # atom set -> (module, member count)
+    seen = {zero.basis}
+    kept: list[tuple[tuple[int, ...], int, int]] = []  # (generator, S, size)
+    for atom, vec in sorted(atoms, key=lambda av: av[0].member_count()):
+        size = atom.member_count()
+        sub = out = 0  # the kept atoms inside a, and some outside it
+        for i, (g, inside, count) in enumerate(kept):
+            if count < size and not inside & out:
+                if atom.contains(g):
+                    sub |= inside
+                else:
+                    out |= 1 << i
+        if found[sub][1] == size:
+            continue
+        bit = 1 << len(kept)
+        kept.append((vec, sub | bit, size))
+        seen.add(atom.basis)
+        grown = {sub | bit: (atom, size)}
+        holders = {size: [sub | bit]}  # member count -> atom sets holding a
         outside = []
-        covers: dict[int, list[int]] = {}  # member count -> atom sets
-        for rec in found.values():
-            if rec[0].contains(vec):
-                rec[1] |= bit
-                covers.setdefault(rec[2], []).append(rec[1])
+        for s, rec in found.items():
+            if not sub & ~s and rec[1] > size and rec[0].contains(vec):
+                grown[s | bit] = rec
+                holders.setdefault(rec[1], []).append(s | bit)
             else:
-                outside.append(rec)
-        outside.sort(key=lambda rec: rec[2])
-        lands_old: list[int] = []  # atom sets of cur with cur + a_j old
-        new: dict[tuple, list] = {}
-        for cur, inside, count in outside:
-            if any(not s & ~inside for s in lands_old):
-                continue
-            if any(not inside & ~s for s in covers.get(ell * count, ())):
-                lands_old.append(inside)
+                grown[s] = rec
+                outside.append((s, rec))
+        outside.sort(key=lambda sr: sr[1][1], reverse=True)
+        for s, (cur, count) in outside:
+            total_count = count * size // found[s & sub][1]
+            if any(not s & ~h for h in holders.get(total_count, ())):
                 continue
             total = Lattice._from_reduced(ctx, rank, cur.basis + atom.basis)
-            if total.basis in found:
-                lands_old.append(inside)
-            else:
-                rec = new.setdefault(total.basis,
-                                     [total, bit, total.member_count()])
-                rec[1] |= inside
-        found.update(new)
-    return [rec[0] for rec in found.values()]
+            if total.member_count() != total_count:
+                raise AssertionError("a sum does not have the predicted size")
+            if total.basis in seen:
+                raise AssertionError("a sum predicted new was found before")
+            seen.add(total.basis)
+            grown[s | bit] = (total, total_count)
+            holders.setdefault(total_count, []).append(s | bit)
+        found = grown
+    return [module for module, _count in found.values()]
 
 
 @dataclass(frozen=True)

@@ -214,21 +214,6 @@ def _int_det(mat: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def column_reduce(matrix: PadicMatrix) -> tuple[PadicMatrix, list[int]]:
-    """Canonical column echelon form over Z/l^N plus elementary divisors.
-
-    Returns (reduced, divisors): reduced spans the same column module with
-    zero columns dropped, pivots normalized to powers of l, columns sorted
-    by pivot valuation then pivot row; divisors are the l-valuations of the
-    Smith form diagonal of the input, clipped at the precision N (a value of
-    N marks a column that is zero at this precision).
-    """
-    lat = Lattice.from_generators(matrix.ctx, matrix.nrows, matrix.columns())
-    rows = [[col[i] for col in lat.basis] for i in range(matrix.nrows)]
-    return (PadicMatrix.from_rows(matrix.ctx, rows),
-            list(lat.elementary_divisors))
-
-
 def _echelon_columns(
     ctx: PadicContext, cols
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:

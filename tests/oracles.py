@@ -878,6 +878,24 @@ def echelon_columns_by_minimum(ctx, cols):
     return basis, [(v, i) for (v, i, _j) in pivots]
 
 
+def column_reduce(matrix):
+    """Canonical column echelon form over Z/l^N plus elementary divisors.
+
+    Returns (reduced, divisors): reduced spans the same column module with
+    zero columns dropped, pivots normalized to powers of l, columns sorted
+    by pivot valuation then pivot row; divisors are the l-valuations of the
+    Smith form diagonal of the input, clipped at the precision N (a value of
+    N marks a column that is zero at this precision).  Read off
+    padic.Lattice, whose echelon engine every lattice uses.
+    """
+    from semistable_lab.padic import Lattice, PadicMatrix
+
+    lat = Lattice.from_generators(matrix.ctx, matrix.nrows, matrix.columns())
+    rows = [[col[i] for col in lat.basis] for i in range(matrix.nrows)]
+    return (PadicMatrix.from_rows(matrix.ctx, rows),
+            list(lat.elementary_divisors))
+
+
 def column_reduce_by_minimum(matrix):
     """column_reduce as it was computed before the staged engine: every
     column reduced mod l^N, the engine above, and the clipped Smith
@@ -946,6 +964,13 @@ def squarefree_by_trial(n):
     return n != 0 and all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
 
 
+def square_plus_64_primes(bound):
+    """The p of families.ns_enumerate(bound) as they were found before the
+    sieve: every odd u with u^2 + 64 <= bound, each tested by sympy."""
+    top = math.isqrt(max(bound - 64, 0))
+    return [u * u + 64 for u in range(1, top + 1, 2) if sympy.isprime(u * u + 64)]
+
+
 def box_models_by_coefficient_tuples(coeff_bound):
     """families._prime_power_models as it was computed before the
     b-invariants were hoisted: every b-invariant recomputed from each
@@ -968,11 +993,24 @@ def box_models_by_coefficient_tuples(coeff_bound):
     return tuple(out)
 
 
+def transform(e, u, r, s, t):
+    """Coefficients after x = u^2 x' + r, y = u^3 y' + s u^2 x' + t, with
+    any scale u, as Fractions; the caller decides whether they are
+    integral.  The numerators are curves._moved's, which reduce_model and
+    _try_scale_down read in integers."""
+    from fractions import Fraction
+
+    from semistable_lab.curves import _WEIGHTS, _moved
+
+    return tuple(Fraction(c, u**w)
+                 for c, w in zip(_moved(e, r, s, t), _WEIGHTS))
+
+
 def scale_down_by_fractions(e):
     """curves._try_scale_down as it was computed before integrality was
     read from integer numerators: each of the 64 moves (2, r, s, t) built
     as Fractions, the first with integral coefficients taken."""
-    from semistable_lab.curves import WeierstrassCurve, invariants, transform
+    from semistable_lab.curves import WeierstrassCurve, invariants
 
     if invariants(e).disc % 2**12:
         return None

@@ -20,8 +20,11 @@ from semistable_lab.padic import fl_echelon
 import oracles
 from oracles import prime_power_every_candidate, squarefree_by_trial
 
-# strong pseudoprimes to the prime bases 2..37 and 2..41
-# (Sorenson & Webster, Math. Comp. 86, 2017)
+# strong pseudoprimes to the prime bases 2..7 and 2..11 (Jaeschke, Math.
+# Comp. 61, 1993), and to 2..37 and 2..41 (Sorenson & Webster, Math.
+# Comp. 86, 2017)
+PSI_4 = 3215031751
+PSI_5 = 2152302898747
 PSI_12 = 318665857834031151167461
 PSI_13 = 3317044064679887385961981
 
@@ -34,6 +37,22 @@ class TestPrimality:
     def test_agrees_with_trial_division(self):
         assert [n for n in range(-5, 5000) if is_prime(n)] == [
             n for n in range(-5, 5000) if trial_prime(n)]
+
+    def test_agrees_with_a_sieve_below_10_6(self):
+        """Below psi_5 only the bases 2..11 run."""
+        top = 10**6
+        sieve = bytearray([0, 0]) + bytearray([1]) * (top - 2)
+        for d in range(2, 1000):
+            if sieve[d]:
+                sieve[d * d::d] = bytes(len(range(d * d, top, d)))
+        assert [n for n in range(top) if is_prime(n)] == [
+            n for n in range(top) if sieve[n]]
+
+    def test_psi_4_and_psi_5_are_composite(self):
+        assert PSI_4 == 151 * 751 * 28351
+        assert is_prime(PSI_4) is False  # base 11 rejects it
+        assert PSI_5 == 6763 * 10627 * 29947
+        assert is_prime(PSI_5) is False  # from psi_5 on, 13 bases run
 
     def test_psi_12_is_composite(self):
         assert PSI_12 == 399165290221 * 798330580441

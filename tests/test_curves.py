@@ -8,7 +8,8 @@ from math import isqrt
 import pytest
 import sympy
 
-from oracles import count_points_by_enumeration, scale_down_by_fractions
+from oracles import (count_points_by_enumeration, scale_down_by_fractions,
+                     transform)
 from semistable_lab import cli, curves, families
 from semistable_lab.curves import (
     LocalData,
@@ -29,7 +30,6 @@ from semistable_lab.curves import (
     point_order,
     reduce_model,
     trace_of_frobenius,
-    transform,
     two_division_poly,
     velu_quotient,
 )

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from oracles import box_models_by_coefficient_tuples
 from semistable_lab import cli, families
 from semistable_lab.arith import prime_power
@@ -61,6 +62,17 @@ class TestNsEnumerate:
     def test_ordered_by_p(self):
         ps = [q.p for q in ns_enumerate(10000)]
         assert ps == sorted(ps)
+
+    def test_sieve_keeps_every_prime(self):
+        """Near each u^2 + 64 up to u = 59, where the sieve's prime limit
+        min(2000, u_max) moves and u^2 + 64 = q is kept, across u_max =
+        2,000, and at 10^k up to 10^7."""
+        bounds = ({u * u + 64 + k for u in range(60) for k in (-1, 0)}
+                  | {2000**2 + 63, 2000**2 + 64, 2001**2 + 64}
+                  | {10**k for k in range(2, 8)})
+        for bound in sorted(bounds):
+            assert ([q.p for q in ns_enumerate(bound)]
+                    == oracles.square_plus_64_primes(bound)), bound
 
 
 class TestMiyawakiSearch:

@@ -581,6 +581,49 @@ class TestSumsOfAtoms:
         assert nodes and set(nodes) == {0}
 
 
+class TestJoinCounts:
+    """Every echelon pass of the atom sums makes a module not found before."""
+
+    # (l, n, d) -> echelon passes in _sums_of_atoms when v_l(s) = 1
+    PINNED = {(2, 2, 2): 25, (2, 3, 2): 75}
+
+    @pytest.mark.parametrize("ell, n, d, s", list(_admitted_searches()))
+    def test_each_pass_makes_a_new_module(self, monkeypatch, ell, n, d, s):
+        rep = build_rep(ell, d, s, max(4, n + 2))
+        bases, scope, memberships = [], [], []
+        engine = padic._echelon_columns
+        inner = galois._sums_of_atoms
+        coordinates = Lattice.coordinates
+
+        def counted_engine(ctx, cols):
+            basis, pivots = engine(ctx, cols)
+            if scope:
+                bases.append(basis)
+            return basis, pivots
+
+        def scoped(*args):
+            scope.append(True)
+            try:
+                return inner(*args)
+            finally:
+                scope.pop()
+
+        def counted_coordinates(self, vec):
+            memberships.append(vec)
+            return coordinates(self, vec)
+
+        monkeypatch.setattr(padic, "_echelon_columns", counted_engine)
+        monkeypatch.setattr(galois, "_sums_of_atoms", scoped)
+        monkeypatch.setattr(Lattice, "coordinates", counted_coordinates)
+        got = {lat.basis for lat in stable_submodules(rep, n)}
+        assert len(set(bases)) == len(bases)
+        assert set(bases) <= got
+        if (ell, n, d) in self.PINNED and s % (ell * ell):
+            assert len(bases) == self.PINNED[(ell, n, d)]
+        if (ell, n, d) == (2, 3, 2) and s % (ell * ell):
+            assert len(memberships) <= 2400
+
+
 class TestClosedForms:
     """node_lattice and l * L against the echelon passes they replaced."""
 

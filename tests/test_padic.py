@@ -10,6 +10,7 @@ import random
 import pytest
 
 import oracles
+from oracles import column_reduce
 from semistable_lab import intlinalg
 from semistable_lab.arith import ord_at
 from semistable_lab.padic import (
@@ -19,7 +20,6 @@ from semistable_lab.padic import (
     Pairing,
     PairingError,
     PrecisionLossError,
-    column_reduce,
     intersect,
     is_pure,
     lattice_sum,
