@@ -10,17 +10,16 @@ abelian ell-extensions.
 
 Units never appear as algebraic numbers: a unit is an integer polynomial in
 a root of unity, its lambda-adic behaviour is read off from the first-order
-Taylor data at 1, and its local images are read at roots eta of the
-cyclotomic polynomial in a finite field: a generator's from the characters
-of -1, eta and 1 - eta^t (Washington, Introduction to Cyclotomic Fields,
-GTM 83, 8.1), any other unit's from its polynomial value.
+Taylor data at 1, and the local images of the generators are read at
+roots eta of the cyclotomic polynomial in a finite field, from the
+characters of -1, eta and 1 - eta^t (Washington, Introduction to
+Cyclotomic Fields, GTM 83, 8.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
 
 from . import intlinalg
 from .arith import is_prime
@@ -134,23 +133,19 @@ def _primitive_root(ell: int) -> int:
     raise AssertionError("no primitive root found")
 
 
-def congruence_kernel(ell: int, extra_units: tuple = ()) -> list[tuple[int, ...]]:
+def congruence_kernel(ell: int) -> list[tuple[int, ...]]:
     """Exponent vectors spanning the units congruent to 1 mod lambda^2.
 
     A unit with Taylor pair (e0, e1) lies in the congruence subgroup iff
     e0 = 1 in F_ell^x and the unipotent coordinate -e1/e0 vanishes; the two
     conditions are homomorphisms to Z/(ell-1) and Z/ell, and the kernel of
-    the combined map on exponent vectors is integer linear algebra.
-
-    `extra_units` adjoins further unit polynomials to the generating set;
-    since they must already lie in the generated group, the downstream rank
-    data cannot change (a stabilization check exercised by the test suite).
+    the combined map on exponent vectors is integer linear algebra.  The
+    vectors are exponents of `unit_generators(ell)`, in that order.
     """
-    gens = unit_generators(ell) + list(extra_units)
     alphas, betas = [], []
     groot = _primitive_root(ell) if ell > 2 else 1
     dlog = {pow(groot, k, ell): k for k in range(ell - 1)} if ell > 2 else {1: 0}
-    for poly in gens:
+    for poly in unit_generators(ell):
         e0, e1 = _taylor_pair(poly, ell)
         alphas.append(dlog[e0] if ell > 2 else 0)
         betas.append(-e1 * pow(e0, -1, ell) % ell)
@@ -216,31 +211,7 @@ def _character_table(field: GF, ell: int) -> dict:
     return table
 
 
-def _evaluated_images(field: GF, eta, reps, polys, chi) -> list[tuple]:
-    """chi of each integer polynomial at the root eta^j of each place.
-
-    At each place the powers root^0 .. root^deg are computed once; a
-    polynomial's value there is the dot product of its coefficients with
-    their coordinate vectors, reduced mod p.
-    """
-    ring, p = field.ring, field.p
-    size = max(map(len, polys))
-    places = []  # places[i][t][k] is coordinate t of root_i^k
-    for j in reps:
-        root = ring.pow(ring.pack(eta), j)
-        power, rows = ring.pack(field.one), []
-        for _ in range(size):
-            coeffs = ring.unpack(power)
-            rows.append(coeffs + (0,) * (field.f - len(coeffs)))
-            power = ring.mul(power, root)
-        places.append(list(zip(*rows)))
-    return [tuple(chi(tuple(sum(map(mul, poly, column)) % p
-                            for column in columns))
-                  for columns in places)
-            for poly in polys]
-
-
-def unit_images(ell: int, p: int, extra_units: tuple = ()) -> list[tuple[int, ...]]:
+def unit_images(ell: int, p: int) -> list[tuple[int, ...]]:
     """Image of each unit generator in (Z/ell)^g2, one coordinate per place.
 
     With chi(u) = table[u^e], e = (p^f - 1)/ell, the place of eta^j maps -1
@@ -249,7 +220,6 @@ def unit_images(ell: int, p: int, extra_units: tuple = ()) -> list[tuple[int, ..
     = table[eta^(e mod m)] for eta of order m.  Frobenius gives
     (1 - eta^t)^p = 1 - eta^(tp), so c(tp) = p c(t): the orbit
     representatives j, one per place, take one power in F_{p^f} each.
-    Extra units are evaluated at every place and go through chi.
     """
     _validate(ell, p)
     field, eta, reps = _local_places(ell, p)
@@ -273,16 +243,13 @@ def unit_images(ell: int, p: int, extra_units: tuple = ()) -> list[tuple[int, ..
         for poly in cyclotomic_units:
             b = len(poly)
             images.append(tuple((c[j * b % m] - c[j]) % ell for j in reps))
-    if extra_units:
-        images += _evaluated_images(field, eta, reps, extra_units,
-                                    lambda u: table[field.pow(u, e)])
     return images
 
 
-def unit_image_rank(ell: int, p: int, extra_units: tuple = ()) -> GammaSReport:
+def unit_image_rank(ell: int, p: int) -> GammaSReport:
     """Rank data of the congruence-unit image inside the local product."""
-    images = unit_images(ell, p, extra_units)
-    kernel = congruence_kernel(ell, extra_units)
+    images = unit_images(ell, p)
+    kernel = congruence_kernel(ell)
     span = []
     for vec in kernel:
         combo = [0] * len(images[0]) if images else []

@@ -138,10 +138,6 @@ class IdentityCheck:
     lhs: PadicMatrix
     rhs: PadicMatrix
 
-    @property
-    def passed(self) -> bool:
-        return self.lhs.rows == self.rhs.rows
-
 
 def _block_inverses(rep: GaloisRep) -> tuple[PadicMatrix, PadicMatrix, int]:
     """The inverses of the sigma block, the tau block and omega, in closed

@@ -111,23 +111,6 @@ class PadicMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.rows)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.ncols)]
-
-    def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
-        self._check(other)
-        m = self.ctx.modulus
-        return PadicMatrix(
-            self.ctx,
-            tuple(
-                tuple((a + b) % m for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
-
     def __sub__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check(other)
         m = self.ctx.modulus
@@ -163,9 +146,6 @@ class PadicMatrix:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         return tuple(sum(map(mul, r, vec)) % m for r in self.rows)
-
-    def transpose(self) -> "PadicMatrix":
-        return PadicMatrix(self.ctx, tuple(zip(*self.rows)) if self.rows else ())
 
     def det(self) -> int:
         if self.nrows != self.ncols:
@@ -533,11 +513,6 @@ class Pairing:
         if self.gram.nrows != self.gram.ncols:
             return False
         return self.gram.det() % self.ctx.ell != 0
-
-    def value(self, x, y) -> int:
-        m = self.ctx.modulus
-        gy = self.gram.apply(y)
-        return sum(a * b for a, b in zip(x, gy)) % m
 
     @staticmethod
     def standard(ctx: PadicContext, r: int) -> "Pairing":

@@ -57,15 +57,6 @@ class QuadForm:
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    @property
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if not (abs(b) <= a <= c):
-            return False
-        if b < 0 and (abs(b) == a or a == c):
-            return False
-        return True
-
 
 def is_fundamental_discriminant(disc: int) -> bool:
     """Field discriminants: squarefree 1 mod 4, or 4m with m 2 or 3 mod 4."""

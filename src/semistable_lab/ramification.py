@@ -21,11 +21,10 @@ silently sampled over.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Mapping
 
 from .arith import is_prime, ord_at
 
@@ -75,9 +74,6 @@ class RamFiltration:
         """Largest i with G_i nontrivial, None for the trivial filtration:
         normalization leaves exactly one trailing 1."""
         return len(self.orders) - 2 if len(self.orders) > 1 else None
-
-    def is_trivial(self) -> bool:
-        return self.last_break is None
 
 
 def herbrand_phi(f: RamFiltration, u) -> Fraction:
@@ -270,43 +266,3 @@ def check_tower_equivalence(t: TowerData, ell: int) -> TowerReport:
         f_bottom=f_bottom,
         equivalence_witnessed=(l4 == both_small),
     )
-
-
-@dataclass(frozen=True)
-class RamProfile:
-    """Per-place ramification degrees, plus the filtration at ell."""
-
-    degrees: Mapping[int, int] = field(default_factory=dict)
-    ell_filtration: RamFiltration | None = None
-
-
-def controlled_predicate(
-    profile: RamProfile,
-    ell: int,
-    s_primes,
-    galois_with_roots_of_unity: bool = True,
-) -> bool:
-    """Ramification side of the controlled-extension conditions.
-
-    True iff ramification is confined to S, ell and infinity; degrees over
-    S divide ell; and the filtration at ell satisfies the break bound.
-    The global Galois-plus-roots-of-unity condition cannot be checked from
-    local data and enters as a caller-supplied flag.
-    """
-    s = set(s_primes)
-    if not galois_with_roots_of_unity:
-        return False
-    for p, degree in profile.degrees.items():
-        if degree < 1:
-            raise ValueError(f"ramification degree must be positive at {p}")
-        if degree == 1:
-            continue
-        if p == ell:
-            continue
-        if p not in s:
-            return False
-        if degree != ell:
-            # degrees over S must divide ell, so only 1 and ell qualify
-            return False
-    filtration = profile.ell_filtration or RamFiltration.trivial()
-    return check_break_bound(filtration, ell)

@@ -7,6 +7,7 @@ long division.  Slow is fine; these run only inside tests.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -208,6 +209,17 @@ def reduced_forms_brute(disc):
     return out
 
 
+def is_reduced(form):
+    """The reduction condition on a QuadForm: |b| <= a <= c, with b >= 0
+    when |b| = a or a = c."""
+    a, b, c = form.a, form.b, form.c
+    if not (abs(b) <= a <= c):
+        return False
+    if b < 0 and (abs(b) == a or a == c):
+        return False
+    return True
+
+
 def stable_subgroups_brute(sigma, tau, modulus):
     """Every subgroup of (Z/modulus)^r that sigma and tau map into itself.
 
@@ -307,6 +319,49 @@ def psi_by_steps(orders, y):
             return x + (y - acc) / slope
         acc += slope
         x += 1
+
+
+def is_trivial(filtration):
+    """Whether a RamFiltration has no nontrivial ramification group."""
+    return filtration.last_break is None
+
+
+@dataclasses.dataclass(frozen=True)
+class RamProfile:
+    """Per-place ramification degrees, plus the filtration at ell."""
+
+    degrees: dict[int, int] = dataclasses.field(default_factory=dict)
+    ell_filtration: RamFiltration | None = None
+
+
+def controlled_predicate(profile, ell, s_primes,
+                         galois_with_roots_of_unity=True):
+    """Ramification side of the controlled-extension conditions.
+
+    True iff ramification is confined to S, ell and infinity; degrees over
+    S divide ell; and the filtration at ell satisfies the break bound.
+    The global Galois-plus-roots-of-unity condition cannot be checked from
+    local data and enters as a caller-supplied flag.
+    """
+    from semistable_lab.ramification import RamFiltration, check_break_bound
+
+    s = set(s_primes)
+    if not galois_with_roots_of_unity:
+        return False
+    for p, degree in profile.degrees.items():
+        if degree < 1:
+            raise ValueError(f"ramification degree must be positive at {p}")
+        if degree == 1:
+            continue
+        if p == ell:
+            continue
+        if p not in s:
+            return False
+        if degree != ell:
+            # degrees over S must divide ell, so only 1 and ell qualify
+            return False
+    filtration = profile.ell_filtration or RamFiltration.trivial()
+    return check_break_bound(filtration, ell)
 
 
 def brute_orthogonal(gens, gram, modulus, ambient_rank):
@@ -722,16 +777,6 @@ def _horner_values(field, eta, reps, polys):
     return values
 
 
-def unit_values_horner(ell, p, extra_units=()):
-    """The field values behind unit_images_horner, one per place."""
-    from semistable_lab import cyclotomic
-
-    cyclotomic._validate(ell, p)
-    field, eta, reps = cyclotomic._local_places(ell, p)
-    polys = cyclotomic.unit_generators(ell) + list(extra_units)
-    return _horner_values(field, eta, reps, polys)
-
-
 def unit_images_horner(ell, p, extra_units=()):
     """Unit images by a Horner loop in the field, one coefficient at a time,
     and the character u -> table[u^e] of every value.
@@ -750,6 +795,60 @@ def unit_images_horner(ell, p, extra_units=()):
     polys = cyclotomic.unit_generators(ell) + list(extra_units)
     return [tuple(table[field.pow(u, e)] for u in values)
             for values in _horner_values(field, eta, reps, polys)]
+
+
+def unit_image_rank_horner(ell, p, extra_units=()):
+    """The F_ell-rank of the congruence-unit image, over the generators and
+    the extra units together.
+
+    A unit with Taylor pair (e0, e1) is 1 mod lambda^2 iff the discrete log
+    of e0 vanishes mod ell - 1 and -e1/e0 vanishes mod ell; the kernel of
+    both conditions on exponent vectors comes from intlinalg.kernel_mod,
+    the images from unit_images_horner, and the rank of their combinations
+    from the vector-at-a-time echelon above.  Extra units that lie in the
+    group the generators make leave the rank as it is.
+    """
+    from semistable_lab import cyclotomic, intlinalg
+
+    units = cyclotomic.unit_generators(ell) + list(extra_units)
+    root = next(g for g in range(1, ell)
+                if len({pow(g, k, ell) for k in range(ell - 1)}) == ell - 1)
+    dlog = {pow(root, k, ell): k for k in range(ell - 1)}
+    modulus = ell * (ell - 1)
+    conditions = [[], []]
+    for poly in units:
+        e0, e1 = cyclotomic._taylor_pair(poly, ell)
+        conditions[0].append(ell * dlog[e0] % modulus)
+        conditions[1].append((ell - 1) * (-e1 * pow(e0, -1, ell)) % modulus)
+    kernel = intlinalg.kernel_mod(conditions, modulus)
+    images = unit_images_horner(ell, p, extra_units)
+    span = [[sum(k * image[i] for k, image in zip(vec, images)) % ell
+             for i in range(len(images[0]))]
+            for vec in kernel]
+    return len(fl_echelon(span, ell))
+
+
+def matrix_columns(matrix):
+    """The columns of a PadicMatrix, as tuples."""
+    return [tuple(row[j] for row in matrix.rows) for j in range(matrix.ncols)]
+
+
+def transpose(matrix):
+    """The transpose of a PadicMatrix."""
+    from semistable_lab.padic import PadicMatrix
+
+    return PadicMatrix(matrix.ctx, tuple(zip(*matrix.rows)))
+
+
+def mat_add(a, b):
+    """The entrywise sum of two PadicMatrix of one shape and work ring."""
+    from semistable_lab.padic import PadicMatrix
+
+    a._check(b)
+    m = a.ctx.modulus
+    return PadicMatrix(a.ctx, tuple(
+        tuple((x + y) % m for x, y in zip(ra, rb))
+        for ra, rb in zip(a.rows, b.rows)))
 
 
 def matrix_inverse(mat):
@@ -813,6 +912,11 @@ def identities_full(ell, d, s, precision):
         conj @ sg - sg @ conj,
         block.block_diag(d).scale(s * s * ctx.invert_unit(w)))
     return out
+
+
+def identity_passed(check):
+    """The verdict of a galois.IdentityCheck: both sides agree."""
+    return check.lhs.rows == check.rhs.rows
 
 
 def echelon_columns_by_minimum(ctx, cols):
@@ -890,7 +994,8 @@ def column_reduce(matrix):
     """
     from semistable_lab.padic import Lattice, PadicMatrix
 
-    lat = Lattice.from_generators(matrix.ctx, matrix.nrows, matrix.columns())
+    lat = Lattice.from_generators(matrix.ctx, matrix.nrows,
+                                  matrix_columns(matrix))
     rows = [[col[i] for col in lat.basis] for i in range(matrix.nrows)]
     return (PadicMatrix.from_rows(matrix.ctx, rows),
             list(lat.elementary_divisors))
@@ -905,7 +1010,7 @@ def column_reduce_by_minimum(matrix):
 
     ctx = matrix.ctx
     m = ctx.modulus
-    cols = [tuple(int(x) % m for x in c) for c in matrix.columns()]
+    cols = [tuple(int(x) % m for x in c) for c in matrix_columns(matrix)]
     basis, _pivots = echelon_columns_by_minimum(ctx, cols)
     rows = [[col[i] for col in basis] for i in range(matrix.nrows)]
     divisors = smith_valuations(cols, ctx.ell, ctx.precision, matrix.nrows)

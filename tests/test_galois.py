@@ -84,8 +84,8 @@ class TestBuildRep:
         for ell in (2, 3, 5):
             rep = build_rep(ell, 1, ell, 5)
             ctx, w = rep.ctx, rep.omega
-            quad = (rep.tau @ rep.tau - rep.tau.scale(1 + w)
-                    + PadicMatrix.identity(ctx, 2).scale(w))
+            quad = oracles.mat_add(rep.tau @ rep.tau - rep.tau.scale(1 + w),
+                                   PadicMatrix.identity(ctx, 2).scale(w))
             assert not any(x for row in quad.rows for x in row)
             assert rep.tau.det() == w
 
@@ -114,7 +114,8 @@ class TestIdentities:
                         rep = build_rep(ell, d, s, precision)
                         checks = verify_identities(rep)
                         assert len(checks) == 2
-                        assert all(c.passed for c in checks), (ell, s, precision, d)
+                        assert all(oracles.identity_passed(c)
+                                   for c in checks), (ell, s, precision, d)
 
     def test_identity_names_by_residue(self):
         names2 = [c.name for c in verify_identities(build_rep(2, 1, 2, 4))]
@@ -137,9 +138,12 @@ class TestIdentities:
 
     def test_unit_rescaled_s_still_passes(self):
         # s only matters through its residue class times units
-        assert all(c.passed for c in verify_identities(build_rep(3, 1, 15, 5)))
-        assert all(c.passed for c in verify_identities(build_rep(5, 2, 35, 4)))
-        assert all(c.passed for c in verify_identities(build_rep(2, 1, -2, 4)))
+        assert all(oracles.identity_passed(c)
+                   for c in verify_identities(build_rep(3, 1, 15, 5)))
+        assert all(oracles.identity_passed(c)
+                   for c in verify_identities(build_rep(5, 2, 35, 4)))
+        assert all(oracles.identity_passed(c)
+                   for c in verify_identities(build_rep(2, 1, -2, 4)))
 
     def test_lhs_and_rhs_are_recorded(self):
         check = verify_identities(build_rep(2, 1, 2, 4))[0]
@@ -478,7 +482,7 @@ class TestIdentitiesAgainstFullMatrices:
                 assert [c.name for c in got] == list(want)
                 for c in got:
                     assert (c.lhs, c.rhs) == want[c.name], (ell, s, d)
-                    assert c.passed
+                    assert oracles.identity_passed(c)
 
     @pytest.mark.parametrize("precision", [3, 17, 600])
     def test_omega_at_three_is_the_newton_lift(self, precision):
@@ -510,7 +514,7 @@ class TestTauBlockCheck:
         agree = 0
         for a, b, c, d in itertools.product(range(m), repeat=4):
             mat = PadicMatrix.from_rows(ctx, [[a, b], [c, d]])
-            quad = mat @ mat - mat.scale(1 + w) + ident.scale(w)
+            quad = oracles.mat_add(mat @ mat - mat.scale(1 + w), ident.scale(w))
             want = mat.det() == w and not any(x for r in quad.rows for x in r)
             try:
                 _check_tau_block(mat, w)

@@ -1,7 +1,10 @@
 """Source rules that hold for every module of the package."""
 
 import ast
+import functools
+import importlib
 import re
+import symtable
 import sys
 from pathlib import Path
 
@@ -95,24 +98,102 @@ def test_work_ring_inverse_has_one_home():
     assert found == []
 
 
-def _readme_tests_names() -> set[str]:
-    """Every dotted part of each backticked name in the README "Tests"
-    section, so `padic.PadicMatrix.transpose` names `transpose` too."""
+def _readme_tests_tokens() -> list[str]:
+    """Each backticked name in the README "Tests" section."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
     section = readme.read_text().split("\n## Tests\n", 1)[1].split("\n## ", 1)[0]
-    return {part for token in re.findall(r"`([^`\s]+)`", section)
+    return re.findall(r"`([^`\s]+)`", section)
+
+
+def _readme_tests_names() -> set[str]:
+    """Every dotted part of each backticked name in the README "Tests"
+    section, so `padic.Lattice.declared_rank` names `declared_rank` too."""
+    return {part for token in _readme_tests_tokens()
             for part in token.split(".")}
+
+
+_SCOPE_NODES = {ast.Lambda: "lambda", ast.ListComp: "listcomp",
+                ast.SetComp: "setcomp", ast.DictComp: "dictcomp",
+                ast.GeneratorExp: "genexpr"}
+
+
+def _scope_parts(node) -> tuple[list, list]:
+    """The parts of a scope-making node read in the enclosing scope, and
+    those read in its own: decorators, defaults, annotations, bases and a
+    comprehension's first iterable belong to the enclosing scope."""
+    if isinstance(node, ast.ClassDef):
+        return node.decorator_list + node.bases + node.keywords, node.body
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        outer = getattr(node, "decorator_list", []) + args.defaults
+        outer += args.kw_defaults + [a.annotation for a in params]
+        outer.append(getattr(node, "returns", None))
+        body = [node.body] if isinstance(node, ast.Lambda) else node.body
+        return [part for part in outer if part is not None], body
+    first, *rest = node.generators
+    inner = [first.target, *first.ifs, *rest]
+    inner += [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+    return [first.iter], inner
+
+
+def _global_reads(tree, table) -> list[tuple[str, int]]:
+    """(name, line) of each bare name that is not local to its function.
+
+    The symbol tables say which scope binds a name, so a parameter or a
+    loop variable that shares a definition's name does not count as a
+    reference to that definition."""
+    reads = []
+
+    def visit(node, table, children):
+        if isinstance(node, ast.Name):
+            try:
+                local = (table.get_type() == "function"
+                         and not table.lookup(node.id).is_global())
+            except KeyError:  # a postponed annotation has no symbol
+                local = False
+            if not local:
+                reads.append((node.id, node.lineno))
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            key = (node.name, node.lineno)
+        elif type(node) in _SCOPE_NODES:
+            key = (_SCOPE_NODES[type(node)], node.lineno)
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, table, children)
+            return
+        outer, inner = _scope_parts(node)
+        for part in outer:
+            visit(part, table, children)
+        scope = children[key].pop(0)
+        grandchildren = _children_by_key(scope)
+        for part in inner:
+            visit(part, scope, grandchildren)
+
+    visit(tree, table, _children_by_key(table))
+    return reads
+
+
+def _children_by_key(table) -> dict:
+    children = {}
+    for child in table.get_children():
+        children.setdefault((child.get_name(), child.get_lineno()), []).append(child)
+    return children
 
 
 def test_unreferenced_definitions_are_named_in_readme():
     """A module-level function or class, or a method, that no code of the
     package references outside its own body is kept only for a reason the
-    README "Tests" section gives, so it must be named there.  Dunders, the
-    `_cmd_*` handlers and `main` are reached by the interpreter and the
-    command line, not by name."""
+    README "Tests" section gives, so it must be named there.  A bare name
+    local to its function (a parameter or a variable) refers to no
+    definition.  Dunders, the `_cmd_*` handlers and `main` are reached by
+    the interpreter and the command line, not by name."""
     defs, refs = [], []
     for path in SOURCES:
-        tree = ast.parse(path.read_text(), filename=str(path))
+        source = path.read_text()
+        tree = ast.parse(source, filename=str(path))
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 defs += [(path, sub, f"{node.name}.{sub.name}")
@@ -120,11 +201,10 @@ def test_unreferenced_definitions_are_named_in_readme():
                          if isinstance(sub, ast.FunctionDef)]
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((path, node, node.name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                refs.append((node.id, path, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                refs.append((node.attr, path, node.lineno))
+        table = symtable.symtable(source, str(path), "exec")
+        refs += [(name, path, line) for name, line in _global_reads(tree, table)]
+        refs += [(node.attr, path, node.lineno) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)]
     named = _readme_tests_names()
     found = []
     for path, node, qualname in defs:
@@ -138,3 +218,23 @@ def test_unreferenced_definitions_are_named_in_readme():
                    for ref, where, line in refs):
             found.append(f"{path.name}:{qualname}")
     assert found == []
+
+
+def test_readme_tests_names_resolve():
+    """Each module-qualified name in the README "Tests" section is an
+    attribute of the package, so a routine that moves or goes leaves no
+    stale line behind."""
+    modules = {path.stem for path in SOURCES}
+    checked, missing = 0, []
+    for token in _readme_tests_tokens():
+        head, *rest = token.split(".")
+        if head not in modules or not rest:
+            continue
+        checked += 1
+        try:
+            functools.reduce(getattr, rest,
+                             importlib.import_module(f"semistable_lab.{head}"))
+        except AttributeError:
+            missing.append(token)
+    assert checked > 0
+    assert missing == []

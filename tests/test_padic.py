@@ -203,7 +203,8 @@ class TestColumnReduce:
                 PadicMatrix.from_rows(ctx, [[g[i] for g in gens] for i in range(r)])
             )
             before = oracles.closure_members(gens, ctx.modulus, r)
-            after = oracles.closure_members(reduced.columns(), ctx.modulus, r)
+            after = oracles.closure_members(oracles.matrix_columns(reduced),
+                                            ctx.modulus, r)
             assert before == after
 
     def test_canonical_under_presentation_change(self):
@@ -584,7 +585,7 @@ class TestOrthogonal:
             e = Pairing(ctx, PadicMatrix.from_rows(ctx, gram))
             perp = orthogonal(x, e)
             # complement with respect to the first slot uses the transpose
-            back = orthogonal(perp, Pairing(ctx, e.gram.transpose()))
+            back = orthogonal(perp, Pairing(ctx, oracles.transpose(e.gram)))
             assert back.basis == x.basis
             assert x.member_count() * perp.member_count() == ctx.modulus**r
 

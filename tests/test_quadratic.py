@@ -14,7 +14,7 @@ from semistable_lab.quadratic import (
     reduced_forms,
 )
 
-from oracles import reduced_form_census, reduced_forms_brute
+from oracles import is_reduced, reduced_form_census, reduced_forms_brute
 
 
 class TestQuadForm:
@@ -31,12 +31,12 @@ class TestQuadForm:
             QuadForm(1, 3, 1)  # positive discriminant
 
     def test_reduced_flag(self):
-        assert QuadForm(1, 0, 1).is_reduced
-        assert QuadForm(2, 1, 3).is_reduced
-        assert QuadForm(2, -1, 3).is_reduced
-        assert not QuadForm(3, 1, 2).is_reduced  # a > c
-        assert not QuadForm(2, -2, 3).is_reduced  # b = -a
-        assert not QuadForm(2, -1, 2).is_reduced  # a = c needs b >= 0
+        assert is_reduced(QuadForm(1, 0, 1))
+        assert is_reduced(QuadForm(2, 1, 3))
+        assert is_reduced(QuadForm(2, -1, 3))
+        assert not is_reduced(QuadForm(3, 1, 2))  # a > c
+        assert not is_reduced(QuadForm(2, -2, 3))  # b = -a
+        assert not is_reduced(QuadForm(2, -1, 2))  # a = c needs b >= 0
 
 
 class TestFundamental:
@@ -80,7 +80,7 @@ class TestClassNumber:
             forms = reduced_forms(d)
             assert len(forms) == len(set(forms))
             for f in forms:
-                assert f.is_reduced
+                assert is_reduced(f)
                 assert f.discriminant == d
             b0 = abs(d) % 2
             principal = QuadForm(1, b0, (b0 * b0 - d) // 4)
