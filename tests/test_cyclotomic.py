@@ -212,6 +212,23 @@ class TestUnitImagesAgainstHorner:
         assert _PRIMES_BELOW_1500[45] == 199
         assert count == 8 * 46 - 8
 
+    def test_images(self):
+        """The character is a homomorphism: a product of two generators,
+        reduced mod Phi_ell and read by Horner, has the sum of their images."""
+        for ell in ELLS:
+            n = len(cyclotomic.unit_generators(ell))
+            pairs = [(i, j) for i in range(n) for j in range(i, n)][:4]
+            extras = pairwise_products(ell)[:4]
+            for p in _PRIMES_BELOW_1500[:20]:
+                if p == ell:
+                    continue
+                images = cyclotomic.unit_images(ell, p)
+                assert images == oracles.unit_images_horner(ell, p)
+                horner = oracles.unit_images_horner(ell, p, extras)[n:]
+                assert horner == [tuple((a + b) % ell for a, b
+                                        in zip(images[i], images[j]))
+                                  for i, j in pairs]
+
 
 class TestUnitImageRank:
     def test_frozen_reports(self):
