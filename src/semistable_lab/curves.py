@@ -424,8 +424,6 @@ def velu_quotient(e: WeierstrassCurve, pt: Point) -> WeierstrassCurve:
         raise ValueError(f"kernel point order {ell} is not prime")
     b2 = e.a1**2 + 4 * e.a2
     half = [multiply_point(e, k, pt) for k in range(1, ell // 2 + 1)]
-    if ell == 2:
-        half = [pt]
     v = w = Fraction(0)
     for x, y in half:
         gx = 3 * x * x + 2 * e.a2 * x + e.a4 - e.a1 * y

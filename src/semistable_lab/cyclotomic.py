@@ -11,9 +11,10 @@ abelian ell-extensions.
 Units never appear as algebraic numbers: a unit is an integer polynomial in
 a root of unity, its lambda-adic behaviour is read off from the first-order
 Taylor data at 1, and the local images of the generators are read at
-roots eta of the cyclotomic polynomial in a finite field, from the
-characters of -1, eta and 1 - eta^t (Washington, Introduction to
-Cyclotomic Fields, GTM 83, 8.1).
+a root eta of the cyclotomic polynomial in a finite field, from the
+characters of eta and 1 - eta^t (Washington, Introduction to Cyclotomic
+Fields, GTM 83, 8.1); a power of eta is the character's root of unity, and
+at f = 1 eta is a power of an integer, found without polynomial factoring.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import gcd
 from . import intlinalg
 from .arith import is_prime
 from .padic import fl_echelon
-from .polynomials import GF, equal_degree_factor, fp_trim, pneg
+from .polynomials import GF, equal_degree_factor, fp_trim, peval, pneg
 
 _ELL_LIMIT = 19
 
@@ -127,7 +128,7 @@ def _taylor_pair(poly: tuple[int, ...], ell: int) -> tuple[int, int]:
 
 
 def _primitive_root(ell: int) -> int:
-    for g in range(2, ell):
+    for g in range(1, ell):  # 1 is the primitive root mod 2
         if _mult_order(g, ell) == ell - 1:
             return g
     raise AssertionError("no primitive root found")
@@ -143,13 +144,13 @@ def congruence_kernel(ell: int) -> list[tuple[int, ...]]:
     vectors are exponents of `unit_generators(ell)`, in that order.
     """
     alphas, betas = [], []
-    groot = _primitive_root(ell) if ell > 2 else 1
-    dlog = {pow(groot, k, ell): k for k in range(ell - 1)} if ell > 2 else {1: 0}
+    groot = _primitive_root(ell)
+    dlog = {pow(groot, k, ell): k for k in range(ell - 1)}
     for poly in unit_generators(ell):
         e0, e1 = _taylor_pair(poly, ell)
-        alphas.append(dlog[e0] if ell > 2 else 0)
+        alphas.append(dlog[e0])
         betas.append(-e1 * pow(e0, -1, ell) % ell)
-    modulus = ell * (ell - 1) if ell > 2 else 2
+    modulus = ell * (ell - 1)
     rows = [
         [ell * a % modulus for a in alphas],
         [(ell - 1) * b % modulus for b in betas],
@@ -158,56 +159,46 @@ def congruence_kernel(ell: int) -> list[tuple[int, ...]]:
 
 
 def _local_places(ell: int, p: int):
-    """Residue field, primitive root of unity, and one exponent per place."""
+    """Residue field, a root eta of Phi_m at y, and one exponent per place.
+
+    At f = 1, eta = z^((p - 1)/m) for the least z >= 2 that is not an
+    ell-th power and the field is F_p[y]/(y - eta), so only f > 1 factors.
+    """
     m = _root_order(ell)
     f = _mult_order(p, m)
-    field = GF(p, equal_degree_factor(fp_trim(_cyclo_poly(ell), p), f, p))
+    if f == 1:
+        z = next(z for z in range(2, p) if pow(z, (p - 1) // ell, p) != 1)
+        root = pow(z, (p - 1) // m, p)
+        if peval(_cyclo_poly(ell), root) % p:
+            raise AssertionError("eta is not a root of Phi_m mod p")
+        field = GF(p, (-root, 1))
+    else:
+        field = GF(p, equal_degree_factor(fp_trim(_cyclo_poly(ell), p), f, p))
     eta = field.element((0, 1))
-    units = [j for j in range(1, m) if gcd(j, m) == 1]
-    reps = []
-    seen: set[int] = set()
-    for j in units:
-        if j in seen:
-            continue
-        reps.append(j)
-        orbit = j
-        while True:
-            orbit = orbit * p % m
-            if orbit == j:
-                break
-            seen.add(orbit)
+    reps, seen = [], set()
+    for j in range(1, m):
+        if gcd(j, m) == 1 and j not in seen:
+            reps.append(j)
+            t = j
+            while t not in seen:  # the Frobenius orbit of j
+                seen.add(t)
+                t = t * p % m
     return field, eta, reps
 
 
 def _character_table(field: GF, ell: int) -> dict:
-    """w^k -> k for the ell-th roots of unity w^k of the residue field.
+    """zeta^k -> k for the ell-th roots of unity zeta^k of the residue field.
 
-    w = z^e with e = (q - 1)/ell, for the first z of a fixed scan that is
-    not an ell-th power; then u -> table[u^e] maps F_q^x onto Z/ell with
+    zeta = eta^(m/ell), for the root eta of Phi_m that `_local_places` puts
+    at y; then u -> table[u^e], e = (q - 1)/ell, maps F_q^x onto Z/ell with
     kernel the ell-th powers.
     """
-    e = (field.order - 1) // ell
-    if field.f == 1:
-        # the scan's first element, 1, is an ell-th power
-        t, w = 2, field.one
-    else:
-        # every constant is an ell-th power, so the scan starts at y, the
-        # root of unity eta: its e-th power needs only e mod its order
-        eta = field.element((0, 1))
-        t, w = field.p + 1, field.pow(eta, e % _root_order(ell))
-    while w == field.one:
-        digits = []
-        n = t
-        while n:
-            digits.append(n % field.p)
-            n //= field.p
-        w = field.pow(field.element(tuple(digits)), e)
-        t += 1
+    zeta = field.pow(field.element((0, 1)), _root_order(ell) // ell)
     table = {}
     acc = field.one
     for k in range(ell):
         table[acc] = k
-        acc = field.mul(acc, w)
+        acc = field.mul(acc, zeta)
     return table
 
 
@@ -215,20 +206,21 @@ def unit_images(ell: int, p: int) -> list[tuple[int, ...]]:
     """Image of each unit generator in (Z/ell)^g2, one coordinate per place.
 
     With chi(u) = table[u^e], e = (p^f - 1)/ell, the place of eta^j maps -1
-    to chi(-1), mu to j chi(eta), and (1 - mu^b)/(1 - mu) to c(jb) - c(j),
-    where c(t) = chi(1 - eta^t).  chi(-1) is a power in F_p, and chi(eta)
-    = table[eta^(e mod m)] for eta of order m.  Frobenius gives
-    (1 - eta^t)^p = 1 - eta^(tp), so c(tp) = p c(t): the orbit
-    representatives j, one per place, take one power in F_{p^f} each.
+    to 0, mu to j chi(eta), and (1 - mu^b)/(1 - mu) to c(jb) - c(j), where
+    c(t) = chi(1 - eta^t).  chi(eta) = table[eta^(e mod m)] for eta of
+    order m.  Frobenius gives (1 - eta^t)^p = 1 - eta^(tp), so c(tp) =
+    p c(t): the orbit representatives j, one per place, take one power in
+    F_{p^f} each.
     """
     _validate(ell, p)
     field, eta, reps = _local_places(ell, p)
     table = _character_table(field, ell)
     m = _root_order(ell)
     e = (field.order - 1) // ell
-    sign = table[field.element((pow(-1, e, p),))]
     mu = table[field.pow(eta, e % m)]
-    images = [tuple(sign for _ in reps), tuple(j * mu % ell for j in reps)]
+    # -1 is an ell-th power in every residue field here: (-1)^ell at odd
+    # ell, eta^2 at ell = 2
+    images = [(0,) * len(reps), tuple(j * mu % ell for j in reps)]
     # the other generators are (1 - mu^b)/(1 - mu) = (1,) * b
     cyclotomic_units = unit_generators(ell)[2:]
     if cyclotomic_units:
@@ -249,15 +241,14 @@ def unit_images(ell: int, p: int) -> list[tuple[int, ...]]:
 def unit_image_rank(ell: int, p: int) -> GammaSReport:
     """Rank data of the congruence-unit image inside the local product."""
     images = unit_images(ell, p)
-    kernel = congruence_kernel(ell)
+    g2 = len(images[0])  # one coordinate per place
     span = []
-    for vec in kernel:
-        combo = [0] * len(images[0]) if images else []
+    for vec in congruence_kernel(ell):
+        combo = [0] * g2
         for exponent, img in zip(vec, images):
             combo = [(a + exponent * b) % ell for a, b in zip(combo, img)]
         span.append(tuple(combo))
     rank = len(fl_echelon(span, ell))
-    g2 = splitting(ell, p).g2
     report = GammaSReport(
         ell=ell, p=p, gamma_rank=g2, unit_image_rank=rank, bound=g2 - rank
     )

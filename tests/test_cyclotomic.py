@@ -9,7 +9,7 @@ never enumerates, so agreement here pins the linear-algebra route.
 import pytest
 
 from semistable_lab import cyclotomic
-from semistable_lab.polynomials import peval, pmul, resultant
+from semistable_lab.polynomials import GF, peval, pmul, resultant
 
 import oracles
 from oracles import box_unit_scan, pdivmod_monic
@@ -180,6 +180,48 @@ class TestUnitImages:
 
     def test_deterministic(self):
         assert cyclotomic.unit_images(7, 43) == cyclotomic.unit_images(7, 43)
+
+
+class TestResidueFields:
+    """The root eta of Phi_m that _local_places picks is one of phi(m)
+    choices; the character is read off eta, and f = 1 factors nothing."""
+
+    @pytest.mark.parametrize("ell,p", [(5, 31), (2, 17), (7, 29), (19, 191)])
+    def test_rank_does_not_depend_on_eta(self, monkeypatch, ell, p):
+        m = 4 if ell == 2 else ell
+        roots = [r for r in range(1, p) if peval(cyclo(ell), r) % p == 0]
+        assert len(roots) == sum(_gcd(j, m) == 1 for j in range(1, m))
+        field, _, reps = cyclotomic._local_places(ell, p)
+        assert field.f == 1
+        expected = cyclotomic.unit_image_rank(ell, p)
+        for root in roots:
+            field = GF(p, (-root % p, 1))
+            eta = field.element((0, 1))
+            assert eta == (root,)
+            places = (field, eta, reps)
+            monkeypatch.setattr(cyclotomic, "_local_places",
+                                lambda ell, p: places)
+            assert cyclotomic.unit_image_rank(ell, p) == expected
+            table = cyclotomic._character_table(field, ell)
+            assert table[field.pow(eta, m // ell)] == 1
+
+    @pytest.mark.parametrize("ell,p,f", [
+        (5, 31, 1), (2, 17, 1), (19, 191, 1),
+        (3, 1301, 2), (2, 7, 2), (19, 1303, 3),
+    ])
+    def test_only_f_above_one_factors(self, monkeypatch, ell, p, f):
+        """Phi_m is factored once, into degree f, at f > 1 and never at
+        f = 1, where f is the residue degree of p in Q(mu_m)."""
+        calls = []
+        factor = cyclotomic.equal_degree_factor
+
+        def counted(poly, f, p):
+            calls.append(f)
+            return factor(poly, f, p)
+
+        monkeypatch.setattr(cyclotomic, "equal_degree_factor", counted)
+        cyclotomic.unit_image_rank(ell, p)
+        assert calls == ([f] if f > 1 else [])
 
 
 def pairwise_products(ell):

@@ -238,3 +238,34 @@ def test_readme_tests_names_resolve():
             missing.append(token)
     assert checked > 0
     assert missing == []
+
+
+def _readme_limits_rows() -> list[list[str]]:
+    """The cells of each body row of the README limits table; an escaped
+    pipe inside a cell does not split it."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    table = readme.read_text().split("\n| limit | value | module | guards |\n",
+                                      1)[1]
+    rows = []
+    for line in table.splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        cells = re.split(r"(?<!\\)\|", line)[1:-1]
+        rows.append([cell.strip() for cell in cells])
+    return rows
+
+
+def test_readme_limits_names_resolve():
+    """Each backticked name in the first column of the README limits table
+    is an attribute of the module its third column names (the part before
+    the first dot), so a limit that moves or is renamed leaves no stale row."""
+    checked, missing = 0, []
+    for limit, _, module, _ in _readme_limits_rows():
+        home = importlib.import_module(
+            "semistable_lab." + module.strip("`").split(".")[0])
+        for name in re.findall(r"`([^`]+)`", limit):
+            checked += 1
+            if not hasattr(home, name):
+                missing.append(f"{home.__name__}.{name}")
+    assert checked > 0
+    assert missing == []
