@@ -13,8 +13,7 @@ a root of unity, its lambda-adic behaviour is read off from the first-order
 Taylor data at 1, and the local images of the generators are read at
 a root eta of the cyclotomic polynomial in a finite field, from the
 characters of eta and 1 - eta^t (Washington, Introduction to Cyclotomic
-Fields, GTM 83, 8.1); a power of eta is the character's root of unity, and
-at f = 1 eta is a power of an integer, found without polynomial factoring.
+Fields, GTM 83, 8.1); a power of eta is the character's root of unity.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from math import gcd
 from . import intlinalg
 from .arith import is_prime
 from .padic import fl_echelon
-from .polynomials import GF, equal_degree_factor, fp_trim, peval, pneg
+from .polynomials import GF, equal_degree_factor, fp_trim, pneg
 
 _ELL_LIMIT = 19
 
@@ -159,21 +158,10 @@ def congruence_kernel(ell: int) -> list[tuple[int, ...]]:
 
 
 def _local_places(ell: int, p: int):
-    """Residue field, a root eta of Phi_m at y, and one exponent per place.
-
-    At f = 1, eta = z^((p - 1)/m) for the least z >= 2 that is not an
-    ell-th power and the field is F_p[y]/(y - eta), so only f > 1 factors.
-    """
+    """Residue field, a root eta of Phi_m at y, and one exponent per place."""
     m = _root_order(ell)
     f = _mult_order(p, m)
-    if f == 1:
-        z = next(z for z in range(2, p) if pow(z, (p - 1) // ell, p) != 1)
-        root = pow(z, (p - 1) // m, p)
-        if peval(_cyclo_poly(ell), root) % p:
-            raise AssertionError("eta is not a root of Phi_m mod p")
-        field = GF(p, (-root, 1))
-    else:
-        field = GF(p, equal_degree_factor(fp_trim(_cyclo_poly(ell), p), f, p))
+    field = GF(p, equal_degree_factor(fp_trim(_cyclo_poly(ell), p), f, p))
     eta = field.element((0, 1))
     reps, seen = [], set()
     for j in range(1, m):

@@ -184,7 +184,7 @@ class TestUnitImages:
 
 class TestResidueFields:
     """The root eta of Phi_m that _local_places picks is one of phi(m)
-    choices; the character is read off eta, and f = 1 factors nothing."""
+    choices, and the character is read off eta."""
 
     @pytest.mark.parametrize("ell,p", [(5, 31), (2, 17), (7, 29), (19, 191)])
     def test_rank_does_not_depend_on_eta(self, monkeypatch, ell, p):
@@ -204,24 +204,6 @@ class TestResidueFields:
             assert cyclotomic.unit_image_rank(ell, p) == expected
             table = cyclotomic._character_table(field, ell)
             assert table[field.pow(eta, m // ell)] == 1
-
-    @pytest.mark.parametrize("ell,p,f", [
-        (5, 31, 1), (2, 17, 1), (19, 191, 1),
-        (3, 1301, 2), (2, 7, 2), (19, 1303, 3),
-    ])
-    def test_only_f_above_one_factors(self, monkeypatch, ell, p, f):
-        """Phi_m is factored once, into degree f, at f > 1 and never at
-        f = 1, where f is the residue degree of p in Q(mu_m)."""
-        calls = []
-        factor = cyclotomic.equal_degree_factor
-
-        def counted(poly, f, p):
-            calls.append(f)
-            return factor(poly, f, p)
-
-        monkeypatch.setattr(cyclotomic, "equal_degree_factor", counted)
-        cyclotomic.unit_image_rank(ell, p)
-        assert calls == ([f] if f > 1 else [])
 
 
 def pairwise_products(ell):
