@@ -1,10 +1,12 @@
 """Small shared integer helpers: primality, factorization, valuations,
-prime powers and square roots modulo a prime."""
+prime powers and square roots modulo a prime; and `Frozen`, the base of the
+package's immutable slotted classes."""
 
 from __future__ import annotations
 
 import math
 import random
+from operator import attrgetter
 
 # The prime bases 2..41 make Miller-Rabin deterministic below psi_13, the
 # least strong pseudoprime to all of them (Sorenson & Webster, Math. Comp.
@@ -186,3 +188,42 @@ def is_squarefree(n: int) -> bool:
             n //= d
         d += 2
     return n == 1 or math.isqrt(n) ** 2 != n
+
+
+class Frozen:
+    """Base of the immutable slotted classes.
+
+    A subclass names its constructor arguments in `_fields`, at least two
+    and in order, and sets every slot in `__init__` with
+    `object.__setattr__`; after that an assignment or deletion raises
+    AttributeError.  Equality (same class only), hashing, repr and pickling
+    read the `_fields`.  Slots outside them hold values derived from them,
+    computed once.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        cls._values = staticmethod(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

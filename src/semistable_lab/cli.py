@@ -79,7 +79,8 @@ def _jsonable(value):
             return [value.a1, value.a2, value.a3, value.a4, value.a6]
         if isinstance(value, dict):
             return {str(k): convert(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
+        # the records are tuples too; only WeierstrassCurve is rendered
+        if type(value) in (list, tuple):
             return [convert(v) for v in value]
         raise TypeError(f"cannot serialize {type(value).__name__}")
 

@@ -27,9 +27,9 @@ repaired.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .arith import factorize, is_prime, ord_at, prime_power
 from .polynomials import (
@@ -48,27 +48,25 @@ class SingularCurveError(ValueError):
     """Raised when a Weierstrass model has vanishing discriminant."""
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
+class WeierstrassCurve(NamedTuple("WeierstrassCurve", [
+        ("a1", int), ("a2", int), ("a3", int), ("a4", int), ("a6", int)])):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
-    def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            if not isinstance(getattr(self, name), int):
+    def __new__(cls, a1: int, a2: int, a3: int, a4: int, a6: int) -> "WeierstrassCurve":
+        coeffs = (a1, a2, a3, a4, a6)
+        for name, value in zip(cls._fields, coeffs):
+            if not isinstance(value, int):
                 raise TypeError(f"{name} must be an integer")
-        if _disc_from_b(*_b_invariants(self.coefficients())) == 0:
-            raise SingularCurveError(f"singular model {self.coefficients()}")
+        if _disc_from_b(*_b_invariants(coeffs)) == 0:
+            raise SingularCurveError(f"singular model {coeffs}")
+        return tuple.__new__(cls, coeffs)
 
     def coefficients(self) -> tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
+class CurveInvariants(NamedTuple):
     b2: int
     b4: int
     b6: int
@@ -79,8 +77,7 @@ class CurveInvariants:
     j: Fraction
 
 
-@dataclass(frozen=True)
-class LocalData:
+class LocalData(NamedTuple):
     p: int
     kind: str  # good | multiplicative | additive
     component_order: int  # ord_p(disc) when multiplicative, else 1

@@ -18,8 +18,8 @@ Fields, GTM 83, 8.1); a power of eta is the character's root of unity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from . import intlinalg
 from .arith import is_prime
@@ -29,8 +29,7 @@ from .polynomials import GF, equal_degree_factor, fp_trim, pneg
 _ELL_LIMIT = 19
 
 
-@dataclass(frozen=True)
-class SplittingData:
+class SplittingData(NamedTuple):
     """How the prime p splits in the ell-th (and 2ell-th) cyclotomic field.
 
     `g2`, the number of primes of Q(mu_{2ell}) over p, is the F_ell-rank of
@@ -47,8 +46,7 @@ class SplittingData:
     has_two_primes: bool
 
 
-@dataclass(frozen=True)
-class GammaSReport:
+class GammaSReport(NamedTuple):
     ell: int
     p: int
     gamma_rank: int

@@ -10,12 +10,12 @@ valuation at p carries the largest power of ell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import isqrt
 from os import path
+from typing import NamedTuple
 
 from .arith import is_prime, ord_at, prime_power, sqrt_mod
 from .curves import (
@@ -41,8 +41,7 @@ _NS_BOUND_LIMIT = 10**10
 _BOX_LIMIT = 32
 
 
-@dataclass(frozen=True)
-class SquarePlus64Pair:
+class SquarePlus64Pair(NamedTuple):
     """The two curves attached to a prime p = u^2 + 64 with u = 1 mod 4."""
 
     p: int
@@ -51,15 +50,13 @@ class SquarePlus64Pair:
     disc_p_squared: WeierstrassCurve
 
 
-@dataclass(frozen=True)
-class SeedRow:
+class SeedRow(NamedTuple):
     ell: int
     p: int
     curve: WeierstrassCurve
 
 
-@dataclass(frozen=True)
-class DaggerReport:
+class DaggerReport(NamedTuple):
     ell: int
     p: int
     seed: WeierstrassCurve

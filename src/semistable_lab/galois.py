@@ -22,7 +22,7 @@ echelon pass.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .padic import Lattice, PadicContext, PadicMatrix
 
@@ -56,8 +56,7 @@ def teichmuller_unit(ctx: PadicContext, seed: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class GaloisRep:
+class GaloisRep(NamedTuple):
     """Pair (sigma, tau) acting on a rank-2d module over Z/l^N.
 
     sigma is block-diagonal with d copies of [[1, s], [0, 1]] and tau with
@@ -132,8 +131,7 @@ def _check_tau_block(tau_block: PadicMatrix, omega: int) -> None:
         raise AssertionError("tau block trace is not 1 + omega")
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     lhs: PadicMatrix
     rhs: PadicMatrix
@@ -382,8 +380,7 @@ def _sums_of_atoms(ctx: PadicContext, rank: int, atoms) -> list[Lattice]:
     return [module for module, _count in found.values()]
 
 
-@dataclass(frozen=True)
-class FiltrationData:
+class FiltrationData(NamedTuple):
     """Toric step of the weight filtration at a fixed level.
 
     Both steps coincide here (one toric line per block), so M1 = M2 = the
@@ -533,8 +530,7 @@ def _ell_multiple(lat: Lattice) -> Lattice:
                    pivots, len(pivots))
 
 
-@dataclass(frozen=True)
-class MaximalNode:
+class MaximalNode(NamedTuple):
     """One homothety class of quotient lattices reached by a stable kernel."""
 
     lattice: Lattice
@@ -543,8 +539,7 @@ class MaximalNode:
     kernels: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
 
 
-@dataclass(frozen=True)
-class MaximalSearchReport:
+class MaximalSearchReport(NamedTuple):
     ell: int
     d: int
     s: int

@@ -35,17 +35,18 @@ A divisor that reaches the precision N is indistinguishable from an exact
 relation and is reported as a precision loss rather than silently dropped.
 
 All objects are immutable and every operation returns fresh values, so the
-module is safe to drive from concurrent workers.
+module is safe to drive from concurrent workers.  PadicContext, PadicMatrix
+and Lattice are slotted `arith.Frozen` classes, whose attributes cannot be
+assigned once built; Pairing is a NamedTuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from operator import mul
+from typing import NamedTuple
 
 from . import intlinalg
-from .arith import is_prime
+from .arith import Frozen, is_prime
 
 
 class PrecisionLossError(ArithmeticError):
@@ -56,22 +57,23 @@ class PairingError(ValueError):
     """The supplied gram matrix does not define a perfect pairing."""
 
 
-@dataclass(frozen=True)
-class PadicContext:
-    """Work ring descriptor: arithmetic happens in Z/ell^precision."""
+class PadicContext(Frozen):
+    """Work ring descriptor: arithmetic happens in Z/ell^precision.
 
-    ell: int
-    precision: int
+    `modulus`, ell^precision, is computed once, when the context is built.
+    """
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.ell):
-            raise ValueError(f"ell must be prime, got {self.ell}")
-        if self.precision < 1:
-            raise ValueError(f"precision must be >= 1, got {self.precision}")
+    __slots__ = ("ell", "precision", "modulus")
+    _fields = ("ell", "precision")
 
-    @cached_property
-    def modulus(self) -> int:
-        return self.ell**self.precision
+    def __init__(self, ell: int, precision: int) -> None:
+        if not is_prime(ell):
+            raise ValueError(f"ell must be prime, got {ell}")
+        if precision < 1:
+            raise ValueError(f"precision must be >= 1, got {precision}")
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "modulus", ell**precision)
 
     def invert_unit(self, u: int) -> int:
         """The inverse of a unit of the work ring."""
@@ -81,12 +83,14 @@ class PadicContext:
         return pow(u, -1, self.modulus)
 
 
-@dataclass(frozen=True)
-class PadicMatrix:
+class PadicMatrix(Frozen):
     """Immutable matrix over Z/l^N, stored as a tuple of row tuples."""
 
-    ctx: PadicContext
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("ctx", "rows")
+
+    def __init__(self, ctx: PadicContext, rows: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def from_rows(ctx: PadicContext, rows) -> "PadicMatrix":
@@ -257,23 +261,38 @@ def _echelon_columns(
     raise AssertionError("a nonzero column kept no entry below the precision")
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Frozen):
     """Submodule of (Z/l^N)^r given by a canonical echelon basis.
 
     `pivots` holds the (valuation, row) of each basis column, as the
     echelon pass found them.  Since the basis is canonical, == compares
     modules: two presentations of one module are equal even when their
-    elementary divisors differ.  Those divisors belong to the presentation
+    elementary divisors differ, and the hash reads only the context, the
+    ambient rank and the basis.  Those divisors belong to the presentation
     a lattice was built from; `generator_count` is its size, and with the
     pivots it determines them (see the module docstring).
     """
 
-    ctx: PadicContext
-    ambient_rank: int
-    basis: tuple[tuple[int, ...], ...]
-    pivots: tuple[tuple[int, int], ...] = field(compare=False)
-    generator_count: int = field(compare=False, repr=False)
+    __slots__ = _fields = ("ctx", "ambient_rank", "basis", "pivots",
+                           "generator_count")
+
+    def __init__(self, ctx: PadicContext, ambient_rank: int,
+                 basis: tuple[tuple[int, ...], ...],
+                 pivots: tuple[tuple[int, int], ...], generator_count: int) -> None:
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "generator_count", generator_count)
+
+    def __eq__(self, other):
+        if type(other) is not Lattice:
+            return NotImplemented
+        return (self.ctx, self.ambient_rank, self.basis) == (
+            other.ctx, other.ambient_rank, other.basis)
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.ambient_rank, self.basis))
 
     @staticmethod
     def from_generators(ctx: PadicContext, ambient_rank: int, generators) -> "Lattice":
@@ -498,16 +517,16 @@ def _fl_dim_intersection(a: list[tuple[int, ...]], b: list[tuple[int, ...]], ell
     return len(a) + len(b) - len(fl_echelon(a + b, ell))
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(NamedTuple("Pairing", [("ctx", PadicContext), ("gram", PadicMatrix)])):
     """Bilinear form e(x, y) = x^T * gram * y over the work ring."""
 
-    ctx: PadicContext
-    gram: PadicMatrix
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.gram.ctx != self.ctx:
+    def __new__(cls, ctx: PadicContext, gram: PadicMatrix) -> "Pairing":
+        if gram.ctx != ctx:
             raise ValueError("gram matrix lives in a different work ring")
+        return tuple.__new__(cls, (ctx, gram))
 
     def is_perfect(self) -> bool:
         if self.gram.nrows != self.gram.ncols:

@@ -22,11 +22,10 @@ modulus, and the f low slots are then reduced mod p.  `fp_mulmod`,
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .arith import is_prime
+from .arith import Frozen, is_prime
 
 
 def trim(coeffs) -> tuple[int, ...]:
@@ -462,16 +461,20 @@ def roots_mod(a, p) -> list[int]:
     return sorted(roots)
 
 
-@dataclass(frozen=True)
-class GF:
-    """F_{p^f} as F_p[y] modulo a fixed monic irreducible of degree f."""
+class GF(Frozen):
+    """F_{p^f} as F_p[y] modulo a fixed monic irreducible of degree f.
 
-    p: int
-    modulus: tuple[int, ...]
-    ring: QuotientRing = field(init=False, repr=False, compare=False)
+    `ring`, the packed arithmetic of F_p[y]/(modulus), is built once with
+    the field and takes no part in equality, hashing or repr.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "ring", QuotientRing(self.modulus, self.p))
+    __slots__ = ("p", "modulus", "ring")
+    _fields = ("p", "modulus")
+
+    def __init__(self, p: int, modulus: tuple[int, ...]) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "ring", QuotientRing(modulus, p))
 
     @property
     def f(self) -> int:

@@ -28,8 +28,8 @@ degree 4n over Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .arith import is_prime, is_squarefree, ord_at, sqrt_mod
 
@@ -39,13 +39,16 @@ from .arith import is_prime, is_squarefree, ord_at, sqrt_mod
 _DISC_LIMIT = 10**11
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(NamedTuple("QuadForm", [("a", int), ("b", int), ("c", int)])):
     """Positive definite integral binary quadratic form."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
+
+    def __new__(cls, a: int, b: int, c: int) -> "QuadForm":
+        form = tuple.__new__(cls, (a, b, c))
+        form.__post_init__()
+        return form
 
     def __post_init__(self) -> None:
         if self.a <= 0:
@@ -213,8 +216,7 @@ def class_number(disc: int) -> int:
         for a in range(low + 1, top + 1) if r[a])
 
 
-@dataclass(frozen=True)
-class ControlledExtensionReport:
+class ControlledExtensionReport(NamedTuple):
     """Shape of the maximal 2-extension controlled at the odd prime p."""
 
     p: int

@@ -21,23 +21,25 @@ silently sampled over.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
-from .arith import is_prime, ord_at
+from .arith import Frozen, is_prime, ord_at
 
 
-@dataclass(frozen=True)
-class RamFiltration:
-    """Non-increasing chain of subgroup orders, trailing 1 normalized."""
+class RamFiltration(Frozen):
+    """Non-increasing chain of subgroup orders, trailing 1 normalized.
 
-    orders: tuple[int, ...]
-    base_field_tag: str = ""
+    `sums` holds the prefix sums (0, |G_1|, |G_1| + |G_2|, ...) over the
+    orders, computed once, when the filtration is built.
+    """
 
-    def __post_init__(self) -> None:
-        orders = tuple(int(x) for x in self.orders)
+    __slots__ = ("orders", "base_field_tag", "sums")
+    _fields = ("orders", "base_field_tag")
+
+    def __init__(self, orders: tuple[int, ...], base_field_tag: str = "") -> None:
+        orders = tuple(int(x) for x in orders)
         if not orders:
             orders = (1,)
         if any(x < 1 for x in orders):
@@ -53,6 +55,8 @@ class RamFiltration:
         if orders[-1] != 1:
             orders = orders + (1,)
         object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "base_field_tag", base_field_tag)
+        object.__setattr__(self, "sums", tuple(accumulate(orders[1:], initial=0)))
 
     @staticmethod
     def trivial(tag: str = "") -> "RamFiltration":
@@ -63,11 +67,6 @@ class RamFiltration:
         if i < 0:
             raise ValueError("lower numbering starts at 0")
         return self.orders[i] if i < len(self.orders) else 1
-
-    @cached_property
-    def sums(self) -> tuple[int, ...]:
-        """Prefix sums (0, |G_1|, |G_1| + |G_2|, ...) over the orders."""
-        return tuple(accumulate(self.orders[1:], initial=0))
 
     @property
     def last_break(self) -> int | None:
@@ -140,8 +139,7 @@ def check_break_bound(f: RamFiltration, ell: int) -> bool:
     return herbrand_phi(f, c) <= Fraction(1, ell - 1)
 
 
-@dataclass(frozen=True)
-class TowerReport:
+class TowerReport(NamedTuple):
     l4_holds: bool
     f_top: Fraction
     f_bottom: Fraction

@@ -5,6 +5,7 @@ import copy
 import hashlib
 import itertools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -829,3 +830,19 @@ class TestCommandTable:
                                   f"{choices} ...")
         # argparse names the subcommand argument by its dest, not its usage
         assert "error: argument command: invalid choice: 'frobnicate'" in err
+
+
+class TestImportWeight:
+    def test_cli_pulls_in_no_code_generating_modules(self):
+        """Importing the CLI loads none of `dataclasses` and the modules it
+        brings (`inspect`, `ast`, `dis`, `tokenize`), which a bare
+        interpreter here does not load either."""
+        src = Path(cli.__file__).resolve().parents[1]
+        code = ("import sys; import semistable_lab.cli; "
+                "print([m for m in ('dataclasses', 'inspect', 'ast', 'dis', "
+                "'tokenize') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

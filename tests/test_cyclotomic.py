@@ -317,9 +317,11 @@ class TestUnitImageRank:
         with pytest.raises(ValueError):
             cyclotomic.splitting(6, 7).g2
 
-    def test_character_search_skips_constants(self, monkeypatch):
-        """For f > 1 every constant is an ell-th power; the search for a
-        non-power must not walk through all p - 1 of them."""
+    def test_table_comes_from_one_root_of_unity(self, monkeypatch):
+        """The character table is the powers of zeta = eta^(m/ell), one
+        power of eta in F_{p^f}: at f > 1, where every constant is an
+        ell-th power, the request takes a few powers and no walk through
+        the p - 1 constants."""
         from semistable_lab import polynomials
         calls = []
         pow_ = polynomials.GF.pow
@@ -337,10 +339,11 @@ class TestUnitImageRank:
         (19, 1303, 3, 7),
         (19, 3317044064679887384962751, 18, 2),
     ])
-    def test_one_character_power_per_orbit(self, monkeypatch, ell, p, f,
+    def test_exponent_e_only_at_the_places(self, monkeypatch, ell, p, f,
                                            bound):
-        """The generator images take one power with exponent (p^f - 1)/ell
-        per place, plus at most one for the character's root of unity."""
+        """The table's root of unity zeta = eta^(m/ell) is a power with
+        exponent m/ell, so the only powers with exponent e = (p^f - 1)/ell
+        are the generator images', one per place (bound allows one more)."""
         from semistable_lab import polynomials
         e = (p**f - 1) // ell
         calls = []

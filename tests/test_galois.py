@@ -1,6 +1,5 @@
 """Tests for the inertia-pair matrix models and the isogeny bookkeeping."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -457,13 +456,12 @@ class TestBlockInverses:
             ("sigma_block", [[1, rep.s], [ell, 1]]),
         )
         for name, rows in tampered:
-            bad = dataclasses.replace(
-                rep, **{name: PadicMatrix.from_rows(ctx, rows)})
+            bad = rep._replace(**{name: PadicMatrix.from_rows(ctx, rows)})
             with pytest.raises(ArithmeticError, match="closed-form inverse"):
                 verify_identities(bad)
         # a wrong omega^-1 shows in the product that confirms tau^-1
         with pytest.raises(ArithmeticError, match="closed-form inverse"):
-            verify_identities(dataclasses.replace(rep, omega=2))
+            verify_identities(rep._replace(omega=2))
 
 
 class TestIdentitiesAgainstFullMatrices:
