@@ -76,7 +76,7 @@ def _jsonable(value):
         if isinstance(value, Fraction):
             return f"{value.numerator}/{value.denominator}"
         if isinstance(value, WeierstrassCurve):
-            return [value.a1, value.a2, value.a3, value.a4, value.a6]
+            return list(value)
         if isinstance(value, dict):
             return {str(k): convert(v) for k, v in value.items()}
         # the records are tuples too; only WeierstrassCurve is rendered

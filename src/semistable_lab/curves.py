@@ -63,7 +63,7 @@ class WeierstrassCurve(NamedTuple("WeierstrassCurve", [
         return tuple.__new__(cls, coeffs)
 
     def coefficients(self) -> tuple[int, int, int, int, int]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+        return tuple(self)
 
 
 class CurveInvariants(NamedTuple):

@@ -77,20 +77,6 @@ class TestRecordSemantics:
         assert pickle.loads(pickle.dumps(value)) == value
 
 
-def test_fields_are_the_constructor_arguments():
-    """Named fields, and the one hidden derived value each, hold what the
-    dataclasses held."""
-    curve = BUILDERS["WeierstrassCurve"]()
-    assert (curve.a1, curve.a6) == (1, -14)
-    assert curve.coefficients() == (1, -1, 1, -1, -14)
-    ctx = BUILDERS["PadicContext"]()
-    assert (ctx.ell, ctx.precision, ctx.modulus) == (3, 5, 243)
-    filtration = BUILDERS["RamFiltration"]()
-    assert filtration.orders == (12, 6, 2, 1)
-    assert filtration.base_field_tag == "tag"
-    assert filtration.sums == (0, 6, 8, 9)
-
-
 @pytest.mark.parametrize("name", ["PadicMatrix", "Lattice"])
 def test_matrix_and_module_are_not_tuples(name):
     value = BUILDERS[name]()
