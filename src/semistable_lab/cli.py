@@ -74,7 +74,7 @@ def _jsonable(value):
                 text = rendered[value] = str(Decimal(value))
             return text
         if isinstance(value, Fraction):
-            return f"{value.numerator}/{value.denominator}"
+            return f"{convert(value.numerator)}/{convert(value.denominator)}"
         if isinstance(value, WeierstrassCurve):
             return list(value)
         if isinstance(value, dict):

@@ -14,6 +14,13 @@ Taylor data at 1, and the local images of the generators are read at
 a root eta of the cyclotomic polynomial in a finite field, from the
 characters of eta and 1 - eta^t (Washington, Introduction to Cyclotomic
 Fields, GTM 83, 8.1); a power of eta is the character's root of unity.
+
+A unit with Taylor pair (e0, e1) is 1 mod lambda^2 iff e0 = 1 and
+beta = -e1/e0 = 0 mod ell, and only the image mod ell is read, so the rank
+is taken over F_ell alone.  If beta(x) = 0 mod ell for an exponent vector
+x, then (ell - 1)x meets both conditions and is -x mod ell, so the
+congruence units have the image M(ker beta) of the generators' image
+matrix M; and dim M(ker beta) = rank [beta | M] - rank beta.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from . import intlinalg
 from .arith import is_prime
 from .padic import fl_echelon
 from .polynomials import GF, equal_degree_factor, fp_trim, pneg
@@ -124,37 +130,6 @@ def _taylor_pair(poly: tuple[int, ...], ell: int) -> tuple[int, int]:
     return e0, e1
 
 
-def _primitive_root(ell: int) -> int:
-    for g in range(1, ell):  # 1 is the primitive root mod 2
-        if _mult_order(g, ell) == ell - 1:
-            return g
-    raise AssertionError("no primitive root found")
-
-
-def congruence_kernel(ell: int) -> list[tuple[int, ...]]:
-    """Exponent vectors spanning the units congruent to 1 mod lambda^2.
-
-    A unit with Taylor pair (e0, e1) lies in the congruence subgroup iff
-    e0 = 1 in F_ell^x and the unipotent coordinate -e1/e0 vanishes; the two
-    conditions are homomorphisms to Z/(ell-1) and Z/ell, and the kernel of
-    the combined map on exponent vectors is integer linear algebra.  The
-    vectors are exponents of `unit_generators(ell)`, in that order.
-    """
-    alphas, betas = [], []
-    groot = _primitive_root(ell)
-    dlog = {pow(groot, k, ell): k for k in range(ell - 1)}
-    for poly in unit_generators(ell):
-        e0, e1 = _taylor_pair(poly, ell)
-        alphas.append(dlog[e0])
-        betas.append(-e1 * pow(e0, -1, ell) % ell)
-    modulus = ell * (ell - 1)
-    rows = [
-        [ell * a % modulus for a in alphas],
-        [(ell - 1) * b % modulus for b in betas],
-    ]
-    return [tuple(v) for v in intlinalg.kernel_mod(rows, modulus)]
-
-
 def _local_places(ell: int, p: int):
     """Residue field, a root eta of Phi_m at y, and one exponent per place."""
     m = _root_order(ell)
@@ -225,16 +200,21 @@ def unit_images(ell: int, p: int) -> list[tuple[int, ...]]:
 
 
 def unit_image_rank(ell: int, p: int) -> GammaSReport:
-    """Rank data of the congruence-unit image inside the local product."""
+    """Rank data of the congruence-unit image inside the local product.
+
+    The image is M(ker beta) over F_ell, where M has the rows of
+    `unit_images` and beta_i = -e1/e0 is the unipotent coordinate of
+    generator i: for x in ker beta, (ell - 1)x is 1 mod lambda^2 and is -x
+    mod ell.  Its dimension is rank [beta | M] - rank beta.
+    """
     images = unit_images(ell, p)
     g2 = len(images[0])  # one coordinate per place
-    span = []
-    for vec in congruence_kernel(ell):
-        combo = [0] * g2
-        for exponent, img in zip(vec, images):
-            combo = [(a + exponent * b) % ell for a, b in zip(combo, img)]
-        span.append(tuple(combo))
-    rank = len(fl_echelon(span, ell))
+    betas = []
+    for poly in unit_generators(ell):
+        e0, e1 = _taylor_pair(poly, ell)
+        betas.append(-e1 * pow(e0, -1, ell) % ell)
+    rows = [(beta,) + img for beta, img in zip(betas, images)]
+    rank = len(fl_echelon(rows, ell)) - any(betas)  # less rank beta
     report = GammaSReport(
         ell=ell, p=p, gamma_rank=g2, unit_image_rank=rank, bound=g2 - rank
     )

@@ -1,10 +1,10 @@
 """Integer Smith form with transforms, and kernels modulo any modulus.
 
 These serve what the Z/l^N column engine of `padic` cannot: a kernel needs
-the column transform, and `cyclotomic.congruence_kernel` works modulo the
-composite l(l - 1).  Matrices are lists of row lists of Python ints. Sizes
-here are tiny (ambient rank <= 8), so the plain gcd-driven eliminations
-below are fine.
+the column transform, and `padic.intersect` and `padic.orthogonal` read
+their lattices off kernels modulo l^N.  Matrices are lists of row lists of
+Python ints. Sizes here are tiny (ambient rank <= 8), so the plain
+gcd-driven eliminations below are fine.
 """
 
 from __future__ import annotations

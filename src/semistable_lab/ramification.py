@@ -49,11 +49,8 @@ class RamFiltration(Frozen):
                 raise ValueError(f"orders must be non-increasing, got {a} then {b}")
             if a % b:
                 raise ValueError(f"each order must divide the previous: {b} after {a}")
-        # normalize: exactly one trailing 1
-        while len(orders) >= 2 and orders[-2] == 1:
-            orders = orders[:-1]
-        if orders[-1] != 1:
-            orders = orders + (1,)
+        # normalize: exactly one trailing 1 (the orders fall, so 1s trail)
+        orders = orders[:orders.index(1) + 1] if 1 in orders else orders + (1,)
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "base_field_tag", base_field_tag)
         object.__setattr__(self, "sums", tuple(accumulate(orders[1:], initial=0)))

@@ -797,16 +797,16 @@ def unit_images_horner(ell, p, extra_units=()):
             for values in _horner_values(field, eta, reps, polys)]
 
 
-def unit_image_rank_horner(ell, p, extra_units=()):
-    """The F_ell-rank of the congruence-unit image, over the generators and
-    the extra units together.
+def congruence_kernel(ell, extra_units=()):
+    """Exponent vectors spanning the units congruent to 1 mod lambda^2.
 
-    A unit with Taylor pair (e0, e1) is 1 mod lambda^2 iff the discrete log
-    of e0 vanishes mod ell - 1 and -e1/e0 vanishes mod ell; the kernel of
-    both conditions on exponent vectors comes from intlinalg.kernel_mod,
-    the images from unit_images_horner, and the rank of their combinations
-    from the vector-at-a-time echelon above.  Extra units that lie in the
-    group the generators make leave the rank as it is.
+    A unit with Taylor pair (e0, e1) lies in the congruence subgroup iff
+    the discrete log of e0 vanishes mod ell - 1 and the unipotent
+    coordinate -e1/e0 vanishes mod ell; the two conditions are
+    homomorphisms to Z/(ell-1) and Z/ell, and the kernel of the combined
+    map on exponent vectors comes from the Smith form over the composite
+    modulus ell(ell - 1), intlinalg.kernel_mod.  The vectors are exponents
+    of `unit_generators(ell)` and then the extra units, in that order.
     """
     from semistable_lab import cyclotomic, intlinalg
 
@@ -820,7 +820,20 @@ def unit_image_rank_horner(ell, p, extra_units=()):
         e0, e1 = cyclotomic._taylor_pair(poly, ell)
         conditions[0].append(ell * dlog[e0] % modulus)
         conditions[1].append((ell - 1) * (-e1 * pow(e0, -1, ell)) % modulus)
-    kernel = intlinalg.kernel_mod(conditions, modulus)
+    return [tuple(v) for v in intlinalg.kernel_mod(conditions, modulus)]
+
+
+def unit_image_rank_horner(ell, p, extra_units=()):
+    """The F_ell-rank of the congruence-unit image, over the generators and
+    the extra units together.
+
+    The kernel of the congruence conditions comes from the Smith-form
+    route of congruence_kernel, the images from unit_images_horner, and
+    the rank of their combinations from the vector-at-a-time echelon
+    above.  Extra units that lie in the group the generators make leave
+    the rank as it is.
+    """
+    kernel = congruence_kernel(ell, extra_units)
     images = unit_images_horner(ell, p, extra_units)
     span = [[sum(k * image[i] for k, image in zip(vec, images)) % ell
              for i in range(len(images[0]))]

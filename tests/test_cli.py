@@ -11,11 +11,13 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import oracles
+from make_golden import CORPUS
 from semistable_lab import (cli, cyclotomic, families, galois, intlinalg,
                             padic, quadratic)
 from semistable_lab.arith import PRIMALITY_BOUND, is_prime
@@ -77,6 +79,14 @@ class TestReportShape:
     def test_fractions_are_strings(self):
         report, _ = run_cli(["curve-info", "--curve", "0,0,0,0,1"])
         assert report["results"]["j"] == "0/1"
+        # the largest a6 the parser admits: j = c4^3/Delta has parts past
+        # the interpreter's int -> str limit
+        a6 = 10**4299 + 1
+        report, status = run_cli(["curve-info", "--curve", f"0,0,0,1,{a6}"])
+        assert status == 0
+        j = Fraction(-48) ** 3 / (-16 * (4 + 27 * a6 * a6))
+        assert report["results"]["j"] == (
+            f"{Decimal(j.numerator)}/{Decimal(j.denominator)}")
 
 
 class TestDeterminism:
@@ -483,6 +493,27 @@ class TestMaximalSearchWithoutIntersections:
         assert status == 0
         assert report["results"]["maximal_part"] == ell
         assert all(check["pass"] for check in report["checks"])
+
+
+class TestGammaRankWithoutSmithForm:
+    """The congruence-unit rank is read over F_ell, so gamma-rank needs no
+    integer Smith form and no kernel modulo l(l - 1)."""
+
+    @pytest.mark.parametrize("ell, p", [(5, 31), (7, 1201)])  # f = 1, f = 3
+    def test_answers_with_smith_form_disabled(self, monkeypatch, capsys,
+                                              ell, p):
+        def refuse(*args):
+            raise RuntimeError("integer Smith form")
+
+        monkeypatch.setattr(intlinalg, "kernel_mod", refuse)
+        monkeypatch.setattr(intlinalg, "smith_with_transforms", refuse)
+        argv = ["gamma-rank", "--ell", str(ell), "--p", str(p)]
+        digest = next(row["stdout_sha256"]
+                      for row in json.loads(CORPUS.read_text())
+                      if row["argv"] == argv)
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
 
 
 class TestIsogenyMaximalSearches:

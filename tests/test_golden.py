@@ -9,7 +9,11 @@ both; a change that means to alter report bytes regenerates them and
 names each changed row.
 """
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +68,20 @@ def test_report_bytes(monkeypatch, row):
     monkeypatch.setenv("COLUMNS", COLUMNS)
     got = run_request(row["argv"])
     assert got == (row["status"], row["stdout_sha256"], row["stderr_sha256"])
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("argv", [
+    ["paper-suite"], ["isogeny-maximal", "--ell", "3", "--s", "3", "--n", "2"]],
+    ids=_request_id)
+def test_report_bytes_under_fixed_hash_seeds(argv, seed):
+    """A fresh process under a fixed PYTHONHASHSEED prints the corpus bytes,
+    so no report depends on the order of a set or dict of strings."""
+    row = next(r for r in ROWS + LIMIT_ROWS if r["argv"] == argv)
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src"),
+           "PYTHONHASHSEED": seed, "PYTHONIOENCODING": "utf-8",
+           "COLUMNS": COLUMNS}
+    proc = subprocess.run([sys.executable, "-m", "semistable_lab.cli", *argv],
+                          capture_output=True, env=env)
+    assert proc.returncode == row["status"], proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == row["stdout_sha256"]

@@ -47,6 +47,7 @@ class TestFiltrationValidation:
         assert RamFiltration((4,)).orders == (4, 1)
         assert RamFiltration(()).orders == (1,)
         assert RamFiltration((1, 1, 1)).orders == (1,)
+        assert RamFiltration((2,) + (1,) * 2048).orders == (2, 1)
 
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):
