@@ -19,10 +19,16 @@ PRIMALITY_BOUND = 3317044064679887385961981  # psi_13
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for n < PRIMALITY_BOUND; larger n is refused."""
+    """Deterministic primality for n < PRIMALITY_BOUND; larger n is refused.
+
+    The refusal names n's bit length, not n: past 4,300 digits the
+    interpreter refuses to write an int as text at all.
+    """
     if n >= PRIMALITY_BOUND:
         raise ValueError(
-            f"primality is proven only below psi_13 = {PRIMALITY_BOUND}, got {n}")
+            f"primality is proven only below psi_13 = {PRIMALITY_BOUND} "
+            f"({PRIMALITY_BOUND.bit_length()} bits), got an integer of "
+            f"{n.bit_length()} bits")
     if n < 2:
         return False
     for p in _MR_BASES:

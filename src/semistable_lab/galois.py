@@ -9,14 +9,16 @@ matrix ring, the lattice of stable submodules, and the order-transfer
 formula across quotients by stable kernels.
 
 The stable submodules of (Z/l^n)^(2d) are found from their atoms, the
-stable closures of single vectors: one vector per orbit of the unit group
-is closed in one echelon pass, as the span of its images under a basis of
-the word algebra in sigma and tau.  The atoms are then summed smallest
-first, each module keeping the set of atoms inside it.  Those sets give
-M ∩ a and so the size |M| |a| / |M ∩ a| of a sum M + a, which tells a sum
-found already from a new one: every echelon pass makes a new module.  A
-node lattice is written down from its kernel's canonical basis, with no
-echelon pass.
+stable closures of single vectors: one vector per orbit of <sigma, tau>
+times the unit group is closed in one echelon pass, as the span of its
+images under a basis of the word algebra in sigma and tau, and the rest
+of its orbit is walked in unit-normal form and skipped.  The atoms are
+then summed smallest first, each module keeping the set of atoms inside
+it.  Those sets give M ∩ a and so the size |M| |a| / |M ∩ a| of a sum
+M + a, which tells a sum found already from a new one: every echelon
+pass makes a new module.  A node lattice is written down from its
+kernel's canonical basis, with no echelon pass, and sigma's action on it
+mod l is read off that basis, with no matrix product.
 """
 
 from __future__ import annotations
@@ -214,7 +216,8 @@ def require_searchable(ell: int, n: int, d: int) -> None:
 
 
 def _orbit_representatives(ell: int, n: int, rank: int):
-    """One nonzero vector of (Z/l^n)^rank per orbit of the unit group.
+    """One nonzero vector of (Z/l^n)^rank per orbit of the unit group,
+    its _unit_normal form, ordered by v, then position, then vector.
 
     The representative's first entry of least valuation v is exactly l^v:
     entries before it are multiples of l^(v+1), entries after it multiples
@@ -232,21 +235,50 @@ def _orbit_representatives(ell: int, n: int, rank: int):
                     yield before + (step,) + after
 
 
+def _unit_normal(ctx: PadicContext,
+                 vec: tuple[int, ...]) -> tuple[int, ...]:
+    """The vector of nonzero vec's unit orbit that _orbit_representatives
+    lists: stage v finds the first entry x = l^v u, u a unit, that
+    l^(v+1) does not divide, and scaling by 1/u makes it l^v."""
+    q, ell = ctx.modulus, ctx.ell
+    step = 1
+    while step < q:
+        nxt = step * ell
+        for x in vec:
+            if x % nxt:
+                u = x // step
+                if u == 1:
+                    return vec
+                inv = ctx.invert_unit(u)
+                return tuple(inv * y % q for y in vec)
+        step = nxt
+    raise AssertionError("the zero vector has no unit-normal form")
+
+
+def _level_generators(rep: GaloisRep,
+                      ctx: PadicContext) -> tuple[PadicMatrix, ...]:
+    """sigma and tau over ctx's ring, leaving out one that is the identity
+    there: sigma at level 1, since l | s.  tau never is."""
+    ident = PadicMatrix.identity(ctx, rep.rank).rows
+    return tuple(g for g in (PadicMatrix.from_rows(ctx, rep.sigma.rows),
+                             PadicMatrix.from_rows(ctx, rep.tau.rows))
+                 if g.rows != ident)
+
+
 def _word_algebra(rep: GaloisRep,
                   ctx: PadicContext) -> tuple[PadicMatrix, ...]:
     """Echelon basis of A, the span over ctx's ring of all words in sigma
     and tau.
 
     Grown from the identity by the right products X g, g in {sigma, tau},
-    that fall outside the span so far; every X put on `todo` has both
-    products inside once popped, so the span is closed under right
-    multiplication and is the span of all positive words.  sigma and tau
-    have finite order, so their inverses are positive words: A is the span
-    of all words and is closed on both sides.
+    that fall outside the span so far (an identity g adds none); every X
+    put on `todo` has both products inside once popped, so the span is
+    closed under right multiplication and is the span of all positive
+    words.  sigma and tau have finite order, so their inverses are
+    positive words: A is the span of all words and is closed on both sides.
     """
     rank = rep.rank
-    gens = (PadicMatrix.from_rows(ctx, rep.sigma.rows),
-            PadicMatrix.from_rows(ctx, rep.tau.rows))
+    gens = _level_generators(rep, ctx)
     flat = lambda mat: tuple(x for row in mat.rows for x in row)
     ident = PadicMatrix.identity(ctx, rank)
     span = Lattice.from_generators(ctx, rank * rank, [flat(ident)])
@@ -277,25 +309,41 @@ def stable_submodules(rep: GaloisRep, n: int) -> list[Lattice]:
 
     Exhaustive at desk scale; the guard keeps the ambient module small.
     A stable module is the sum of the stable closures of its elements, its
-    atoms, and the closure of u*x equals that of x for a unit u, so closing
-    one vector per unit orbit finds every atom.  The closure of x is A x
-    for the word algebra A, so it is one echelon pass over the images of x
-    under a basis of A, which is computed once per call.  Since an atom is
-    A x, it lies in a stable module exactly when x does, and every
-    containment test is one membership test of a generator.  The distinct
-    atoms are summed by _sums_of_atoms.  Modules come rebased (divisors
-    read off their echelon basis), ordered by size then basis.
+    atoms.  The closure of x is A x for the word algebra A, so it is one
+    echelon pass over the images of x under a basis of A, which is
+    computed once per call.  A x = A (u g x) for g in <sigma, tau> and a
+    unit u, so the unit-orbit representatives are taken in order, and one
+    not visited yet is closed and its orbit walked in unit-normal form:
+    each atom is kept with the same first generator, in the same order,
+    as by closing every representative.  Since an atom is A x, it lies in
+    a stable module exactly when x does, and every containment test is one
+    membership test of a generator.  The distinct atoms are summed by
+    _sums_of_atoms.  Modules come rebased (divisors read off their echelon
+    basis), ordered by size then basis.
     """
     ell = rep.ell
     require_searchable(ell, n, rep.d)
     ctx = PadicContext(ell, n)
     rank = rep.rank
     algebra = _word_algebra(rep, ctx)
+    gens = _level_generators(rep, ctx)
     # atom basis -> (atom, a vector that generates it)
     atoms: dict[tuple, tuple[Lattice, tuple[int, ...]]] = {}
+    visited: set[tuple[int, ...]] = set()
     for vec in _orbit_representatives(ell, n, rank):
+        if vec in visited:
+            continue
         lat = _atom(algebra, vec)
         atoms.setdefault(lat.basis, (lat, vec))
+        visited.add(vec)
+        todo = [vec]  # the rest of vec's orbit closes to lat too
+        while todo:
+            x = todo.pop()
+            for g in gens:
+                y = _unit_normal(ctx, g.apply(x))
+                if y not in visited:
+                    visited.add(y)
+                    todo.append(y)
     found = _sums_of_atoms(ctx, rank, atoms.values())
     return sorted((lat.rebased() for lat in found),
                   key=lambda l: (l.member_count(), l.basis))
@@ -420,9 +468,9 @@ def _coordinate_meet_count(kernel: Lattice, step: Lattice) -> int:
                          "of the kernel's module")
     toric = {row for _v, row in step.pivots}
     keep = [i for i in range(rank) if i not in toric]
-    image = Lattice.from_generators(
+    image = Lattice._from_reduced(
         kernel.ctx, len(keep),
-        [tuple(b[i] for i in keep) for b in kernel.basis])
+        tuple(tuple(b[i] for i in keep) for b in kernel.basis))
     return kernel.member_count() // image.member_count()
 
 
@@ -500,12 +548,17 @@ def node_lattice(rep: GaloisRep, kernel: Lattice, n: int) -> Lattice:
 
 
 def sigma_trivial_mod_ell(rep: GaloisRep, lat: Lattice) -> bool:
-    """Does sigma act as the identity on lat / (l * lat)?"""
-    m = rep.ctx.modulus
+    """Does sigma act as the identity on lat / (l * lat)?
+
+    sigma is I + s E_12 on each block, so (sigma - 1) b, which must lie in
+    l * lat for each basis column b, is read off b with no matrix product:
+    s (b_1, 0, b_3, 0, ...), 0-based.
+    """
+    m, s = rep.ctx.modulus, rep.s
     scaled = _ell_multiple(lat)
     for b in lat.basis:
-        image = rep.sigma.apply(b)
-        diff = tuple((image[i] - b[i]) % m for i in range(rep.rank))
+        diff = [0] * rep.rank
+        diff[::2] = [s * x % m for x in b[1::2]]
         if not scaled.contains(diff):
             return False
     return True
@@ -606,6 +659,6 @@ def product_kernel(k1: Lattice, k2: Lattice) -> Lattice:
     if k1.ctx != k2.ctx:
         raise ValueError("kernels live over different work rings")
     rank = k1.ambient_rank + k2.ambient_rank
-    gens = [tuple(b) + (0,) * k2.ambient_rank for b in k1.basis]
-    gens += [(0,) * k1.ambient_rank + tuple(b) for b in k2.basis]
-    return Lattice.from_generators(k1.ctx, rank, gens)
+    cols = tuple(b + (0,) * k2.ambient_rank for b in k1.basis)
+    cols += tuple((0,) * k1.ambient_rank + b for b in k2.basis)
+    return Lattice._from_reduced(k1.ctx, rank, cols)

@@ -602,10 +602,11 @@ def close_by_images(sigma, tau, vec):
     return lat
 
 
-def stable_submodules_by_every_join(rep, n):
-    """galois.stable_submodules as it was computed before the join pass
-    kept atom sets: every irreducibility test made, and every irreducible
-    atom added to every module found so far that does not contain it."""
+def atoms_by_every_representative(rep, n):
+    """The (atom, generator) pairs that galois.stable_submodules sums, as
+    found before the orbit walk: every unit-orbit representative closed
+    by an echelon pass over its images under the word algebra, each atom
+    kept with the first vector that closes to it, in that order."""
     from semistable_lab.galois import (
         _orbit_representatives,
         _word_algebra,
@@ -622,8 +623,18 @@ def stable_submodules_by_every_join(rep, n):
         lat = Lattice.from_generators(ctx, rank,
                                       [a.apply(vec) for a in algebra])
         atoms.setdefault(lat.basis, (lat, vec))
+    return list(atoms.values())
+
+
+def stable_submodules_by_every_join(rep, n):
+    """galois.stable_submodules as it was computed before the join pass
+    kept atom sets: every irreducibility test made, and every irreducible
+    atom added to every module found so far that does not contain it."""
+    from semistable_lab.padic import Lattice, PadicContext
+
+    ctx, rank = PadicContext(rep.ell, n), rep.rank
     irreducible = []
-    for atom, vec in sorted(atoms.values(),
+    for atom, vec in sorted(atoms_by_every_representative(rep, n),
                             key=lambda av: av[0].member_count()):
         inside = tuple(b for a, g in irreducible if atom.contains(g)
                        for b in a.basis)
@@ -1058,6 +1069,20 @@ def ell_multiple_by_echelon(lat):
     return Lattice.from_generators(
         lat.ctx, lat.ambient_rank,
         [tuple((lat.ctx.ell * x) % m for x in b) for b in lat.basis])
+
+
+def sigma_trivial_by_matrix(rep, lat):
+    """galois.sigma_trivial_mod_ell as it was computed before (sigma - 1) b
+    was read off b: sigma b - b through the full matrix product, tested for
+    membership in l * lat found by an echelon pass."""
+    m = rep.ctx.modulus
+    scaled = ell_multiple_by_echelon(lat)
+    for b in lat.basis:
+        image = rep.sigma.apply(b)
+        diff = tuple((image[i] - b[i]) % m for i in range(rep.rank))
+        if not scaled.contains(diff):
+            return False
+    return True
 
 
 def prime_power_every_candidate(n):

@@ -62,7 +62,10 @@ class TestPrimality:
         assert PRIMALITY_BOUND == PSI_13 == 1287836182261 * 2575672364521
         assert is_prime(PSI_13 - 1) is False  # just below: answered
 
-    @pytest.mark.parametrize("n", [PSI_13, PSI_13 + 2, 10**30])
+    # 10^5000 is past the 4,300-digit int -> str limit: the refusal names
+    # the bound, not n
+    @pytest.mark.parametrize("n", [PSI_13, PSI_13 + 2, 10**30,
+                                   pytest.param(10**5000, id="10^5000")])
     def test_refused_from_psi_13_on(self, n):
         with pytest.raises(ValueError, match=str(PSI_13)):
             is_prime(n)
@@ -222,6 +225,18 @@ class TestCliFaults:
                       "--primes", str(n)])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_huge_cofactor_gets_the_psi_13_refusal(self, capsys):
+        """A 1,501-digit coefficient makes a discriminant cofactor far past
+        psi_13: the refusal names it by its bit length, where writing it
+        out broke the message."""
+        coeffs = "0,-1,2,-2,0," + str(10**1500 + 7)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["genus2-disc", "--p-coeffs", coeffs, "--q-coeffs", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"below psi_13 = {PSI_13} (82 bits)" in captured.err
 
     def test_modulus_past_int_str_limit(self):
         # 5^6200 has 4334 digits, past the default limit of 4300; the

@@ -12,6 +12,7 @@ from semistable_lab.galois import (
     _check_tau_block,
     _ell_multiple,
     _orbit_representatives,
+    _unit_normal,
     _word_algebra,
     build_rep,
     component_transfer,
@@ -691,3 +692,64 @@ class TestClosedForms:
         assert set(passes["sigma_trivial_mod_ell"]) == {0}
         assert passes["node_lattice"] and max(passes["node_lattice"]) <= 2
         assert units and 1 not in units
+
+
+class TestOrbitWalk:
+    """One closure per orbit of <sigma, tau> x units, with the atoms that
+    closing every unit-orbit representative keeps."""
+
+    # (l, n, d) -> closures per search at s = l (1,095, 1,120, 135 and 156
+    # when every unit-orbit representative was closed)
+    PINNED = {(2, 3, 2): 108, (3, 2, 2): 144, (2, 2, 2): 36, (5, 1, 2): 48}
+
+    @pytest.mark.parametrize("ell, n, d", list(PINNED))
+    def test_closures_per_search(self, monkeypatch, ell, n, d):
+        calls = []
+        atom = galois._atom
+
+        def counted(algebra, vec):
+            calls.append(vec)
+            return atom(algebra, vec)
+
+        monkeypatch.setattr(galois, "_atom", counted)
+        stable_submodules(build_rep(ell, d, ell, max(4, n + 2)), n)
+        assert len(calls) == len(set(calls)) == self.PINNED[(ell, n, d)]
+
+    @pytest.mark.parametrize("ell, n, d, s", list(_admitted_searches()))
+    def test_same_atoms_as_closing_every_representative(self, monkeypatch,
+                                                        ell, n, d, s):
+        rep = build_rep(ell, d, s, max(4, n + 2))
+        kept = []
+
+        def recorded(ctx, rank, atoms):
+            kept.extend((lat.basis, vec) for lat, vec in atoms)
+            return []
+
+        monkeypatch.setattr(galois, "_sums_of_atoms", recorded)
+        stable_submodules(rep, n)
+        want = oracles.atoms_by_every_representative(rep, n)
+        assert kept == [(lat.basis, vec) for lat, vec in want]
+
+    @pytest.mark.parametrize("ell, n, rank", [(2, 3, 2), (3, 2, 2),
+                                              (5, 1, 3), (2, 2, 3)])
+    def test_representatives_are_their_unit_normal_forms(self, ell, n, rank):
+        ctx = PadicContext(ell, n)
+        q = ctx.modulus
+        units = [u for u in range(q) if u % ell]
+        for vec in _orbit_representatives(ell, n, rank):
+            for u in units:
+                assert _unit_normal(ctx, tuple(u * x % q for x in vec)) == vec
+        with pytest.raises(AssertionError, match="zero vector"):
+            _unit_normal(ctx, (0,) * rank)
+
+
+class TestSigmaTrivialClosedForm:
+    @pytest.mark.parametrize("ell, n, d, s", list(_admitted_searches()))
+    def test_matches_the_matrix_product(self, ell, n, d, s):
+        """(sigma - 1) b read off b agrees with sigma b - b through the
+        matrix, on every kernel and node of the search."""
+        rep = build_rep(ell, d, s, max(4, n + 2))
+        for kernel in stable_submodules(rep, n):
+            for lat in (kernel, node_lattice(rep, kernel, n)):
+                assert (sigma_trivial_mod_ell(rep, lat)
+                        == oracles.sigma_trivial_by_matrix(rep, lat))
