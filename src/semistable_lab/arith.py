@@ -1,6 +1,7 @@
 """Small shared integer helpers: primality, factorization, valuations,
-prime powers and square roots modulo a prime; and `Frozen`, the base of the
-package's immutable slotted classes."""
+prime powers (one at a time, or sieved as a table up to a bound) and square
+roots modulo a prime; and `Frozen`, the base of the package's immutable
+slotted classes."""
 
 from __future__ import annotations
 
@@ -124,6 +125,26 @@ def prime_power(n: int) -> tuple[int, int] | None:
         p = 2
     k = ord_at(n, p)
     return (p, k) if n == p**k else None
+
+
+def prime_power_table(limit: int) -> tuple[bytearray, dict[int, int]]:
+    """prime_power for every 0 <= n <= limit at once, as (sieve, powers).
+
+    sieve[n] is 1 exactly when n is prime (a sieve of Eratosthenes), and
+    powers maps each p^k <= limit with k >= 2 to p.  So n is a prime power
+    exactly when sieve[n] or n in powers, and one lookup gives its prime.
+    """
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = bytes(len(sieve[:2]))
+    powers = {}
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+            q = p * p
+            while q <= limit:
+                powers[q] = p
+                q *= p
+    return sieve, powers
 
 
 def sqrt_mod(n: int, p: int) -> int | None:

@@ -47,6 +47,9 @@ _GENUS2_REFERENCE = ((0, -1, 2, -2, 0, 1), (1,))
 # up to ~0.4 ms per prime near psi_13
 _ORDERS_LIMIT = 2048
 _PRIMES_LIMIT = 1000
+# digits of one integer in a list argument; the interpreter's default
+# int <- str limit, declared here so the refusal does not depend on it
+_DIGITS_LIMIT = 4300
 _CLASS_NUMBER_TABLE = {-3: (1, "trivial"), -4: (1, "trivial"),
                        -164: (8, "paper"), -292: (4, "derived")}
 _CONTROLLED_TABLE = {41: (8, 32, "paper"), 3: (1, 4, "trivial"),
@@ -101,8 +104,18 @@ def _check(name: str, expected, actual, provenance: str) -> dict:
 
 
 def _int_list(text: str) -> list[int]:
+    """The integers of a comma-separated list; one of more than
+    _DIGITS_LIMIT digits is refused before it is converted."""
+    parts = [part for part in text.split(",") if part.strip() != ""]
+    for part in parts:
+        # a part has no more digits than characters, so most skip the count
+        digits = sum(map(str.isdecimal, part)) if len(part) > _DIGITS_LIMIT else 0
+        if digits > _DIGITS_LIMIT:
+            raise argparse.ArgumentTypeError(
+                f"an integer exceeds the desk-scale limit {_DIGITS_LIMIT} "
+                f"digits, got {digits} digits")
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in parts]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 

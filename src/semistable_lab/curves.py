@@ -15,7 +15,8 @@ polynomial.
 Inside a `request_memo` block (the CLI opens one per request), each point
 count, each division-polynomial torsion verdict and each curve's list of
 one-step isogeny quotients is computed once; outside one nothing is
-cached.
+cached.  A count #E(F_q) is kept under the coefficients mod q, so curves
+congruent mod q share it.
 
 Minimality is the caller's contract.  The only model surgery provided is
 the standard (u, r, s, t) change of coordinates with scale u in {1, 2},
@@ -128,8 +129,8 @@ def local_data(e: WeierstrassCurve, p: int) -> LocalData:
 # request memo
 
 # Facts that one request may need more than once: #E(F_q) under
-# (coefficients, q), the rational points of order ell that the division
-# polynomial gives under (coefficients, "torsion", ell), and the
+# (coefficients mod q, q), the rational points of order ell that the
+# division polynomial gives under (coefficients, "torsion", ell), and the
 # one-step quotient list under (coefficients, "quotients").  The memo is
 # set only inside a `request_memo` block, so a library call outside one
 # caches nothing and nothing outlives the request.
@@ -138,7 +139,8 @@ _MEMO: ContextVar[dict | None] = ContextVar("curves_request_memo",
 
 
 class request_memo:
-    """Context manager: within it, point counts and one-step quotients are
+    """Context manager: within it, point counts (once per residue class of
+    the coefficients), torsion verdicts and one-step quotients are
     computed once; on leaving, the memo is dropped."""
 
     def __enter__(self):
@@ -208,8 +210,14 @@ def count_points(e: WeierstrassCurve, q: int) -> int:
 
 
 def _count(e: WeierstrassCurve, q: int) -> int:
-    """count_points, through the request memo."""
-    return _memoized((e.coefficients(), q), lambda: count_points(e, q))
+    """count_points, through the request memo, keyed by the coefficients
+    mod q: for q = p^k, #E(F_q) and good reduction at p depend only on the
+    reduction mod p, so congruent curves share one count."""
+    if not q:  # no residues mod 0; count_points refuses it
+        return count_points(e, q)
+    a1, a2, a3, a4, a6 = e
+    return _memoized(((a1 % q, a2 % q, a3 % q, a4 % q, a6 % q), q),
+                     lambda: count_points(e, q))
 
 
 def trace_of_frobenius(e: WeierstrassCurve, q: int) -> int:

@@ -2,7 +2,8 @@
 
 Three sources of curves live here: the two-parameter family attached to
 primes p = u^2 + 64, an exhaustive small-coefficient box search for curves
-of prime-power discriminant with a rational odd-torsion point, and a short
+of prime-power discriminant with a rational odd-torsion point (each
+discriminant read off one sieved prime-power table), and a short
 packaged table of seed curves.  On top of the enumeration sits the "dagger"
 selection: inside each isogeny class, the member whose discriminant
 valuation at p carries the largest power of ell.
@@ -17,7 +18,7 @@ from math import isqrt
 from os import path
 from typing import NamedTuple
 
-from .arith import is_prime, ord_at, prime_power, sqrt_mod
+from .arith import is_prime, ord_at, prime_power_table, sqrt_mod
 from .curves import (
     WeierstrassCurve,
     _disc_from_b,
@@ -34,9 +35,9 @@ EXCEPTIONAL_SEED = WeierstrassCurve(1, -1, 1, -1, -14)
 
 # Desk-scale limits, checked before any work: ns_enumerate costs about
 # bound^(1/2)/10 prime tests (about 0.3 s at the limit); miyawaki_search
-# filters 12 (2 coeff_bound + 1)^2 models once per process and bound (about
-# 0.4 s at the limit), then tests the survivors for ell-torsion (under 0.1 s
-# per ell at the limit).
+# filters 12 (2 coeff_bound + 1)^2 models once per process and bound, one
+# table lookup each (under 0.1 s at the limit, the 3 MB table included),
+# then tests the survivors for ell-torsion (about 0.05 s per ell there).
 _NS_BOUND_LIMIT = 10**10
 _BOX_LIMIT = 32
 
@@ -108,37 +109,49 @@ def ns_enumerate(bound: int) -> list[SquarePlus64Pair]:
     return out
 
 
+def _box_disc_bound(coeff_bound: int) -> int:
+    """An upper bound on |disc| over the box of miyawaki_search.
+
+    The triangle inequality on disc = -b2^2 b8 - 8 b4^3 - 27 b6^2 +
+    9 b2 b4 b6, with |b2| <= 5, |b4| <= 2B + 1, |b6| <= 4B + 1 and
+    |b8| <= B^2 + 6B + 1 for B = coeff_bound.
+    """
+    b4, b6 = 2 * coeff_bound + 1, 4 * coeff_bound + 1
+    b8 = coeff_bound * (coeff_bound + 6) + 1
+    return 25 * b8 + 8 * b4**3 + 27 * b6**2 + 45 * b4 * b6
+
+
 @cache
 def _prime_power_models(coeff_bound: int) -> tuple[tuple[WeierstrassCurve, int, Fraction], ...]:
     """(curve, p, j) for every model of the box with |disc| = p^k and
     multiplicative reduction at p, in enumeration order.
 
     Nothing here depends on ell, so the box is filtered once per process
-    and bound.  The discriminant comes straight from the b-invariants, each
-    computed in the outermost loop it depends on; only survivors become
-    curves, and each passes `invariants` (with its identity check) once,
-    which supplies c4 and j.
+    and bound.  One prime-power table up to _box_disc_bound, sieved here
+    and dropped on return, answers each model's discriminant by a lookup.
+    The discriminant comes straight from the b-invariants, and c4 =
+    b2^2 - 24 b4 rejects additive models, each computed in the outermost
+    loop it depends on; only survivors become curves, with j = c4^3/disc.
     """
+    sieve, powers = prime_power_table(_box_disc_bound(coeff_bound))
     out = []
     span = range(-coeff_bound, coeff_bound + 1)
     # b8 = b2 a6 + (a2 a3^2 - a1 a3 a4 - a4^2): b2 is fixed per (a1, a2, a3),
-    # b4 and the a4-part of b8 per a4, and only b6 and b8 move with a6
+    # b4, c4 and the a4-part of b8 per a4, and only b6 and b8 move with a6
     for a1, a2, a3 in product((0, 1), (-1, 0, 1), (0, 1)):
         b2 = a1 * a1 + 4 * a2
         for a4 in span:
             b4 = 2 * a4 + a1 * a3
+            c4 = b2 * b2 - 24 * b4
             b8_a4 = a2 * a3 * a3 - a1 * a3 * a4 - a4 * a4
             for a6 in span:
                 disc = _disc_from_b(b2, b4, a3 * a3 + 4 * a6, b2 * a6 + b8_a4)
-                pk = prime_power(abs(disc))  # None when disc = 0: singular
-                if pk is None:
+                n = abs(disc)
+                p = n if sieve[n] else powers.get(n)  # None at disc = 0 too
+                if p is None or c4 % p == 0:  # additive: p divides disc and c4
                     continue
-                e = WeierstrassCurve(a1, a2, a3, a4, a6)
-                inv = invariants(e)
-                p = pk[0]
-                if inv.c4 % p == 0:  # additive: p divides disc and c4
-                    continue
-                out.append((e, p, inv.j))
+                out.append((WeierstrassCurve(a1, a2, a3, a4, a6), p,
+                            Fraction(c4**3, disc)))
     return tuple(out)
 
 

@@ -97,6 +97,11 @@ LIMIT_REQUESTS = {
         ("curve-info", "--curve", "0,-1,1,-10,-20",
          "--primes", ",".join(map(str, _FIRST_PRIMES[:1001]))),
     ),
+    # a6 = 10^4299 + 1 and 10^4300 + 1, spelt out: the interpreter may
+    # refuse to write an int of more than 4,300 digits as text
+    "_DIGITS_LIMIT": tuple(
+        ("curve-info", "--curve", "0,0,0,1,1" + "0" * zeros + "1")
+        for zeros in (4298, 4299)),
 }
 # Limits-table rows that no request reaches, so neither side has a row.
 UNREACHED = {

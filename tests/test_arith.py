@@ -14,6 +14,7 @@ from semistable_lab.arith import (
     is_squarefree,
     ord_at,
     prime_power,
+    prime_power_table,
     sqrt_mod,
 )
 from semistable_lab.padic import fl_echelon
@@ -126,6 +127,33 @@ class TestPrimePower:
         cases += [q * r for qs in near for q, r in zip(qs, qs[1:])]
         for n in cases:
             assert prime_power(n) == prime_power_every_candidate(n), n
+
+
+def table_prime(table, n):
+    """The prime of n read off a prime_power_table, or None."""
+    sieve, powers = table
+    return n if sieve[n] else powers.get(n)
+
+
+class TestPrimePowerTable:
+    """The sieved table is prime_power for every n up to its limit; the
+    box search's own bounds are checked in test_families."""
+
+    def test_matches_prime_power_below_2_to_the_17(self):
+        limit = 2**17 - 1
+        table = prime_power_table(limit)
+        assert len(table[0]) == limit + 1
+        for n in range(limit + 1):
+            pk = prime_power(n)
+            assert table_prime(table, n) == (pk and pk[0]), n
+
+    @pytest.mark.parametrize("limit", range(10))
+    def test_tiny_limits(self, limit):
+        table = prime_power_table(limit)
+        assert len(table[0]) == limit + 1
+        assert [table_prime(table, n) for n in range(limit + 1)] == [
+            None, None, 2, 3, 2, 5, None, 7, 2, 3][:limit + 1]
+        assert all(q <= limit for q in table[1])
 
 
 class TestSquarefree:

@@ -139,6 +139,24 @@ class TestUsageErrors:
         r = run_proc(["ramification", "--orders", "4,x,1", "--ell", "2"])
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("max_str_digits", [0, 640, 4300])
+    def test_integer_past_the_digit_limit_refused_by_its_length(
+            self, capsys, max_str_digits):
+        """The refusal names the limit and the digit count, echoes not the
+        argument, and holds whatever the interpreter's int <- str limit."""
+        past = "1" + "0" * cli._DIGITS_LIMIT
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(max_str_digits)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.run(["curve-info", "--curve", f"0,0,0,1,{past}"])
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert ("limit 4300 digits, got 4301 digits" in err
+                and len(err) < 400)
+
     def test_curve_needs_five_coefficients(self):
         r = run_proc(["curve-info", "--curve", "1,2,3"])
         assert r.returncode == 2

@@ -725,6 +725,53 @@ class TestRequestMemo:
         assert closed["pass"] is False
 
 
+class TestCountsByResidueClass:
+    """Within a request #E(F_q) is kept under the coefficients mod q, so
+    curves congruent mod q share one count; outside one nothing is
+    shared."""
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["miyawaki-search", "--ell", "3"], 101),
+        (["paper-suite"], 157),
+    ])
+    def test_count_points_calls_per_request(self, monkeypatch, capsys, argv,
+                                            calls):
+        counts = counting(monkeypatch, "count_points")
+        assert cli.main(argv) == 0
+        assert len(counts) == calls
+
+    def test_congruent_curves_share_one_count(self, monkeypatch):
+        mod_9 = WeierstrassCurve(*(a + 9 for a in E1))
+        mod_3 = WeierstrassCurve(*(a + 3 for a in E1))
+        curves_ = (E1, mod_9, mod_3)
+        counts = counting(monkeypatch, "count_points")
+        with curves.request_memo():
+            traces = [trace_of_frobenius(e, 9) for e in curves_]
+        # #E1(F_9) is derived from #E1(F_3); mod_9 reads both counts, and
+        # mod_3 reads the one at 3, so #E(F_9) agrees for all three
+        assert counts == [(E1, 9), (E1, 3), (mod_3, 9)]
+        assert traces == [traces[0]] * 3
+        counts.clear()
+        assert [trace_of_frobenius(e, 9) for e in curves_] == traces
+        assert counts == [(e, q) for e in curves_ for q in (9, 3)]
+
+    def test_a_count_depends_only_on_the_residues(self):
+        rng = random.Random(28)
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 25, 27):
+            p = min(d for d in range(2, q + 1) if q % d == 0)
+            checked = 0
+            while checked < 5:
+                e = random_curve(rng)
+                try:
+                    shifted = WeierstrassCurve(
+                        *(a + q * rng.randint(-3, 3) for a in e))
+                except SingularCurveError:
+                    continue
+                if invariants(e).disc % p:
+                    assert count_points(shifted, q) == count_points(e, q)
+                    checked += 1
+
+
 class TestHyperellipticOddDisc:
     def test_frozen_value(self):
         assert hyperelliptic_odd_disc((0, -1, 2, -2, 0, 1), (1,)) == 277

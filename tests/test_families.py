@@ -1,16 +1,20 @@
 """Curve families: square-plus-64 pairs, box search, dagger selection."""
 
 from fractions import Fraction
+from itertools import product
+from math import isqrt
 
 import pytest
 
 import oracles
 from oracles import box_models_by_coefficient_tuples
 from semistable_lab import cli, families
-from semistable_lab.arith import prime_power
+from semistable_lab.arith import is_prime, prime_power, prime_power_table
 from semistable_lab.curves import (
     SingularCurveError,
     WeierstrassCurve,
+    _b_invariants,
+    _disc_from_b,
     has_rational_ell_torsion,
     invariants,
     local_data,
@@ -174,6 +178,35 @@ class TestBoxFilter:
         assert families._prime_power_models.cache_info().misses == 1
         miyawaki_search(3, 4)
         assert families._prime_power_models.cache_info().misses == 2
+
+
+class TestBoxDiscBound:
+    """The prime-power table of the box filter reaches every discriminant
+    of every admitted box, and agrees with prime_power at the top."""
+
+    def test_bound_covers_every_admitted_box(self):
+        limit = families._BOX_LIMIT
+        # top[m]: the largest |disc| of the models with max(|a4|, |a6|) = m
+        top = [0] * (limit + 1)
+        span = range(-limit, limit + 1)
+        for coeffs in product((0, 1), (-1, 0, 1), (0, 1), span, span):
+            m = max(abs(coeffs[3]), abs(coeffs[4]))
+            top[m] = max(top[m], abs(_disc_from_b(*_b_invariants(coeffs))))
+        for bound in range(limit + 1):
+            assert max(top[:bound + 1]) <= families._box_disc_bound(bound)
+        assert families._box_disc_bound(8) == 96_777 < 2**17
+        assert families._box_disc_bound(limit) == 3_054_057
+
+    def test_table_matches_prime_power_at_the_top_of_the_limit(self):
+        limit = families._box_disc_bound(families._BOX_LIMIT)
+        sieve, powers = prime_power_table(limit)
+        for n in range(limit - 4000, limit + 1):
+            pk = prime_power(n)
+            assert (n if sieve[n] else powers.get(n)) == (pk and pk[0]), n
+        # the largest prime square and the largest powers of 2 and 3
+        p = max(q for q in range(isqrt(limit) + 1) if is_prime(q))
+        for q, k in ((p, 2), (2, 21), (3, 13)):
+            assert q**k <= limit < q**(k + 1) and powers[q**k] == q
 
 
 class TestSeedRows:

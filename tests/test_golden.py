@@ -38,9 +38,15 @@ def _readme_limits():
 
 
 def _request_id(argv):
-    """The argv as one line, with long value lists shortened."""
-    return " ".join(a if len(a) <= 30 else f"<{a.count(',') + 1} values>"
-                    for a in argv)
+    """The argv as one line, with long value lists shortened: to their
+    length, and the digits of the longest value when that is long too."""
+    def short(arg):
+        if len(arg) <= 30:
+            return arg
+        longest = max(map(len, arg.split(",")))
+        return (f"<{arg.count(',') + 1} values>" if longest <= 30
+                else f"<{arg.count(',') + 1} values, one of {longest} digits>")
+    return " ".join(map(short, argv))
 
 
 def test_corpus_covers_the_workloads():

@@ -269,3 +269,105 @@ def test_readme_limits_names_resolve():
                 missing.append(f"{home.__name__}.{name}")
     assert checked > 0
     assert missing == []
+
+
+_CACHE_DECORATORS = {"cache", "lru_cache"}
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                    "Counter"}
+_MUTATORS = {"setdefault", "update", "append", "add", "extend", "insert",
+             "__setitem__"}
+_CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                    ast.SetComp)
+
+
+def _is_container(node) -> bool:
+    """A dict, list or set display, comprehension or constructor call."""
+    if isinstance(node, _CONTAINER_NODES):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None)
+        return name in _CONTAINER_CALLS
+    return False
+
+
+def _process_caches(path: Path) -> list[str]:
+    """`module.function` for each place in one module where a value can
+    outlive the call that computed it: a functools cache or lru_cache, a
+    `global` rebinding, a mutable default argument, or a write from a
+    function to a module-level dict, list or set."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    shared = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_container(
+                node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            shared.update(t.id for t in targets if isinstance(t, ast.Name))
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        where = f"{path.stem}.{func.name}"
+        for deco in func.decorator_list:
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            name = target.attr if isinstance(target, ast.Attribute) else (
+                getattr(target, "id", None))
+            if name in _CACHE_DECORATORS:
+                found.append(where)
+        defaults = func.args.defaults + func.args.kw_defaults
+        found += [where for d in defaults if d is not None and _is_container(d)]
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                found.append(where)
+            elif (isinstance(node, ast.Subscript)
+                  and not isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in shared):
+                found.append(where)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _MUTATORS
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in shared):
+                found.append(where)
+    return found
+
+
+def test_no_process_lifetime_cache_but_the_named_one():
+    """Nothing a request computes outlives it, except the box filter of
+    `miyawaki-search`, which the README names: `curves.request_memo` holds
+    the rest for one request only.  A prime-power table, say, is built per
+    call and dropped."""
+    found = sorted(set(sum((_process_caches(path) for path in SOURCES), [])))
+    assert found == ["families._prime_power_models"]
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    assert "`families._prime_power_models`" in readme.read_text()
+
+
+def test_process_cache_rule_sees_each_form(tmp_path):
+    """The rule above flags each form of cache it looks for, and not a
+    module-level table that no function writes to."""
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "import functools\n"
+        "from functools import cache\n"
+        "_MEMO = {}\n"
+        "_SEEN = set()\n"
+        "_TABLE = {1: 2}\n"
+        "_LATE = None\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def a(x): return x\n"
+        "@cache\n"
+        "def b(x): return x\n"
+        "def c(x):\n"
+        "    _MEMO[x] = x\n"
+        "def d(x):\n"
+        "    _SEEN.add(x)\n"
+        "def e(x, seen={}): return seen\n"
+        "def f():\n"
+        "    global _LATE\n"
+        "    _LATE = 1\n"
+        "def g(x): return _TABLE[x] + len({x: x})\n")
+    assert _process_caches(source) == [f"sample.{n}" for n in "abcdef"]
