@@ -7,6 +7,8 @@ quadratic character in its determinant.  Everything downstream is exact
 ring arithmetic: twisted commutation identities, word spans inside the
 matrix ring, the lattice of stable submodules, and the order-transfer
 formula across quotients by stable kernels.
+The identities are computed on 2x2 blocks over Z[omega]/(omega^2 - c),
+whose entries stay small, and each side is mapped to Z/l^N once per entry.
 
 The stable submodules of (Z/l^n)^(2d) are found from their atoms, the
 stable closures of single vectors: one vector per orbit of <sigma, tau>
@@ -139,28 +141,62 @@ class IdentityCheck(NamedTuple):
     rhs: PadicMatrix
 
 
-def _block_inverses(rep: GaloisRep) -> tuple[PadicMatrix, PadicMatrix, int]:
-    """The inverses of the sigma block, the tau block and omega, in closed
-    form, confirmed by one product per block.
+def _ring_mul(c: int, x, *rest):
+    """The product of 2x2 blocks over Z[omega]/(omega^2 - c), each entry
+    a + b omega stored as the pair (a, b)."""
+    for y in rest:
+        x = tuple(tuple((a0 * e0 + c * b0 * f0 + a1 * e1 + c * b1 * f1,
+                         a0 * f0 + b0 * e0 + a1 * f1 + b1 * e1)
+                        for (e0, f0), (e1, f1) in zip(*y))
+                  for (a0, b0), (a1, b1) in x)
+    return x
 
-    sigma_block^-1 = [[1, -s], [0, 1]].  omega^-1 = omega for l = 2, 3,
-    where omega = -1, and -omega for l = 5, where omega^2 = -1.  The
-    quadratic relation gives tau ((1 + omega) I - tau) = omega I, so
-    tau_block^-1 = omega^-1 ((1 + omega) I - tau)
-                 = [[1 + omega^-1, 1], [-omega^-1, 0]];
-    the top left entry of tau_block tau_block^-1 is omega omega^-1, so the
-    product that confirms the tau inverse confirms omega^-1 too.
-    """
+
+def _ring_diff(c: int, xy, zt):
+    """x y - z t for 2x2 blocks over Z[omega]/(omega^2 - c)."""
+    return tuple(tuple((a - e, b - f) for (a, b), (e, f) in zip(r, t))
+                 for r, t in zip(_ring_mul(c, *xy), _ring_mul(c, *zt)))
+
+
+def _ring_scalar(a: int, b: int):
+    """(a + b omega) times the identity block."""
+    return (((a, b), (0, 0)), ((0, 0), (a, b)))
+
+
+def _ring_blocks(rep: GaloisRep):
+    """(c, s, image, sigma, tau, sigma^-1, tau^-1): the standard blocks and
+    their closed-form inverses over Z[omega]/(omega^2 - c), c = 1 for
+    l = 2, 3 (omega = -1) and -1 for l = 5, so omega^-1 = c omega; with s
+    at its least absolute residue every entry a + b omega is small, and
+    `image` to Z/l^N costs one small-by-wide product per entry.  Checked:
+    omega + 1 = 0 (l = 2, 3) or omega^2 + 1 = 0 (l = 5) mod l^N, so image
+    is a ring map; rep's blocks are the images of the standard ones; and
+    each block times its inverse is I.  An inverse is unique, so the closed
+    forms invert rep's blocks only if all this holds."""
     ctx, w = rep.ctx, rep.omega
-    w_inv = w if rep.ell in (2, 3) else -w
-    sg_inv = PadicMatrix.from_rows(ctx, [[1, -rep.s], [0, 1]])
-    tu_inv = PadicMatrix.from_rows(ctx, [[1 + w_inv, 1], [-w_inv, 0]])
-    ident = PadicMatrix.identity(ctx, 2)
-    for block, inv in ((rep.sigma_block, sg_inv), (rep.tau_block, tu_inv)):
-        if (block @ inv).rows != ident.rows:
-            raise ArithmeticError(
-                "closed-form inverse does not invert its block")
-    return sg_inv, tu_inv, w_inv % ctx.modulus
+    m = ctx.modulus
+    c = 1 if rep.ell in (2, 3) else -1
+    s = rep.s - m if 2 * rep.s > m else rep.s
+    image = lambda x: PadicMatrix(ctx, tuple(
+        tuple((a + b * w) % m for a, b in row) for row in x))
+    sg = (((1, 0), (s, 0)), ((0, 0), (1, 0)))
+    tu = (((0, 0), (0, -1)), ((1, 0), (1, 1)))
+    sg_inv = (((1, 0), (-s, 0)), ((0, 0), (1, 0)))
+    # omega^-1 ((1 + omega) I - tau), by tau's quadratic relation
+    tu_inv = (((1, c), (1, 0)), ((0, -c), (0, 0)))
+    if (image(sg).rows != rep.sigma_block.rows
+            or image(tu).rows != rep.tau_block.rows
+            or (w + 1 if c == 1 else w * w + 1) % m
+            or any(_ring_mul(c, x, x_inv) != _ring_scalar(1, 0)
+                   for x, x_inv in ((sg, sg_inv), (tu, tu_inv)))):
+        raise ArithmeticError("closed-form inverse does not invert its block")
+    return c, s, image, sg, tu, sg_inv, tu_inv
+
+
+def _block_inverses(rep: GaloisRep) -> tuple[PadicMatrix, PadicMatrix, int]:
+    """The inverses of the sigma block, the tau block and omega in Z/l^N."""
+    c, _s, image, _sg, _tu, sg_inv, tu_inv = _ring_blocks(rep)
+    return image(sg_inv), image(tu_inv), c * rep.omega % rep.ctx.modulus
 
 
 def verify_identities(rep: GaloisRep) -> tuple[IdentityCheck, ...]:
@@ -173,35 +209,33 @@ def verify_identities(rep: GaloisRep) -> tuple[IdentityCheck, ...]:
     s^2 omega^-1 [[1, 2(1+omega)], [0, -1]] on each block; for l = 5 the
     prefactor omega^-1 is -omega.  All comparisons are exact.
     sigma and tau are block-diagonal copies of their 2x2 blocks, so each
-    side is computed once on the blocks, with the closed-form inverses of
-    _block_inverses, and reported as d block-diagonal copies in M_2d.
+    side is computed once on the blocks over Z[omega], with the checked
+    closed-form inverses of _ring_blocks, mapped to Z/l^N once per entry
+    and reported as d block-diagonal copies in M_2d.
     """
-    ctx, s, w = rep.ctx, rep.s, rep.omega
-    sg, tu = rep.sigma_block, rep.tau_block
-    sg_inv, tu_inv, w_inv = _block_inverses(rep)
-    ident = PadicMatrix.identity(ctx, 2)
-    sides = []
-    if rep.ell in (2, 3):
-        sides.append(("twisted-commutation",
-                      sg @ tu - tu @ sg_inv, ident.scale(s)))
+    c, s, image, sg, tu, sg_inv, tu_inv = _ring_blocks(rep)
+    if c == 1:
+        sides = [("twisted-commutation", _ring_diff(c, (sg, tu), (tu, sg_inv)),
+                  _ring_scalar(s, 0))]
     else:
-        t2 = tu @ tu
-        sides.append(("twisted-commutation-tau-squared",
-                      sg @ t2 - t2 @ sg_inv, ident.scale((1 + w) * s)))
-    conj = tu_inv @ sg @ tu
-    c = s * s * w_inv  # the block [[1, 2(1 + omega)], [0, -1]], times c
-    sides.append(("conjugate-difference", conj @ sg - sg @ conj,
-                  PadicMatrix.from_rows(ctx, [[c, 2 * (1 + w) * c],
-                                              [0, -c]])))
-    return tuple(IdentityCheck(name, lhs.block_diag(rep.d),
-                               rhs.block_diag(rep.d))
+        t2 = _ring_mul(c, tu, tu)
+        sides = [("twisted-commutation-tau-squared",
+                  _ring_diff(c, (sg, t2), (t2, sg_inv)), _ring_scalar(s, s))]
+    conj = _ring_mul(c, tu_inv, sg, tu)
+    # s^2 omega^-1 = s^2 c omega times [[1, 2(1 + omega)], [0, -1]]
+    rhs = _ring_mul(c, _ring_scalar(0, c * s * s),
+                    (((1, 0), (2, 2)), ((0, 0), (-1, 0))))
+    sides.append(("conjugate-difference",
+                  _ring_diff(c, (conj, sg), (sg, conj)), rhs))
+    return tuple(IdentityCheck(name, image(lhs).block_diag(rep.d),
+                               image(rhs).block_diag(rep.d))
                  for name, lhs, rhs in sides)
 
 
 # Desk-scale limits of build_rep, checked before any work.  verify-identities
-# multiplies 2x2 blocks over Z/l^N and writes out 2d x 2d matrices; at both
-# limits with l = 5 (a 46,000-bit modulus) it answers in about 0.35 s as a
-# process (0.14 s of it in the request) on a 2-vCPU host.
+# maps each 2x2 block entry from Z[omega] to Z/l^N once; at both limits with
+# l = 5 (a 46,000-bit modulus) it answers in about 0.15 s as a process
+# (0.06 s of it in the request) on a 2-vCPU host.
 _PRECISION_LIMIT = 20_000
 _BLOCK_LIMIT = 4
 

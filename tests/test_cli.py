@@ -534,6 +534,30 @@ class TestGammaRankWithoutSmithForm:
         assert hashlib.sha256(out).hexdigest() == digest
 
 
+class TestIdentitiesWithoutMatrixProducts:
+    """verify-identities computes on 2x2 blocks over Z[omega] and maps each
+    entry to Z/l^N once, so it makes no matrix product over Z/l^N."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-identities", "--ell", "5", "--s", "95",
+         "--precision", "6069", "--d", "1"],
+        ["verify-identities", "--ell", "3", "--s", "57",
+         "--precision", "8648", "--d", "2"],
+    ])
+    def test_answers_with_matrix_products_disabled(self, monkeypatch, capsys,
+                                                   argv):
+        def refuse(*args):
+            raise RuntimeError("matrix product over Z/l^N")
+
+        monkeypatch.setattr(padic.PadicMatrix, "__matmul__", refuse)
+        digest = next(row["stdout_sha256"]
+                      for row in json.loads(CORPUS.read_text())
+                      if row["argv"] == argv)
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
+
+
 class TestIsogenyMaximalSearches:
     def test_level_one_kernels_come_from_the_single_search(self, monkeypatch,
                                                            capsys):

@@ -489,6 +489,46 @@ class TestIdentitiesAgainstFullMatrices:
         assert rep.omega == teichmuller_unit(rep.ctx, 2) == rep.ctx.modulus - 1
 
 
+class TestIdentitiesOverZOmega:
+    """Each side is computed on blocks over Z[omega], with s lifted to its
+    least absolute residue, and mapped to Z/l^N once per entry."""
+
+    @pytest.mark.parametrize("precision", [3, 17, 600])
+    @pytest.mark.parametrize("ell, s", [(5, -5), (5, -95),
+                                        (5, 5 * (10**40 + 1)), (3, -3)])
+    def test_negative_and_wide_shears_match_full_matrices(self, ell, s,
+                                                          precision):
+        for d in (1, 2):
+            rep = build_rep(ell, d, s, precision)
+            m = rep.ctx.modulus
+            lift = galois._ring_blocks(rep)[1]
+            assert (lift - s) % m == 0 and 2 * abs(lift) <= m
+            got = verify_identities(rep)
+            want = oracles.identities_full(ell, d, s, precision)
+            assert {c.name: (c.lhs, c.rhs) for c in got} == want
+            assert all(oracles.identity_passed(c) for c in got)
+
+    @pytest.mark.parametrize("ell", [3, 5])
+    @pytest.mark.parametrize("precision", [3, 17, 600])
+    def test_omega_wrong_only_mod_the_top_power_is_refused(self, ell,
+                                                           precision):
+        """omega' = omega + l^(N-1) agrees with omega below l^(N-1).  With
+        tau rebuilt from omega' the blocks are the images of the standard
+        ones under omega', so only omega's relation mod l^N refuses it."""
+        rep = build_rep(ell, 2, ell, precision)
+        ctx = rep.ctx
+        w = (rep.omega + ell ** (precision - 1)) % ctx.modulus
+        tau = PadicMatrix.from_rows(ctx, [[0, -w], [1, 1 + w]])
+        _check_tau_block(tau, w)
+        for bad in (rep._replace(omega=w),
+                    rep._replace(omega=w, tau=tau.block_diag(2),
+                                 tau_block=tau)):
+            with pytest.raises(ArithmeticError, match="closed-form inverse"):
+                verify_identities(bad)
+            with pytest.raises(ArithmeticError, match="closed-form inverse"):
+                _block_inverses(bad)
+
+
 class TestTauBlockCheck:
     @pytest.mark.parametrize("ell", [2, 3, 5])
     def test_tampered_trace_or_determinant_raises(self, ell):
