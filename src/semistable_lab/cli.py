@@ -23,7 +23,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import cyclotomic, families, galois, quadratic, ramification
-from .arith import factorize, ord_at
+from .arith import PRIMALITY_BOUND, factorize, ord_at
 from .curves import (
     WeierstrassCurve,
     has_rational_ell_torsion,
@@ -390,6 +390,13 @@ def _cmd_curve_info(args) -> tuple[dict, list[dict]]:
 def _cmd_genus2_disc(args) -> tuple[dict, list[dict]]:
     p_poly, q_poly = tuple(args.p_coeffs), tuple(args.q_coeffs)
     odd = hyperelliptic_odd_disc(p_poly, q_poly)
+    # below psi_13 every cofactor factorize meets has a proven primality
+    # verdict; the worst case, a balanced semiprime, is rho's longest walk
+    if abs(odd) >= PRIMALITY_BOUND:
+        raise ValueError(
+            f"the odd part of the discriminant is factored only below "
+            f"psi_13 = {PRIMALITY_BOUND} ({PRIMALITY_BOUND.bit_length()} "
+            f"bits), got one of {abs(odd).bit_length()} bits")
     factors = factorize(abs(odd)) if odd else {}
     results = {
         "p_coeffs": list(p_poly),

@@ -10,7 +10,8 @@ Rational ell-torsion is decided in two steps.  "No" comes from point
 counts: ell not dividing #E(F_q) at a small prime q != ell of good
 reduction proves there is no rational point of order ell.  "Yes", with
 its witness, comes only from a rational root of the ell-division
-polynomial.
+polynomial.  A torsion point's order, and the multiples Velu's formulas
+sum over, come from one chain P, 2P, ... that stops about halfway round.
 
 Inside a `request_memo` block (the CLI opens one per request), each point
 count, each division-polynomial torsion verdict and each curve's list of
@@ -150,13 +151,14 @@ class request_memo:
         _MEMO.reset(self._token)
 
 
-def _memoized(key, compute):
-    """compute(), kept under key in the request memo when one is set."""
+def _memoized(key, compute, *args):
+    """compute(*args), kept under key in the request memo when one is
+    set."""
     memo = _MEMO.get()
     if memo is None:
-        return compute()
+        return compute(*args)
     if key not in memo:
-        memo[key] = compute()
+        memo[key] = compute(*args)
     return memo[key]
 
 
@@ -217,7 +219,7 @@ def _count(e: WeierstrassCurve, q: int) -> int:
         return count_points(e, q)
     a1, a2, a3, a4, a6 = e
     return _memoized(((a1 % q, a2 % q, a3 % q, a4 % q, a6 % q), q),
-                     lambda: count_points(e, q))
+                     count_points, e, q)
 
 
 def trace_of_frobenius(e: WeierstrassCurve, q: int) -> int:
@@ -285,16 +287,35 @@ def multiply_point(e: WeierstrassCurve, k: int, pt: Point) -> Point:
 _TORSION_ORDER_BOUND = 12
 
 
+def _multiples(e: WeierstrassCurve, pt: Point) -> tuple[list, int]:
+    """([P, 2P, ..., mP], n) for a finite point P of order n at most
+    _TORSION_ORDER_BOUND, where m = floor(n/2) + (n odd).
+
+    The chain stops at the first k with kP = -kP (n = 2k) or
+    (k + 1)P = -kP (n = 2k + 1), after floor((n - 1)/2) additions where
+    adding P until O takes n - 1; its first floor(n/2) entries are the
+    multiples that Velu's formulas sum over.
+    """
+    chain = [pt]
+    for k in range(1, _TORSION_ORDER_BOUND // 2 + 1):
+        last = chain[-1]
+        neg = negate(e, last)
+        if last == neg:
+            return chain, 2 * k
+        if 2 * k + 1 > _TORSION_ORDER_BOUND:
+            break
+        nxt = add_points(e, last, pt)
+        chain.append(nxt)
+        if nxt == neg:
+            return chain, 2 * k + 1
+    raise ValueError("point is not torsion of small order")
+
+
 def point_order(e: WeierstrassCurve, pt: Point) -> int:
     """Order of a torsion point of order at most _TORSION_ORDER_BOUND."""
     if not on_curve(e, pt):
         raise ValueError("point not on curve")
-    acc = pt
-    for k in range(1, _TORSION_ORDER_BOUND + 1):
-        if acc is None:
-            return k
-        acc = add_points(e, acc, pt)
-    raise ValueError("point is not torsion of small order")
+    return 1 if pt is None else _multiples(e, pt)[1]
 
 
 def two_division_poly(e: WeierstrassCurve) -> tuple[int, ...]:
@@ -349,35 +370,46 @@ _FILTER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _FILTER_GOOD_PRIMES = 4
 
 
-def _counts_rule_out(e: WeierstrassCurve, ell: int) -> bool:
+def _counts_rule_out(e: WeierstrassCurve, ell: int, disc: int) -> bool:
     """Does a point count prove that there is no rational point of order
     ell?
 
     If q != ell and the model has good reduction at q, reduction mod q is
     injective on E(Q)[ell] (Silverman, AEC, Prop. VII.3.1), so ell not
     dividing #E(F_q) proves it.  Up to _FILTER_GOOD_PRIMES such q are
-    tried; a curve that passes them all, or has too few good q among
-    _FILTER_PRIMES, is left to the division polynomial.
+    tried, in order, stopping at the first count ell does not divide; a
+    curve that passes them all, or has too few good q among
+    _FILTER_PRIMES, is left to the division polynomial.  Only the prime
+    factors of disc are read: the discriminant itself, or p when
+    |disc| = p^k, tells the bad q apart.
     """
-    disc = _disc_from_b(*_b_invariants(e.coefficients()))
-    good = [q for q in _FILTER_PRIMES if q != ell and disc % q]
-    return any(_count(e, q) % ell for q in good[:_FILTER_GOOD_PRIMES])
+    good = 0
+    for q in _FILTER_PRIMES:
+        if q == ell or disc % q == 0:
+            continue
+        if _count(e, q) % ell:
+            return True
+        good += 1
+        if good == _FILTER_GOOD_PRIMES:
+            return False
+    return False
 
 
-def _torsion_points(e: WeierstrassCurve, ell: int) -> tuple:
+def _torsion_points(e: WeierstrassCurve, ell: int, disc: int) -> tuple:
     """Rational points of exact order ell, in increasing x: none when
     point counts rule them out, else _division_points, computed once per
-    request through the memo."""
-    if _counts_rule_out(e, ell):
+    request through the memo.  disc is read as in _counts_rule_out."""
+    if _counts_rule_out(e, ell, disc):
         return ()
-    return _memoized((e.coefficients(), "torsion", ell),
-                     lambda: tuple(_division_points(e, ell)))
+    return _memoized((e.coefficients(), "torsion", ell), _division_points,
+                     e, ell)
 
 
-def _division_points(e: WeierstrassCurve, ell: int):
+def _division_points(e: WeierstrassCurve, ell: int) -> tuple:
     """Rational points of exact order ell, one per rational root x of the
     ell-division polynomial, in increasing x."""
     poly = two_division_poly(e) if ell == 2 else division_poly(e, ell)
+    points = []
     for x in rational_roots(poly):
         # y solves a monic quadratic; rational iff 4g + h^2 is a square at x
         hx = e.a1 * x + e.a3
@@ -389,10 +421,12 @@ def _division_points(e: WeierstrassCurve, ell: int):
         if not on_curve(e, pt):
             raise AssertionError("lifted torsion point is not on the curve")
         if point_order(e, pt) == ell:
-            yield pt
+            points.append(pt)
+    return tuple(points)
 
 
-def has_rational_ell_torsion(e: WeierstrassCurve, ell: int):
+def has_rational_ell_torsion(e: WeierstrassCurve, ell: int,
+                             disc: int | None = None):
     """(found, witness point) for a rational point of exact order ell.
 
     "No" may come from a point count: at a prime q != ell of good
@@ -402,10 +436,16 @@ def has_rational_ell_torsion(e: WeierstrassCurve, ell: int):
     ell-division polynomial, lifted and checked to have order ell.
     Within a request each division-polynomial answer is computed once; a
     point-count "no" reads counts the memo keeps anyway.
+
+    A caller that knows the primes of bad reduction passes disc: the
+    discriminant, or any integer with its prime factors (p when
+    |disc| = p^k).  Otherwise the discriminant is derived here.
     """
     if ell not in (2, 3, 5, 7):
         raise ValueError("torsion search supports ell in {2, 3, 5, 7}")
-    points = _torsion_points(e, ell)
+    if disc is None:
+        disc = _disc_from_b(*_b_invariants(e.coefficients()))
+    points = _torsion_points(e, ell, disc)
     return (True, points[0]) if points else (False, None)
 
 
@@ -424,13 +464,12 @@ def velu_quotient(e: WeierstrassCurve, pt: Point) -> WeierstrassCurve:
         raise ValueError("cannot quotient by the point at infinity")
     if not on_curve(e, pt):
         raise ValueError("kernel point not on curve")
-    ell = point_order(e, pt)
+    chain, ell = _multiples(e, pt)
     if not is_prime(ell):
         raise ValueError(f"kernel point order {ell} is not prime")
     b2 = e.a1**2 + 4 * e.a2
-    half = [multiply_point(e, k, pt) for k in range(1, ell // 2 + 1)]
     v = w = Fraction(0)
-    for x, y in half:
+    for x, y in chain[:ell // 2]:  # P, 2P, ..., (ell // 2) P
         gx = 3 * x * x + 2 * e.a2 * x + e.a4 - e.a1 * y
         gy = -2 * y - e.a1 * x - e.a3
         vq = gx if gy == 0 else 2 * gx - e.a1 * gy
@@ -515,9 +554,15 @@ def reduce_model(e: WeierstrassCurve) -> WeierstrassCurve:
 def _quotients(e: WeierstrassCurve) -> tuple[WeierstrassCurve, ...]:
     """The Velu quotients of e by its rational points of order 2, 3, 5 and
     7, in that order, through the request memo."""
-    return _memoized((e.coefficients(), "quotients"), lambda: tuple(
-        velu_quotient(e, pt) for ell in (2, 3, 5, 7)
-        for pt in _torsion_points(e, ell)))
+    return _memoized((e.coefficients(), "quotients"), _velu_quotients, e)
+
+
+def _velu_quotients(e: WeierstrassCurve) -> tuple[WeierstrassCurve, ...]:
+    """What _quotients keeps, with the discriminant derived once for all
+    four ell."""
+    disc = _disc_from_b(*_b_invariants(e.coefficients()))
+    return tuple(velu_quotient(e, pt) for ell in (2, 3, 5, 7)
+                 for pt in _torsion_points(e, ell, disc))
 
 
 def isogeny_class(e: WeierstrassCurve, depth: int = 3) -> list[WeierstrassCurve]:

@@ -3,7 +3,8 @@
 Three sources of curves live here: the two-parameter family attached to
 primes p = u^2 + 64, an exhaustive small-coefficient box search for curves
 of prime-power discriminant with a rational odd-torsion point (each
-discriminant read off one sieved prime-power table), and a short
+discriminant one quadratic in a6, read off one sieved prime-power table,
+and each survivor's p handed on to the torsion test), and a short
 packaged table of seed curves.  On top of the enumeration sits the "dagger"
 selection: inside each isogeny class, the member whose discriminant
 valuation at p carries the largest power of ell.
@@ -36,8 +37,8 @@ EXCEPTIONAL_SEED = WeierstrassCurve(1, -1, 1, -1, -14)
 # Desk-scale limits, checked before any work: ns_enumerate costs about
 # bound^(1/2)/10 prime tests (about 0.3 s at the limit); miyawaki_search
 # filters 12 (2 coeff_bound + 1)^2 models once per process and bound, one
-# table lookup each (under 0.1 s at the limit, the 3 MB table included),
-# then tests the survivors for ell-torsion (about 0.05 s per ell there).
+# table lookup each (about 0.03 s at the limit, the 3 MB table included),
+# then tests the survivors for ell-torsion (under 0.02 s per ell there).
 _NS_BOUND_LIMIT = 10**10
 _BOX_LIMIT = 32
 
@@ -121,6 +122,23 @@ def _box_disc_bound(coeff_bound: int) -> int:
     return 25 * b8 + 8 * b4**3 + 27 * b6**2 + 45 * b4 * b6
 
 
+def _a6_quadratic(a1: int, a2: int, a3: int, a4: int) -> tuple[int, int, int]:
+    """(c4, d0, d1) for the models [a1, a2, a3, a4, a6]: c4 does not move
+    with a6, and disc = d0 + a6 (d1 - 432 a6).
+
+    With b6 = a3^2 + 4 a6 and b8 = b2 a6 + b8_a4, where b8_a4 =
+    a2 a3^2 - a1 a3 a4 - a4^2, disc = -b2^2 b8 - 8 b4^3 - 27 b6^2 +
+    9 b2 b4 b6 is a quadratic in a6: d0 is disc at a6 = 0 and d1 =
+    36 b2 b4 - b2^3 - 216 a3^2.
+    """
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    a3_sq = a3 * a3
+    b8_a4 = a2 * a3_sq - a1 * a3 * a4 - a4 * a4
+    return (b2 * b2 - 24 * b4, _disc_from_b(b2, b4, a3_sq, b8_a4),
+            36 * b2 * b4 - b2**3 - 216 * a3_sq)
+
+
 @cache
 def _prime_power_models(coeff_bound: int) -> tuple[tuple[WeierstrassCurve, int, Fraction], ...]:
     """(curve, p, j) for every model of the box with |disc| = p^k and
@@ -129,29 +147,24 @@ def _prime_power_models(coeff_bound: int) -> tuple[tuple[WeierstrassCurve, int, 
     Nothing here depends on ell, so the box is filtered once per process
     and bound.  One prime-power table up to _box_disc_bound, sieved here
     and dropped on return, answers each model's discriminant by a lookup.
-    The discriminant comes straight from the b-invariants, and c4 =
-    b2^2 - 24 b4 rejects additive models, each computed in the outermost
-    loop it depends on; only survivors become curves, with j = c4^3/disc.
+    c4 and the a6-quadratic of the discriminant (_a6_quadratic) are
+    computed once per (a1, a2, a3, a4), so each model costs one quadratic
+    evaluation; c4 = b2^2 - 24 b4 rejects additive models, and only
+    survivors become curves, with j = c4^3/disc.
     """
     sieve, powers = prime_power_table(_box_disc_bound(coeff_bound))
     out = []
     span = range(-coeff_bound, coeff_bound + 1)
-    # b8 = b2 a6 + (a2 a3^2 - a1 a3 a4 - a4^2): b2 is fixed per (a1, a2, a3),
-    # b4, c4 and the a4-part of b8 per a4, and only b6 and b8 move with a6
-    for a1, a2, a3 in product((0, 1), (-1, 0, 1), (0, 1)):
-        b2 = a1 * a1 + 4 * a2
-        for a4 in span:
-            b4 = 2 * a4 + a1 * a3
-            c4 = b2 * b2 - 24 * b4
-            b8_a4 = a2 * a3 * a3 - a1 * a3 * a4 - a4 * a4
-            for a6 in span:
-                disc = _disc_from_b(b2, b4, a3 * a3 + 4 * a6, b2 * a6 + b8_a4)
-                n = abs(disc)
-                p = n if sieve[n] else powers.get(n)  # None at disc = 0 too
-                if p is None or c4 % p == 0:  # additive: p divides disc and c4
-                    continue
-                out.append((WeierstrassCurve(a1, a2, a3, a4, a6), p,
-                            Fraction(c4**3, disc)))
+    for a1, a2, a3, a4 in product((0, 1), (-1, 0, 1), (0, 1), span):
+        c4, d0, d1 = _a6_quadratic(a1, a2, a3, a4)
+        for a6 in span:
+            disc = d0 + a6 * (d1 - 432 * a6)
+            n = abs(disc)
+            p = n if sieve[n] else powers.get(n)  # None at disc = 0 too
+            if p is None or c4 % p == 0:  # additive: p divides disc and c4
+                continue
+            out.append((WeierstrassCurve(a1, a2, a3, a4, a6), p,
+                        Fraction(c4**3, disc)))
     return tuple(out)
 
 
@@ -163,9 +176,11 @@ def miyawaki_search(ell: int, coeff_bound: int = 8) -> dict[int, list[Weierstras
     coeff_bound; a hit must have |disc| = p^k with multiplicative reduction
     at p.  That filter does not depend on ell and runs once per process and
     coeff_bound; each call then tests only its survivors for ell-torsion.
-    Hits are grouped by p and deduplicated by j-invariant, the last model
-    in enumeration order standing for its j.  A negative coeff_bound, or
-    one above _BOX_LIMIT, is refused.
+    A survivor's |disc| is a power of its p, so p is all the torsion test
+    needs to tell the good point-count primes apart.  Hits are grouped by
+    p and deduplicated by j-invariant, the last model in enumeration order
+    standing for its j.  A negative coeff_bound, or one above _BOX_LIMIT,
+    is refused.
     """
     if ell not in (3, 5, 7):
         raise ValueError("search covers ell in {3, 5, 7}")
@@ -178,7 +193,7 @@ def miyawaki_search(ell: int, coeff_bound: int = 8) -> dict[int, list[Weierstras
             f"got {coeff_bound}")
     hits: dict[int, dict] = {}
     for e, p, j in _prime_power_models(coeff_bound):
-        if has_rational_ell_torsion(e, ell)[0]:
+        if has_rational_ell_torsion(e, ell, p)[0]:
             hits.setdefault(p, {})[j] = e
     return {p: sorted(by_j.values(), key=lambda c: c.coefficients()) for p, by_j in sorted(hits.items())}
 

@@ -3,9 +3,10 @@
 Polynomials are coefficient tuples in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple.  Integer resultants
 use the subresultant remainder sequence, so no rationals appear even for
-non-monic inputs.  The GF class models F_{p^f} just far enough for the
-root-of-unity work of `cyclotomic`: elements are coefficient tuples
-reduced modulo a fixed monic irreducible.
+non-monic inputs; rational roots need no integer gcd at all when a
+reduction mod a small prime proves the input squarefree.  The GF class
+models F_{p^f} just far enough for the root-of-unity work of `cyclotomic`:
+elements are coefficient tuples reduced modulo a fixed monic irreducible.
 
 Products in a quotient ring F_p[y]/(m) of degree f run on packed integers
 (Kronecker substitution; von zur Gathen & Gerhard, Modern Computer Algebra,
@@ -229,6 +230,24 @@ def _rational_reconstruct(u, m, num_bound, den_bound):
     return Fraction(s, q)
 
 
+# the primes rational_roots tries before it takes an integer gcd
+_SQUAREFREE_PROOF_BOUND = 37
+
+
+def _separable_prime(g, bound=None):
+    """The least prime p, at most bound when one is given, that does not
+    divide the leading coefficient of g and leaves g squarefree mod p;
+    None when no prime up to bound does."""
+    p = 2
+    while bound is None or p <= bound:
+        if g[-1] % p and degree(fp_gcd(g, fp_trim(pderiv(g), p), p)) < 1:
+            return p
+        p += 1
+        while not is_prime(p):
+            p += 1
+    return None
+
+
 def rational_roots(a) -> list[Fraction]:
     """All rational roots (without multiplicity) of an integer polynomial.
 
@@ -237,6 +256,12 @@ def rational_roots(a) -> list[Fraction]:
     any numerator dividing the constant term and any denominator dividing
     the leading one, then verified exactly.  Nothing is ever factored, so
     division-polynomial-sized constant terms cost nothing extra.
+
+    The squarefree part is a itself when a reduction mod some
+    p <= _SQUAREFREE_PROOF_BOUND keeps the degree and is squarefree: a
+    repeated factor of a would divide a' mod every such p.  That p is then
+    the one the roots are lifted from, and no integer gcd is taken.  Only
+    when no such p exists is gcd(a, a') divided out.
     """
     a = trim(a)
     if not a:
@@ -248,13 +273,11 @@ def rational_roots(a) -> list[Fraction]:
     a = a[shift:]
     if len(a) == 1:
         return sorted(roots)
-    d = pgcd(a, pderiv(a))
-    g = _exact_div(a, d) if degree(d) > 0 else a
-    p = 2
-    while g[-1] % p == 0 or degree(fp_gcd(g, fp_trim(pderiv(g), p), p)) > 0:
-        p += 1
-        while not is_prime(p):
-            p += 1
+    g, p = a, _separable_prime(a, _SQUAREFREE_PROOF_BOUND)
+    if p is None:
+        d = pgcd(a, pderiv(a))
+        g = _exact_div(a, d) if degree(d) > 0 else a
+        p = _separable_prime(g)
     dg = pderiv(g)
     # a root s/q has s | g(0) and q | lc(g), which bounds the reconstruction
     target = 2 * abs(g[0]) * abs(g[-1])

@@ -102,6 +102,11 @@ LIMIT_REQUESTS = {
     "_DIGITS_LIMIT": tuple(
         ("curve-info", "--curve", "0,0,0,1,1" + "0" * zeros + "1")
         for zeros in (4298, 4299)),
+    # P with leading coefficient 360998 and 1000003: odd parts of 82 bits,
+    # 4.1e19 below psi_13, and of 92 bits
+    "ψ₁₃ on the odd part (PRIMALITY_BOUND)": tuple(
+        ("genus2-disc", "--p-coeffs", f"0,-1,2,-2,0,{c}", "--q-coeffs", "1")
+        for c in (360998, 1000003)),
 }
 # Limits-table rows that no request reaches, so neither side has a row.
 UNREACHED = {

@@ -1209,3 +1209,40 @@ def count_points_by_enumeration(e, q):
             sq = field.mul(sq, sq)
         count += 2 if tr == field.zero else 0
     return count
+
+
+def order_by_repeated_addition(e, pt, bound=12):
+    """The least k <= bound with k P = O, adding P once per step; None
+    when there is none."""
+    from semistable_lab.curves import add_points
+
+    acc = pt
+    for k in range(1, bound + 1):
+        if acc is None:
+            return k
+        acc = add_points(e, acc, pt)
+    return None
+
+
+def velu_by_repeated_addition(e, pt):
+    """curves.velu_quotient as it was computed before the multiples came
+    from one chain: the order by repeated addition, then each k P,
+    k <= l // 2, by curves.multiply_point from scratch."""
+    from fractions import Fraction
+
+    from semistable_lab.curves import (_integralize, multiply_point,
+                                       reduce_model)
+
+    ell = order_by_repeated_addition(e, pt)
+    b2 = e.a1**2 + 4 * e.a2
+    v = w = Fraction(0)
+    for k in range(1, ell // 2 + 1):
+        x, y = multiply_point(e, k, pt)
+        gx = 3 * x * x + 2 * e.a2 * x + e.a4 - e.a1 * y
+        gy = -2 * y - e.a1 * x - e.a3
+        vq = gx if gy == 0 else 2 * gx - e.a1 * gy
+        v += vq
+        w += gy * gy + x * vq
+    coeffs = (Fraction(e.a1), Fraction(e.a2), Fraction(e.a3),
+              e.a4 - 5 * v, e.a6 - b2 * v - 7 * w)
+    return reduce_model(_integralize(coeffs))

@@ -166,6 +166,29 @@ class TestUsageErrors:
                       "--q-coeffs", "0,1"])
         assert r.returncode == 2
 
+    def test_genus2_odd_part_past_psi_13_refused_before_factoring(
+            self, monkeypatch, capsys):
+        # the odd part of this model's discriminant has 92 bits; with
+        # leading coefficient 360998 in place of 1000003 it has 82 bits and
+        # stays below psi_13
+        def refuse(n):
+            raise AssertionError("factorize reached")
+
+        monkeypatch.setattr(cli, "factorize", refuse)
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["genus2-disc", "--p-coeffs", "0,-1,2,-2,0,1000003",
+                     "--q-coeffs", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"below psi_13 = {PRIMALITY_BOUND} (82 bits), got one of "
+                "92 bits") in err
+        monkeypatch.undo()
+        report, status = run_cli(["genus2-disc", "--p-coeffs",
+                                  "0,-1,2,-2,0,360998", "--q-coeffs", "1"])
+        assert status == 0
+        odd = report["results"]["odd_disc"]
+        assert int(odd) < PRIMALITY_BOUND <= 2 * int(odd)
+
     def test_disc_past_limit_refused_at_once(self, capsys):
         t0 = time.monotonic()
         with pytest.raises(SystemExit) as exc:

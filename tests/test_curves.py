@@ -8,9 +8,10 @@ from math import isqrt
 import pytest
 import sympy
 
-from oracles import (count_points_by_enumeration, scale_down_by_fractions,
-                     transform)
-from semistable_lab import cli, curves, families
+from oracles import (count_points_by_enumeration, order_by_repeated_addition,
+                     scale_down_by_fractions, transform,
+                     velu_by_repeated_addition)
+from semistable_lab import cli, curves, families, polynomials
 from semistable_lab.curves import (
     LocalData,
     SingularCurveError,
@@ -288,6 +289,81 @@ class TestPointArithmetic:
     def test_point_order_rejects_off_curve(self):
         with pytest.raises(ValueError, match="not on curve"):
             point_order(E1, (Fraction(1), Fraction(1)))
+
+
+# A model with (0, 0) of each order Mazur allows: y^2 = x^3 + x and
+# y^2 + y = x^3 for orders 2 and 3, then Kubert's Tate normal forms
+# y^2 + (1 - c) x y - b y = x^3 - b x^2 at small t, scaled to integers.
+MAZUR_MODELS = {
+    2: (0, 0, 0, 1, 0),
+    3: (0, 0, 1, 0, 0),
+    4: (1, -1, -1, 0, 0),
+    5: (0, -1, -1, 0, 0),
+    6: (0, -2, -2, 0, 0),
+    7: (-1, -4, -4, 0, 0),
+    8: (-7, -90, -270, 0, 0),
+    9: (-3, -12, -12, 0, 0),
+    10: (-5, -24, -24, 0, 0),
+    12: (293, -14820, -118560, 0, 0),
+}
+ORIGIN = (Fraction(0), Fraction(0))
+
+
+class TestMultiplesChain:
+    """point_order and velu_quotient read the order and the multiples
+    P, ..., (l // 2) P off one chain; both agree with repeated addition."""
+
+    @pytest.mark.parametrize("n", list(MAZUR_MODELS))
+    def test_point_order_agrees_with_repeated_addition(self, n):
+        e = WeierstrassCurve(*MAZUR_MODELS[n])
+        assert order_by_repeated_addition(e, ORIGIN) == n
+        for k in range(1, n):
+            pt = multiply_point(e, k, ORIGIN)
+            assert point_order(e, pt) == order_by_repeated_addition(e, pt)
+        assert point_order(e, None) == 1
+
+    @pytest.mark.parametrize("n", list(MAZUR_MODELS))
+    def test_chain_holds_the_multiples(self, n):
+        e = WeierstrassCurve(*MAZUR_MODELS[n])
+        chain, order = curves._multiples(e, ORIGIN)
+        assert order == n and len(chain) == n // 2 + n % 2
+        assert chain == [multiply_point(e, k, ORIGIN)
+                         for k in range(1, len(chain) + 1)]
+
+    @pytest.mark.parametrize("n", list(MAZUR_MODELS))
+    def test_half_the_order_additions(self, monkeypatch, n):
+        e = WeierstrassCurve(*MAZUR_MODELS[n])
+        calls = counting(monkeypatch, "add_points")
+        assert point_order(e, ORIGIN) == n
+        assert len(calls) == (n - 1) // 2  # n - 1 by repeated addition
+
+    @pytest.mark.parametrize("n", list(MAZUR_MODELS))
+    def test_velu_agrees_with_repeated_addition(self, n):
+        e = WeierstrassCurve(*MAZUR_MODELS[n])
+        for k in range(1, n):
+            pt = multiply_point(e, k, ORIGIN)
+            order = order_by_repeated_addition(e, pt)
+            if order in (2, 3, 5, 7):
+                assert velu_quotient(e, pt) == velu_by_repeated_addition(e, pt)
+            else:
+                with pytest.raises(ValueError,
+                                   match=f"kernel point order {order} is "
+                                         "not prime"):
+                    velu_quotient(e, pt)
+
+    def test_refusals_keep_their_messages(self):
+        g = WeierstrassCurve(0, 0, 1, -1, 0)  # (0, 0) has infinite order
+        for fn in (point_order, velu_quotient):
+            with pytest.raises(ValueError,
+                               match="^point is not torsion of small order$"):
+                fn(g, ORIGIN)
+        off = (Fraction(1), Fraction(1))
+        with pytest.raises(ValueError, match="^point not on curve$"):
+            point_order(E1, off)
+        with pytest.raises(ValueError, match="^kernel point not on curve$"):
+            velu_quotient(E1, off)
+        with pytest.raises(ValueError, match="point at infinity"):
+            velu_quotient(E1, None)
 
 
 class TestDivisionPolynomials:
@@ -723,6 +799,43 @@ class TestRequestMemo:
         closed = next(c for c in report["checks"]
                       if c["name"] == "class-closed-under-quotients")
         assert closed["pass"] is False
+
+
+class TestTorsionFactsDerivedOnce:
+    """Per request: the box filter evaluates each discriminant as a
+    quadratic in a6, a survivor's p spares the count filter its
+    discriminant, one chain per torsion point gives its order and Velu's
+    multiples, and a division polynomial squarefree mod a small prime
+    takes no integer gcd.  Without these the counts were 5,594, 96, 21
+    and 157 for paper-suite, and 4,375, 8, 8 and 101 for the search."""
+
+    PINNED = {  # argv -> (_disc_from_b, add_points, pgcd, count_points)
+        ("paper-suite",): (1085, 28, 0, 157),
+        ("miyawaki-search", "--ell", "3"): (711, 4, 0, 101),
+    }
+
+    @pytest.mark.parametrize("argv", list(PINNED))
+    def test_work_per_request(self, monkeypatch, argv):
+        calls = dict.fromkeys(("_disc_from_b", "add_points", "pgcd",
+                               "count_points"), 0)
+
+        def counted(name, inner):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        # families imports _disc_from_b by name, so both bindings count
+        for module, name in ((curves, "_disc_from_b"),
+                             (families, "_disc_from_b"),
+                             (curves, "add_points"), (polynomials, "pgcd"),
+                             (curves, "count_points")):
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
+        families._prime_power_models.cache_clear()  # filter inside the run
+        _, status = cli.run(list(argv))
+        assert status == 0
+        assert tuple(calls.values()) == self.PINNED[argv]
 
 
 class TestCountsByResidueClass:

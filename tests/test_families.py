@@ -146,6 +146,21 @@ class TestBoxFilter:
             assert families._prime_power_models(bound) == tuple(expected)
         assert len(families._prime_power_models(8)) == 400
 
+    def test_a6_quadratic_is_the_discriminant(self):
+        # every model with |a4|, |a6| <= 8, so every box B = 0..8, survivor
+        # or not; a singular model's quadratic must vanish
+        span = range(-8, 9)
+        for a1, a2, a3, a4 in product((0, 1), (-1, 0, 1), (0, 1), span):
+            c4, d0, d1 = families._a6_quadratic(a1, a2, a3, a4)
+            for a6 in span:
+                disc = d0 + a6 * (d1 - 432 * a6)
+                try:
+                    inv = invariants(WeierstrassCurve(a1, a2, a3, a4, a6))
+                except SingularCurveError:
+                    assert disc == 0
+                    continue
+                assert (disc, c4) == (inv.disc, inv.c4)
+
     def test_hoisted_b_invariants_match_the_coefficient_tuple_loop(self):
         for bound in range(13):
             assert (families._prime_power_models(bound)

@@ -235,6 +235,89 @@ class TestRationalRoots:
         assert Fraction(-(10**9)) in P.rational_roots(f)
 
 
+def _pgcd_calls(monkeypatch):
+    calls = []
+    inner = P.pgcd
+
+    def wrapper(a, b):
+        calls.append((a, b))
+        return inner(a, b)
+
+    monkeypatch.setattr(P, "pgcd", wrapper)
+    return calls
+
+
+def _roots_through_the_gcd(a):
+    """The rational roots with gcd(a, a') always divided out first, as
+    rational_roots found them before it looked for a squarefree
+    reduction."""
+    a = P.trim(a)
+    zero = {Fraction(0)} if a[0] == 0 else set()
+    a = a[next(i for i, c in enumerate(a) if c):]
+    d = P.pgcd(a, P.pderiv(a))
+    g = P._exact_div(a, d) if P.degree(d) > 0 else a
+    return sorted(zero | set(P.rational_roots(g)))
+
+
+_SMALL_PRIMORIAL = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37
+
+
+class TestSquarefreeShortcut:
+    """A reduction mod p <= 37 that keeps the degree and is squarefree
+    proves the input squarefree, and no integer gcd is taken; every other
+    input still goes through pgcd, with the same roots."""
+
+    def test_squarefree_mod_a_small_prime_takes_no_gcd(self, monkeypatch):
+        calls = _pgcd_calls(monkeypatch)
+        rng = random.Random(44)
+        for _ in range(60):
+            planted = {Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                       for _ in range(rng.randint(1, 4))}
+            f = (1,)
+            for r in planted:
+                f = P.pmul(f, (-r.numerator, r.denominator))
+            assert P.rational_roots(f) == sorted(planted)
+        assert calls == []
+
+    def test_planted_repeated_roots_go_through_pgcd(self, monkeypatch):
+        calls = _pgcd_calls(monkeypatch)
+        rng = random.Random(45)
+        for _ in range(60):
+            # nonzero: a root at 0 is split off before the gcd question
+            planted = {Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                rng.randint(1, 5))
+                       for _ in range(rng.randint(1, 3))}
+            f = (1,)
+            for r in planted:
+                f = P.pmul(f, (-r.numerator, r.denominator))
+            twice = next(iter(planted))
+            f = P.pmul(f, (-twice.numerator, twice.denominator))
+            if rng.random() < 0.5:
+                f = P.pmul(f, (1, 0, 1))  # rootless quadratic factor
+            before = len(calls)
+            assert P.rational_roots(f) == sorted(planted)
+            assert len(calls) == before + 1
+        calls.clear()
+        for f in ((0, 0, 1), (1, -2, 1), P.pmul((-1, 1), (1, 0, 2, 0, 1))):
+            assert P.rational_roots(f) == _roots_through_the_gcd(f)
+
+    def test_non_squarefree_mod_every_small_prime(self, monkeypatch):
+        # squarefree over Z, but (x - 1)(x - 2)...(x - 38) has a repeated
+        # root mod every p <= 37, and every such p divides the leading
+        # coefficient of (primorial x - 1)(x - 2)
+        spread = (1,)
+        for i in range(1, 39):
+            spread = P.pmul(spread, (-i, 1))
+        steep = P.pmul((-1, _SMALL_PRIMORIAL), (-2, 1))
+        calls = _pgcd_calls(monkeypatch)
+        assert P.rational_roots(spread) == [Fraction(i) for i in range(1, 39)]
+        assert P.rational_roots(steep) == [Fraction(1, _SMALL_PRIMORIAL),
+                                           Fraction(2)]
+        assert len(calls) == 2
+        for f in (spread, steep):
+            assert P.rational_roots(f) == _roots_through_the_gcd(f)
+
+
 class TestPgcd:
     def test_frozen(self):
         g = P.pgcd((-1, 0, 1), (-1, 0, 0, 1))
