@@ -240,6 +240,7 @@ def _node_payload(node: galois.MaximalNode) -> dict:
 def _cmd_isogeny_maximal(args) -> tuple[dict, list[dict]]:
     ell, s, n = args.ell, args.s, args.n
     galois.require_searchable(ell, n, 2)
+    galois.require_ell(ell)  # the v_l(s) test below divides by l^2
     if n >= 2 and s and s % (ell * ell) == 0:
         # past level 1 the search would end in a transfer that is not
         # integral, or sooner in "s vanishes at this precision"

@@ -10,20 +10,27 @@ Rational ell-torsion is decided in two steps.  "No" comes from point
 counts: ell not dividing #E(F_q) at a small prime q != ell of good
 reduction proves there is no rational point of order ell.  "Yes", with
 its witness, comes only from a rational root of the ell-division
-polynomial.  A torsion point's order, and the multiples Velu's formulas
-sum over, come from one chain P, 2P, ... that stops about halfway round.
+polynomial.
+
+A rational torsion point of an integral model has 4x and 8y in Z
+(Silverman, AEC, VIII.7.1), so torsion is worked in integers on
+E' = (2 a1, 4 a2, 8 a3, 16 a4, 64 a6), where the point is (4x, 8y): the
+multiples, the slopes between them and Velu's sums are all integers.
+Public points, witnesses included, stay Fraction pairs on the model
+itself.  A torsion point's order, and the multiples Velu's formulas sum
+over, come from one chain P, 2P, ... on E' that stops about halfway
+round.
 
 Inside a `request_memo` block (the CLI opens one per request), each point
-count, each division-polynomial torsion verdict and each curve's list of
-one-step isogeny quotients is computed once; outside one nothing is
-cached.  A count #E(F_q) is kept under the coefficients mod q, so curves
-congruent mod q share it.
+count, each torsion point's chain, each division-polynomial torsion
+verdict and each curve's list of one-step isogeny quotients is computed
+once; outside one nothing is cached.  A count #E(F_q) is kept under the
+coefficients mod q, so curves congruent mod q share it.
 
 Minimality is the caller's contract.  The only model surgery provided is
 the standard (u, r, s, t) change of coordinates with scale u in {1, 2},
-which is enough to integralize and reduce every quotient produced by the
-curve families in this package; additive reduction is reported, never
-repaired.
+which is enough to reduce every quotient produced by the curve families
+in this package; additive reduction is reported, never repaired.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .arith import factorize, is_prime, ord_at, prime_power
+from .arith import is_prime, ord_at, prime_power
 from .polynomials import (
     degree,
     discriminant,
@@ -131,8 +138,9 @@ def local_data(e: WeierstrassCurve, p: int) -> LocalData:
 
 # Facts that one request may need more than once: #E(F_q) under
 # (coefficients mod q, q), the rational points of order ell that the
-# division polynomial gives under (coefficients, "torsion", ell), and the
-# one-step quotient list under (coefficients, "quotients").  The memo is
+# division polynomial gives under (coefficients, "torsion", ell), a torsion
+# point's chain under (coefficients, "chain", (4x, 8y)), and the one-step
+# quotient list under (coefficients, "quotients").  The memo is
 # set only inside a `request_memo` block, so a library call outside one
 # caches nothing and nothing outlives the request.
 _MEMO: ContextVar[dict | None] = ContextVar("curves_request_memo",
@@ -141,8 +149,8 @@ _MEMO: ContextVar[dict | None] = ContextVar("curves_request_memo",
 
 class request_memo:
     """Context manager: within it, point counts (once per residue class of
-    the coefficients), torsion verdicts and one-step quotients are
-    computed once; on leaving, the memo is dropped."""
+    the coefficients), torsion verdicts, chains and one-step quotients
+    are computed once; on leaving, the memo is dropped."""
 
     def __enter__(self):
         self._token = _MEMO.set({})
@@ -254,20 +262,26 @@ def negate(e: WeierstrassCurve, pt: Point) -> Point:
 
 
 def add_points(e: WeierstrassCurve, p1: Point, p2: Point) -> Point:
+    """The chord-and-tangent sum.  Two points with integer coordinates and
+    an integer slope between them (torsion points on a model from _scaled
+    always are) add in integers; any other pair adds in Fractions."""
     if p1 is None:
         return p2
     if p2 is None:
         return p1
-    x1, y1 = Fraction(p1[0]), Fraction(p1[1])
-    x2, y2 = Fraction(p2[0]), Fraction(p2[1])
+    x1, y1 = p1
+    x2, y2 = p2
     if x1 == x2 and y1 + y2 + e.a1 * x2 + e.a3 == 0:
         return None
     if x1 == x2:
-        lam = (3 * x1 * x1 + 2 * e.a2 * x1 + e.a4 - e.a1 * y1) / (
-            2 * y1 + e.a1 * x1 + e.a3
-        )
+        num = 3 * x1 * x1 + 2 * e.a2 * x1 + e.a4 - e.a1 * y1
+        den = 2 * y1 + e.a1 * x1 + e.a3
     else:
-        lam = (y2 - y1) / (x2 - x1)
+        num, den = y2 - y1, x2 - x1
+    if type(num) is int and type(den) is int and num % den == 0:
+        lam = num // den
+    else:
+        lam = Fraction(num, den)
     nu = y1 - lam * x1
     x3 = lam * lam + e.a1 * lam - e.a2 - x1 - x2
     y3 = -(lam + e.a1) * x3 - nu - e.a3
@@ -287,35 +301,83 @@ def multiply_point(e: WeierstrassCurve, k: int, pt: Point) -> Point:
 _TORSION_ORDER_BOUND = 12
 
 
-def _multiples(e: WeierstrassCurve, pt: Point) -> tuple[list, int]:
-    """([P, 2P, ..., mP], n) for a finite point P of order n at most
-    _TORSION_ORDER_BOUND, where m = floor(n/2) + (n odd).
+def _scaled(e: WeierstrassCurve) -> WeierstrassCurve:
+    """E' = (2 a1, 4 a2, 8 a3, 16 a4, 64 a6), on which the point (x, y) of
+    e is (X, Y) = (4x, 8y).  A rational torsion point of an integral model
+    has 4x and 8y in Z (Silverman, AEC, VIII.7.1), so on E' the torsion
+    points and the slopes between them are integers."""
+    a1, a2, a3, a4, a6 = e
+    # disc(E') = 2^12 disc(e), so E' needs no nonsingularity check
+    return tuple.__new__(WeierstrassCurve,
+                         (2 * a1, 4 * a2, 8 * a3, 16 * a4, 64 * a6))
+
+
+def _scaled_point(e: WeierstrassCurve, pt: Point,
+                  off_curve: str) -> tuple[int, int]:
+    """(4x, 8y) for a finite point pt of e; ValueError(off_curve) when pt
+    is not on e.  A point of e with 4x or 8y not an integer is refused as
+    not torsion."""
+    x, y = pt
+    X, rx = divmod(4 * x.numerator, x.denominator)
+    Y, ry = divmod(8 * y.numerator, y.denominator)
+    if rx or ry:
+        if on_curve(e, pt):
+            raise ValueError("point is not torsion of small order")
+        raise ValueError(off_curve)
+    a1, a2, a3, a4, a6 = _scaled(e)
+    if Y * (Y + a1 * X + a3) != ((X + a2) * X + a4) * X + a6:
+        raise ValueError(off_curve)
+    return X, Y
+
+
+def _chain(e: WeierstrassCurve, P: tuple[int, int]) -> tuple[list, int]:
+    """([P, 2P, ..., mP], n) on E' = _scaled(e) for an integer point P of
+    E' of order n at most _TORSION_ORDER_BOUND, where m = floor(n/2) +
+    (n odd); kept under (e, "chain", P) in the request memo, so a point's
+    order and Velu's sums share one chain.
 
     The chain stops at the first k with kP = -kP (n = 2k) or
     (k + 1)P = -kP (n = 2k + 1), after floor((n - 1)/2) additions where
     adding P until O takes n - 1; its first floor(n/2) entries are the
-    multiples that Velu's formulas sum over.
+    multiples that Velu's formulas sum over.  A multiple that is not an
+    integer point proves P is not torsion.
     """
-    chain = [pt]
+    return _memoized((e.coefficients(), "chain", P), _scaled_multiples, e, P)
+
+
+def _scaled_multiples(e: WeierstrassCurve,
+                      P: tuple[int, int]) -> tuple[list, int]:
+    """What _chain keeps, computed."""
+    s = _scaled(e)
+    chain = [P]
     for k in range(1, _TORSION_ORDER_BOUND // 2 + 1):
-        last = chain[-1]
-        neg = negate(e, last)
-        if last == neg:
+        x, y = chain[-1]
+        neg = (x, -y - s.a1 * x - s.a3)
+        if y == neg[1]:
             return chain, 2 * k
         if 2 * k + 1 > _TORSION_ORDER_BOUND:
             break
-        nxt = add_points(e, last, pt)
+        nxt = add_points(s, chain[-1], P)
+        if type(nxt[0]) is not int:
+            break
         chain.append(nxt)
         if nxt == neg:
             return chain, 2 * k + 1
     raise ValueError("point is not torsion of small order")
 
 
+def _multiples(e: WeierstrassCurve, pt: Point) -> tuple[list, int]:
+    """([P, 2P, ..., mP], n) for a finite point P of e: _chain in e's own
+    coordinates, x = X/4 and y = Y/8."""
+    chain, n = _chain(e, _scaled_point(e, pt, "point not on curve"))
+    return [(Fraction(x, 4), Fraction(y, 8)) for x, y in chain], n
+
+
 def point_order(e: WeierstrassCurve, pt: Point) -> int:
     """Order of a torsion point of order at most _TORSION_ORDER_BOUND."""
-    if not on_curve(e, pt):
-        raise ValueError("point not on curve")
-    return 1 if pt is None else _multiples(e, pt)[1]
+    if pt is None:
+        return 1
+    return _chain(e, _scaled_point(e, pt, "point not on curve"))[1]
 
 
 def two_division_poly(e: WeierstrassCurve) -> tuple[int, ...]:
@@ -353,15 +415,6 @@ def division_poly(e: WeierstrassCurve, ell: int) -> tuple[int, ...]:
             )
         )
     raise ValueError(f"division polynomial not provided for ell = {ell}")
-
-
-def _fraction_sqrt(v: Fraction):
-    if v < 0:
-        return None
-    rn, rd = isqrt(v.numerator), isqrt(v.denominator)
-    if rn * rn == v.numerator and rd * rd == v.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 # Primes the point-count filter may use, and how many good ones it counts at
@@ -407,21 +460,28 @@ def _torsion_points(e: WeierstrassCurve, ell: int, disc: int) -> tuple:
 
 def _division_points(e: WeierstrassCurve, ell: int) -> tuple:
     """Rational points of exact order ell, one per rational root x of the
-    ell-division polynomial, in increasing x."""
+    ell-division polynomial, in increasing x.
+
+    Each root is lifted on E' = _scaled(e): X = 4x, and Y = 8y solves
+    Y^2 + hY = G(X) with h = a1' X + a3', so Y = (isqrt(h^2 + 4G) - h)/2
+    when h^2 + 4G is a square.  A root with 4x not an integer lifts to no
+    rational point, since that point would be torsion.
+    """
     poly = two_division_poly(e) if ell == 2 else division_poly(e, ell)
+    a1, a2, a3, a4, a6 = _scaled(e)
     points = []
     for x in rational_roots(poly):
-        # y solves a monic quadratic; rational iff 4g + h^2 is a square at x
-        hx = e.a1 * x + e.a3
-        gx = x**3 + e.a2 * x * x + e.a4 * x + e.a6
-        root = _fraction_sqrt(hx * hx + 4 * gx)
-        if root is None:
+        X, rem = divmod(4 * x.numerator, x.denominator)
+        if rem:
             continue
-        pt = (x, (root - hx) / 2)
-        if not on_curve(e, pt):
-            raise AssertionError("lifted torsion point is not on the curve")
-        if point_order(e, pt) == ell:
-            points.append(pt)
+        h = a1 * X + a3
+        d = h * h + 4 * (((X + a2) * X + a4) * X + a6)
+        root = isqrt(max(d, 0))
+        if root * root != d:
+            continue
+        Y = (root - h) // 2
+        if _chain(e, (X, Y))[1] == ell:
+            points.append((x, Fraction(Y, 8)))
     return tuple(points)
 
 
@@ -456,34 +516,29 @@ def has_rational_ell_torsion(e: WeierstrassCurve, ell: int,
 def velu_quotient(e: WeierstrassCurve, pt: Point) -> WeierstrassCurve:
     """Quotient by the subgroup generated by a rational prime-order point.
 
-    The raw quotient keeps a1, a2, a3 and so may be non-integral when the
-    kernel point has denominators; the result is integralized and reduced
-    with scale-2 moves before returning.
+    Velu's sums v and w are taken over the integer multiples on
+    E' = _scaled(e), so the raw quotient (a1', a2', a3', a4' - 5v,
+    a6' - b2' v - 7w) is integral: it is e's raw quotient scaled by u = 2.
+    Coefficient i is divided back by 2^w_i when all five allow it, and the
+    model is then reduced.
     """
     if pt is None:
         raise ValueError("cannot quotient by the point at infinity")
-    if not on_curve(e, pt):
-        raise ValueError("kernel point not on curve")
-    chain, ell = _multiples(e, pt)
+    chain, ell = _chain(e, _scaled_point(e, pt, "kernel point not on curve"))
     if not is_prime(ell):
         raise ValueError(f"kernel point order {ell} is not prime")
-    b2 = e.a1**2 + 4 * e.a2
-    v = w = Fraction(0)
+    a1, a2, a3, a4, a6 = _scaled(e)
+    v = w = 0
     for x, y in chain[:ell // 2]:  # P, 2P, ..., (ell // 2) P
-        gx = 3 * x * x + 2 * e.a2 * x + e.a4 - e.a1 * y
-        gy = -2 * y - e.a1 * x - e.a3
-        vq = gx if gy == 0 else 2 * gx - e.a1 * gy
-        uq = gy * gy
+        gx = 3 * x * x + 2 * a2 * x + a4 - a1 * y
+        gy = -2 * y - a1 * x - a3
+        vq = gx if gy == 0 else 2 * gx - a1 * gy
         v += vq
-        w += uq + x * vq
-    coeffs = (
-        Fraction(e.a1),
-        Fraction(e.a2),
-        Fraction(e.a3),
-        e.a4 - 5 * v,
-        e.a6 - b2 * v - 7 * w,
-    )
-    return reduce_model(_integralize(coeffs))
+        w += gy * gy + x * vq
+    coeffs = (a1, a2, a3, a4 - 5 * v, a6 - (a1 * a1 + 4 * a2) * v - 7 * w)
+    if all(c % (1 << k) == 0 for c, k in zip(coeffs, _WEIGHTS)):
+        coeffs = tuple(c >> k for c, k in zip(coeffs, _WEIGHTS))
+    return reduce_model(WeierstrassCurve(*coeffs))
 
 
 # the weight of each coefficient: a_i scales by u^-w under the moves below
@@ -501,19 +556,6 @@ def _moved(e: WeierstrassCurve, r: int, s: int, t: int) -> tuple[int, ...]:
         a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
         a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
     )
-
-
-def _integralize(coeffs) -> WeierstrassCurve:
-    """Scale up x = x'/u^2, y = y'/u^3 until all coefficients are integers."""
-    needs: dict[int, int] = {}
-    for c, weight in zip(coeffs, _WEIGHTS):
-        for q, v in factorize(Fraction(c).denominator).items():
-            needs[q] = max(needs.get(q, 0), -(-v // weight))
-    u = 1
-    for q, n in needs.items():
-        u *= q**n
-    scaled = [int(c * u**w) for c, w in zip(coeffs, _WEIGHTS)]
-    return WeierstrassCurve(*scaled)
 
 
 def _try_scale_down(e: WeierstrassCurve) -> WeierstrassCurve | None:

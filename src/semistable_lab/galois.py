@@ -89,10 +89,15 @@ class GaloisRep(NamedTuple):
         return 2 * self.d
 
 
-def build_rep(ell: int, d: int, s: int, precision: int) -> GaloisRep:
-    """Construct the standard pair for a given block count and shear s."""
+def require_ell(ell: int) -> None:
+    """Refuse an l the standard pair is not built for."""
     if ell not in (2, 3, 5):
         raise ValueError("ell must be 2, 3 or 5")
+
+
+def build_rep(ell: int, d: int, s: int, precision: int) -> GaloisRep:
+    """Construct the standard pair for a given block count and shear s."""
+    require_ell(ell)
     if d < 1:
         raise ValueError("d must be positive")
     if d > _BLOCK_LIMIT:

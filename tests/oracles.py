@@ -1230,8 +1230,7 @@ def velu_by_repeated_addition(e, pt):
     k <= l // 2, by curves.multiply_point from scratch."""
     from fractions import Fraction
 
-    from semistable_lab.curves import (_integralize, multiply_point,
-                                       reduce_model)
+    from semistable_lab.curves import multiply_point, reduce_model
 
     ell = order_by_repeated_addition(e, pt)
     b2 = e.a1**2 + 4 * e.a2
@@ -1246,3 +1245,21 @@ def velu_by_repeated_addition(e, pt):
     coeffs = (Fraction(e.a1), Fraction(e.a2), Fraction(e.a3),
               e.a4 - 5 * v, e.a6 - b2 * v - 7 * w)
     return reduce_model(_integralize(coeffs))
+
+
+def _integralize(coeffs) -> WeierstrassCurve:
+    """Scale up x = x'/u^2, y = y'/u^3 until all coefficients are integers."""
+    from fractions import Fraction
+
+    from semistable_lab.arith import factorize
+    from semistable_lab.curves import _WEIGHTS, WeierstrassCurve
+
+    needs: dict[int, int] = {}
+    for c, weight in zip(coeffs, _WEIGHTS):
+        for q, v in factorize(Fraction(c).denominator).items():
+            needs[q] = max(needs.get(q, 0), -(-v // weight))
+    u = 1
+    for q, n in needs.items():
+        u *= q**n
+    scaled = [int(c * u**w) for c, w in zip(coeffs, _WEIGHTS)]
+    return WeierstrassCurve(*scaled)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from semistable_lab import cli
+from semistable_lab import arith, cli
 from semistable_lab.arith import (
     PRIMALITY_BOUND,
     factorize,
@@ -57,6 +57,30 @@ class TestPrimality:
 
     def test_psi_12_is_composite(self):
         assert PSI_12 == 399165290221 * 798330580441
+        assert is_prime(PSI_12) is False
+
+    def test_base_list_is_what_the_psi_13_proof_needs(self):
+        """The bases are the first 13 primes: psi_12 passes the strong test
+        to each of 2..37 and fails it to 41, so the 13th base alone turns
+        psi_12 away."""
+        def strong_probable_prime(n, a):
+            d, s = n - 1, 0
+            while d % 2 == 0:
+                d, s = d // 2, s + 1
+            x = pow(a, d, n)
+            if x in (1, n - 1):
+                return True
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    return True
+            return False
+
+        assert arith._MR_BASES == tuple(
+            n for n in range(2, 42) if trial_prime(n))
+        assert all(strong_probable_prime(PSI_12, a)
+                   for a in arith._MR_BASES[:12])
+        assert not strong_probable_prime(PSI_12, 41)
         assert is_prime(PSI_12) is False
 
     def test_bound_is_psi_13(self):

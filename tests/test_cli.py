@@ -433,6 +433,40 @@ class TestSquareShearRefusal:
         assert status == 0
 
 
+class TestEllCheckedFirst:
+    """isogeny-maximal refuses an l outside {2, 3, 5} for that reason,
+    before the v_l(s) test can divide by l^2 or name l^2 | s."""
+
+    @pytest.mark.parametrize("ell, s", [(0, 55), (1, 55), (-1, 2)])
+    def test_refused_as_an_unsupported_ell(self, capsys, ell, s):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["isogeny-maximal", "--ell", str(ell), "--s", str(s),
+                      "--n", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ell must be 2, 3 or 5" in captured.err
+
+
+class TestPublishedTables:
+    def test_table_rows_no_golden_request_reaches(self):
+        """Each row of _CONTROLLED_TABLE and _CLASS_NUMBER_TABLE that no
+        golden request reads, checked at its literal value."""
+        for p, h, degree in ((3, 1, 4), (17, 4, 16)):
+            report, status = run_cli(["controlled-degree", "--p", str(p)])
+            assert status == 0
+            assert (report["results"]["class_number"],
+                    report["results"]["degree_over_Q"]) == (h, degree)
+            assert [(c["name"], c["expected"]) for c in report["checks"]
+                    if c["name"] != "degree-is-four-times-two-part"] == [
+                ("class-number", h), ("degree-over-q", degree)]
+        report, status = run_cli(["class-number", "--disc", "-3"])
+        assert status == 0
+        assert report["results"]["class_number"] == 1
+        assert [(c["name"], c["expected"]) for c in report["checks"]] == [
+            ("class-number", 1)]
+
+
 _LARGEST_IDENTITIES = [
     "verify-identities", "--ell", "5", "--s", "5",
     "--precision", str(galois._PRECISION_LIMIT),

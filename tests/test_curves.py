@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 import pytest
@@ -565,6 +566,85 @@ class TestVeluQuotient:
             velu_quotient(seed, pt)
 
 
+def fraction_torsion_points(e: WeierstrassCurve):
+    """Every rational point of order 2, 3, 5 or 7, lifted from the roots
+    of the division polynomials in Fractions, both square roots taken."""
+    points = []
+    for ell in (2, 3, 5, 7):
+        poly = two_division_poly(e) if ell == 2 else division_poly(e, ell)
+        for x in rational_roots(poly):
+            hx = e.a1 * x + e.a3
+            square = hx * hx + 4 * (x**3 + e.a2 * x * x + e.a4 * x + e.a6)
+            if square < 0:
+                continue
+            rn, rd = isqrt(square.numerator), isqrt(square.denominator)
+            if rn * rn != square.numerator or rd * rd != square.denominator:
+                continue
+            for root in {Fraction(rn, rd), -Fraction(rn, rd)}:
+                pt = (x, (root - hx) / 2)
+                if order_by_repeated_addition(e, pt) == ell:
+                    points.append(pt)
+    return points
+
+
+def denominator_two_torsion():
+    """The (curve, point) pairs of order 2 with x not an integer, in the
+    box a1 = 1, a2 in {-1, 0, 1}, a3 in {0, 1}, |a4|, |a6| <= 6."""
+    found = []
+    for a2, a3, a4, a6 in product((-1, 0, 1), (0, 1), range(-6, 7),
+                                  range(-6, 7)):
+        try:
+            e = WeierstrassCurve(1, a2, a3, a4, a6)
+        except SingularCurveError:
+            continue
+        found += [(e, pt) for pt in fraction_torsion_points(e)
+                  if pt[0].denominator > 1]
+    return found
+
+
+class TestIntegerTorsionRoute:
+    """point_order, velu_quotient and has_rational_ell_torsion, which work
+    on the 2-scaled model in integers, against repeated addition in
+    Fractions and the division-polynomial route alone."""
+
+    @staticmethod
+    def check(e, points):
+        for pt in points:
+            order = order_by_repeated_addition(e, pt)
+            assert point_order(e, pt) == order, (e, pt)
+            if order in (2, 3, 5, 7):
+                assert velu_quotient(e, pt) == velu_by_repeated_addition(
+                    e, pt), (e, pt)
+        for ell in (2, 3, 5, 7):
+            assert (has_rational_ell_torsion(e, ell)
+                    == division_poly_torsion(e, ell)), (e, ell)
+
+    @pytest.mark.parametrize("n", list(MAZUR_MODELS))
+    def test_mazur_models(self, n):
+        e = WeierstrassCurve(*MAZUR_MODELS[n])
+        self.check(e, [multiply_point(e, k, ORIGIN) for k in range(1, n)])
+
+    def test_seed_table_classes(self):
+        seeds = [row.curve for row in families.load_seed_rows()]
+        seeds.append(families.EXCEPTIONAL_SEED)
+        swept = 0
+        for seed in seeds:
+            for e in isogeny_class(seed):
+                points = fraction_torsion_points(e)
+                self.check(e, points)
+                swept += len(points)
+        assert swept >= 10
+
+    def test_order_two_points_with_denominators(self):
+        pairs = denominator_two_torsion()
+        assert len(pairs) == 10
+        assert (E2, (Fraction(3, 4), Fraction(-3, 8))) in pairs
+        assert (WeierstrassCurve(1, -1, 1, -6, -4),
+                (Fraction(-5, 4), Fraction(1, 8))) in pairs
+        for e, pt in pairs:
+            self.check(e, [pt])
+
+
 class TestReduceModel:
     def test_canonical_ranges(self):
         rng = random.Random("curve-reduce")
@@ -804,14 +884,14 @@ class TestRequestMemo:
 class TestTorsionFactsDerivedOnce:
     """Per request: the box filter evaluates each discriminant as a
     quadratic in a6, a survivor's p spares the count filter its
-    discriminant, one chain per torsion point gives its order and Velu's
-    multiples, and a division polynomial squarefree mod a small prime
-    takes no integer gcd.  Without these the counts were 5,594, 96, 21
+    discriminant, one chain per torsion point, kept in the request memo,
+    gives its order, the handler's re-check and Velu's multiples, and a
+    division polynomial squarefree mod a small prime takes no integer gcd.  Without these the counts were 5,594, 96, 21
     and 157 for paper-suite, and 4,375, 8, 8 and 101 for the search."""
 
     PINNED = {  # argv -> (_disc_from_b, add_points, pgcd, count_points)
-        ("paper-suite",): (1085, 28, 0, 157),
-        ("miyawaki-search", "--ell", "3"): (711, 4, 0, 101),
+        ("paper-suite",): (1085, 12, 0, 157),
+        ("miyawaki-search", "--ell", "3"): (711, 2, 0, 101),
     }
 
     @pytest.mark.parametrize("argv", list(PINNED))

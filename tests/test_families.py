@@ -79,6 +79,22 @@ class TestNsEnumerate:
                     == oracles.square_plus_64_primes(bound)), bound
 
 
+    def test_work_at_10_6(self, monkeypatch):
+        """The sieve strikes every u with a prime q = 1 mod 4, q < 2,000,
+        dividing u^2 + 64, so 368 primality tests (the sieve's own and the
+        survivors') find the 119 pairs; a sieve that struck nothing would
+        find the same pairs with more tests."""
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(families, "is_prime", counted)
+        assert len(ns_enumerate(10**6)) == 119
+        assert len(calls) == 368
+
+
 class TestMiyawakiSearch:
     def test_frozen_hits(self):
         assert {
