@@ -28,6 +28,17 @@ generator.  Its Smith valuations, clipped at N, are therefore the pivot
 valuations padded with N up to min(r, number of generators).  At N = 1 the
 same engine is the reduced row echelon form over F_l (`fl_echelon`).
 
+Meets, sums and kernels come from the same engine with its pivots kept
+to the first `top` rows, a Zassenhaus pass taken to Howell form (Howell,
+"Spans in the module (Z_m)^s", 1986).  Every column it leaves unpivoted is
+zero on top.  The top entries of a pivot column have valuation at least
+its pivot's and the top parts are triangular in the pivot rows, so the
+span's elements with top part zero are spanned by the unpivoted columns
+and l^(N-v) times each pivot column of valuation v.  On (b; b) for b in X
+and (c; 0) for c in Y, the pivot columns' top parts are the canonical
+basis of X + Y and those elements' bottom parts span X ∩ Y; on
+(M e_j; e_j), their bottom parts span the kernel of M.
+
 Purity of X in T = (Z/l^N)^r means T/X is torsion free, detected by the
 Nakayama criterion: every elementary divisor of the basis is 0, equivalently
 the mod-l projection of X has dimension equal to the number of basis columns.
@@ -45,7 +56,6 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from . import intlinalg
 from .arith import Frozen, is_prime
 
 
@@ -111,9 +121,6 @@ class PadicMatrix(Frozen):
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
 
     def __sub__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check(other)
@@ -198,9 +205,7 @@ def _int_det(mat: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _echelon_columns(
-    ctx: PadicContext, cols
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
+def _echelon_columns(ctx: PadicContext, cols, top: int | None = None):
     """Column engine behind every Lattice, on vectors reduced mod l^N.
 
     Returns the canonical basis and, per basis column, the (valuation, row)
@@ -216,20 +221,32 @@ def _echelon_columns(
     of its unit part (skipped when that is 1), so the pivot is l^v; the
     pivot row is then cleared in the unpivoted columns and reduced mod l^v
     in the pivoted ones.
+
+    With `top`, pivots are taken in the first `top` rows only, and a third
+    value holds the nonzero columns left unpivoted, whose first `top`
+    entries are zero.
     """
     m, ell = ctx.modulus, ctx.ell
     work = [c for c in cols if any(c)]
-    if not work:
-        return (), ()
-    r = len(work[0])
-    live = list(range(len(work)))  # unpivoted nonzero columns, in order
+    # live: the unpivoted columns with a nonzero entry in a row that may
+    # take a pivot, in order
+    if top is None:
+        nonzero, rows = any, range(len(work[0]) if work else 0)
+        live = list(range(len(work)))
+    else:
+        def nonzero(col):
+            return any(col[:top])
+        rows = range(top)
+        live = [k for k, col in enumerate(work) if nonzero(col)]
     pivoted = [False] * len(work)
-    row_used = [False] * r
+    row_used = [False] * len(rows)
     found: list[tuple[int, int, int]] = []  # (valuation, row, column)
-    piv = 1  # l^v
-    for v in range(ctx.precision):
+    piv, v = 1, 0  # l^v
+    while live:
+        if v == ctx.precision:
+            raise AssertionError("a nonzero column kept no entry below the precision")
         nxt = piv * ell
-        for i in range(r):
+        for i in rows:
             if row_used[i]:
                 continue
             for j in live:
@@ -253,12 +270,16 @@ def _echelon_columns(
                     work[k] = [(x - q * y) % m for x, y in zip(other, col)]
             found.append((v, i, j))
             pivoted[j] = row_used[i] = True
-            live = [k for k in live if k != j and any(work[k])]
+            live = [k for k in live if k != j and nonzero(work[k])]
             if not live:
-                return (tuple(tuple(work[j]) for _v, _i, j in found),
-                        tuple((v, i) for v, i, _j in found))
-        piv = nxt
-    raise AssertionError("a nonzero column kept no entry below the precision")
+                break
+        piv, v = nxt, v + 1
+    basis = tuple(tuple(work[j]) for _v, _i, j in found)
+    pivots = tuple((v, i) for v, i, _j in found)
+    if top is None:
+        return basis, pivots
+    return basis, pivots, tuple(tuple(col) for k, col in enumerate(work)
+                                if not pivoted[k] and any(col))
 
 
 class Lattice(Frozen):
@@ -437,43 +458,51 @@ def is_pure(lattice: Lattice) -> bool:
     return all(d == 0 for d in divisors)
 
 
+def _kernel_pass(ctx: PadicContext, top: int, cols):
+    """The one kernel route: the engine on cols with pivots in the first
+    `top` rows.
+
+    Returns the top parts of the pivot columns with their pivots, which are
+    the canonical basis and pivots of the span of the top parts, and
+    generators of the bottom parts of the span's elements whose top part is
+    zero: the bottoms of the columns left unpivoted, and l^(N-v) times the
+    bottom of each pivot column of valuation v.
+    """
+    m, ell, n = ctx.modulus, ctx.ell, ctx.precision
+    basis, pivots, rest = _echelon_columns(ctx, cols, top)
+    kernel = tuple(col[top:] for col in rest) + tuple(
+        tuple(ell ** (n - v) * x % m for x in col[top:])
+        for col, (v, _row) in zip(basis, pivots) if v)
+    return tuple(col[:top] for col in basis), pivots, kernel
+
+
+def _zassenhaus(x: Lattice, y: Lattice):
+    """The kernel pass on (b; b) for b in X's basis and (c; 0) for c in Y's,
+    whose span is {(u + w; u) : u in X, w in Y}: its top parts make X + Y,
+    and the elements with top part zero have bottoms X ∩ Y."""
+    _check_compatible(x, y)
+    zero = (0,) * x.ambient_rank
+    return _kernel_pass(x.ctx, x.ambient_rank,
+                        [b + b for b in x.basis] + [c + zero for c in y.basis])
+
+
 def intersect(x: Lattice, y: Lattice) -> Lattice:
     """X ∩ Y inside the common ambient module."""
-    _check_compatible(x, y)
-    if x.is_zero() or y.is_zero():
-        return Lattice.zero(x.ctx, x.ambient_rank)
-    m = x.ctx.modulus
-    a = [list(col) for col in x.basis]
-    b = [list(col) for col in y.basis]
-    # Solve A*u = B*w (mod m): kernel of [A | -B].
-    mat = [
-        [a[j][i] for j in range(len(a))] + [-b[j][i] % m for j in range(len(b))]
-        for i in range(x.ambient_rank)
-    ]
-    gens = []
-    for col in intlinalg.kernel_mod(mat, m):
-        u = col[: len(a)]
-        vec = [0] * x.ambient_rank
-        for c, acol in zip(u, a):
-            for i in range(x.ambient_rank):
-                vec[i] = (vec[i] + c * acol[i]) % m
-        if any(vec):
-            gens.append(tuple(vec))
-    return Lattice.from_generators(x.ctx, x.ambient_rank, gens).rebased()
+    _sum, _pivots, meet = _zassenhaus(x, y)
+    return Lattice._from_reduced(x.ctx, x.ambient_rank, meet).rebased()
 
 
 def lattice_sum(x: Lattice, y: Lattice) -> tuple[Lattice, bool, bool]:
     """X + Y with directness and purity verdicts.
 
     Returns (sum, is_direct, sum_is_pure); is_direct means X ∩ Y = 0.
-    When both summands are pure and their mod-l projections meet trivially,
-    the sum is guaranteed direct and pure, and this is asserted.
+    Both come from one Zassenhaus pass.  When both summands are pure and
+    their mod-l projections meet trivially, the sum is guaranteed direct
+    and pure, and this is asserted.
     """
-    _check_compatible(x, y)
-    total = Lattice.from_generators(
-        x.ctx, x.ambient_rank, list(x.basis) + list(y.basis)
-    ).rebased()
-    direct = intersect(x, y).is_zero()
+    basis, pivots, meet = _zassenhaus(x, y)
+    total = Lattice(x.ctx, x.ambient_rank, basis, pivots, len(basis))
+    direct = not any(map(any, meet))
     try:
         pure = is_pure(total)
     except PrecisionLossError:
@@ -544,16 +573,13 @@ def orthogonal(x: Lattice, pairing: Pairing) -> Lattice:
         raise PairingError("orthogonal complements need a perfect pairing")
     if pairing.gram.nrows != x.ambient_rank:
         raise ValueError("pairing rank does not match the ambient module")
-    m = x.ctx.modulus
-    if x.is_zero():
-        return Lattice.full(x.ctx, x.ambient_rank)
-    rows = []
-    for col in x.basis:
-        gt = [sum(col[i] * pairing.gram.entry(i, j) for i in range(x.ambient_rank)) % m
-              for j in range(x.ambient_rank)]
-        rows.append(gt)
-    gens = intlinalg.kernel_mod(rows, m)
-    return Lattice.from_generators(x.ctx, x.ambient_rank, [tuple(g) for g in gens]).rebased()
+    # X-perp is the kernel of M = B^T gram: column j is (M e_j; e_j).
+    ctx, m = x.ctx, x.ctx.modulus
+    cols = [tuple(sum(map(mul, b, g)) % m for b in x.basis) + e
+            for g, e in zip(zip(*pairing.gram.rows),
+                            PadicMatrix.identity(ctx, x.ambient_rank).rows)]
+    _image, _pivots, perp = _kernel_pass(ctx, len(x.basis), cols)
+    return Lattice._from_reduced(ctx, x.ambient_rank, perp).rebased()
 
 
 def _check_compatible(x: Lattice, y: Lattice) -> None:

@@ -11,6 +11,7 @@ import dataclasses
 import itertools
 import math
 import random
+from math import gcd
 
 import sympy
 from sympy.matrices.normalforms import invariant_factors
@@ -120,13 +121,203 @@ def smith_valuations(generators, ell, precision, ambient_rank):
 
 def smith_diagonal(mat):
     """Diagonal of the Smith normal form of an integer matrix, read off
-    intlinalg.smith_with_transforms: min(rows, cols) nonnegative integers
+    smith_with_transforms: min(rows, cols) nonnegative integers
     d_1 | d_2 | ..., zeros last.  This is how padic.Lattice computed its
     elementary divisors before it read them off the echelon pivots."""
-    from semistable_lab.intlinalg import smith_with_transforms
-
     d, _u, _v = smith_with_transforms(mat)
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+
+
+# The integer Smith form with transforms and the kernels modulo any modulus
+# read off it, which padic.intersect and padic.orthogonal once called.
+
+def _mat_copy(m: list[list[int]]) -> list[list[int]]:
+    return [list(row) for row in m]
+
+
+def _identity_matrix(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def smith_with_transforms(
+    mat: list[list[int]],
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Smith form with transforms: returns (d, u, v) with u*mat*v = d.
+
+    u and v are unimodular; d is diagonal (rectangular allowed).
+    """
+    m = _mat_copy(mat)
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    u = _identity_matrix(rows)
+    v = _identity_matrix(cols)
+
+    def row_swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def row_sub(i, j, q):
+        # row_i -= q * row_j
+        mi, mj = m[i], m[j]
+        for k in range(cols):
+            mi[k] -= q * mj[k]
+        ui, uj = u[i], u[j]
+        for k in range(rows):
+            ui[k] -= q * uj[k]
+
+    def col_sub(i, j, q):
+        # col_i -= q * col_j
+        for row in m:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+
+    n = min(rows, cols)
+    top = 0
+    while top < n:
+        best = None
+        for i in range(top, rows):
+            for j in range(top, cols):
+                val = m[i][j]
+                if val != 0 and (best is None or abs(val) < abs(best[0])):
+                    best = (val, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != top:
+            row_swap(top, bi)
+        if bj != top:
+            col_swap(top, bj)
+        while True:
+            piv = m[top][top]
+            dirty = False
+            for i in range(top + 1, rows):
+                if m[i][top]:
+                    row_sub(i, top, m[i][top] // piv)
+                    if m[i][top]:
+                        row_swap(top, i)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(top + 1, cols):
+                if m[top][j]:
+                    col_sub(j, top, m[top][j] // piv)
+                    if m[top][j]:
+                        col_swap(top, j)
+                        dirty = True
+                        break
+            if not dirty:
+                break
+        piv = m[top][top]
+        fixed = True
+        for i in range(top + 1, rows):
+            bad = next((j for j in range(top + 1, cols) if m[i][j] % piv), None)
+            if bad is not None:
+                row_sub(top, i, -1)  # row_top += row_i
+                fixed = False
+                break
+        if not fixed:
+            continue
+        if piv < 0:
+            for j in range(cols):
+                m[top][j] = -m[top][j]
+            for j in range(rows):
+                u[top][j] = -u[top][j]
+        top += 1
+    d = [[m[i][j] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    # Keep any residue outside the processed block (rank-deficient tail is zero
+    # by construction, but be defensive).
+    for i in range(rows):
+        for j in range(cols):
+            if i != j and m[i][j] != 0:
+                raise AssertionError("smith reduction left an off-diagonal entry")
+    return d, u, v
+
+
+def kernel_mod(mat: list[list[int]], modulus: int) -> list[list[int]]:
+    """Generators (as columns) of {x : mat*x == 0 (mod modulus)}.
+
+    Returns a list of column vectors spanning the kernel of the map
+    (Z/modulus)^cols -> (Z/modulus)^rows.
+    """
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    if cols == 0:
+        return []
+    if rows == 0:
+        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
+    d, _u, v = smith_with_transforms(mat)
+    gens = []
+    for j in range(cols):
+        dj = d[j][j] if j < rows else 0
+        # Least s >= 1 with s*dj == 0 (mod modulus); dj == 0 means y_j is free.
+        scale = 1 if dj == 0 else modulus // gcd(dj, modulus)
+        col = [(v[i][j] * scale) % modulus for i in range(cols)]
+        if any(col):
+            gens.append(col)
+    return gens
+
+
+def smith_route_intersect(x, y):
+    """X ∩ Y from kernel_mod of [A | -B] modulo l^N: padic.intersect as it
+    was before it read the meet off one echelon pass."""
+    from semistable_lab.padic import Lattice
+
+    if x.is_zero() or y.is_zero():
+        return Lattice.zero(x.ctx, x.ambient_rank)
+    m = x.ctx.modulus
+    a = [list(col) for col in x.basis]
+    b = [list(col) for col in y.basis]
+    # Solve A*u = B*w (mod m): kernel of [A | -B].
+    mat = [
+        [a[j][i] for j in range(len(a))] + [-b[j][i] % m for j in range(len(b))]
+        for i in range(x.ambient_rank)
+    ]
+    gens = []
+    for col in kernel_mod(mat, m):
+        u = col[: len(a)]
+        vec = [0] * x.ambient_rank
+        for c, acol in zip(u, a):
+            for i in range(x.ambient_rank):
+                vec[i] = (vec[i] + c * acol[i]) % m
+        if any(vec):
+            gens.append(tuple(vec))
+    return Lattice.from_generators(x.ctx, x.ambient_rank, gens).rebased()
+
+
+def smith_route_sum(x, y):
+    """(X + Y, X ∩ Y = 0): the sum by an echelon pass of both bases and the
+    directness verdict from smith_route_intersect, as padic.lattice_sum
+    read them before one pass gave both."""
+    from semistable_lab.padic import Lattice
+
+    total = Lattice.from_generators(
+        x.ctx, x.ambient_rank, list(x.basis) + list(y.basis)).rebased()
+    return total, smith_route_intersect(x, y).is_zero()
+
+
+def smith_route_orthogonal(x, pairing):
+    """X-perp as kernel_mod of the rows b^T gram, b in X's basis: padic.
+    orthogonal as it was before it read the kernel off one echelon pass."""
+    from semistable_lab.padic import Lattice
+
+    m = x.ctx.modulus
+    if x.is_zero():
+        return Lattice.full(x.ctx, x.ambient_rank)
+    rows = []
+    for col in x.basis:
+        gt = [sum(col[i] * pairing.gram.rows[i][j] for i in range(x.ambient_rank)) % m
+              for j in range(x.ambient_rank)]
+        rows.append(gt)
+    gens = kernel_mod(rows, m)
+    return Lattice.from_generators(x.ctx, x.ambient_rank, [tuple(g) for g in gens]).rebased()
 
 
 def fl_echelon(vectors, ell):
@@ -816,10 +1007,10 @@ def congruence_kernel(ell, extra_units=()):
     coordinate -e1/e0 vanishes mod ell; the two conditions are
     homomorphisms to Z/(ell-1) and Z/ell, and the kernel of the combined
     map on exponent vectors comes from the Smith form over the composite
-    modulus ell(ell - 1), intlinalg.kernel_mod.  The vectors are exponents
+    modulus ell(ell - 1), kernel_mod.  The vectors are exponents
     of `unit_generators(ell)` and then the extra units, in that order.
     """
-    from semistable_lab import cyclotomic, intlinalg
+    from semistable_lab import cyclotomic
 
     units = cyclotomic.unit_generators(ell) + list(extra_units)
     root = next(g for g in range(1, ell)
@@ -831,7 +1022,7 @@ def congruence_kernel(ell, extra_units=()):
         e0, e1 = cyclotomic._taylor_pair(poly, ell)
         conditions[0].append(ell * dlog[e0] % modulus)
         conditions[1].append((ell - 1) * (-e1 * pow(e0, -1, ell)) % modulus)
-    return [tuple(v) for v in intlinalg.kernel_mod(conditions, modulus)]
+    return [tuple(v) for v in kernel_mod(conditions, modulus)]
 
 
 def unit_image_rank_horner(ell, p, extra_units=()):

@@ -18,8 +18,7 @@ import pytest
 
 import oracles
 from make_golden import CORPUS
-from semistable_lab import (cli, cyclotomic, families, galois, intlinalg,
-                            padic, quadratic)
+from semistable_lab import cli, cyclotomic, families, galois, padic, quadratic
 from semistable_lab.arith import PRIMALITY_BOUND, is_prime
 from semistable_lab.curves import WeierstrassCurve
 
@@ -560,8 +559,7 @@ class TestMaximalSearchWithoutIntersections:
 
         monkeypatch.setattr(padic, "intersect", refuse)
         assert not hasattr(galois, "intersect")
-        monkeypatch.setattr(intlinalg, "kernel_mod", refuse)
-        monkeypatch.setattr(intlinalg, "smith_with_transforms", refuse)
+        monkeypatch.setattr(padic, "_kernel_pass", refuse)
         report, status = run_cli(
             ["isogeny-maximal", "--ell", str(ell), "--s", str(ell),
              "--n", str(n)])
@@ -572,16 +570,16 @@ class TestMaximalSearchWithoutIntersections:
 
 class TestGammaRankWithoutSmithForm:
     """The congruence-unit rank is read over F_ell, so gamma-rank needs no
-    integer Smith form and no kernel modulo l(l - 1)."""
+    kernel, modulo l(l - 1) or any other: padic's one kernel route is never
+    taken."""
 
     @pytest.mark.parametrize("ell, p", [(5, 31), (7, 1201)])  # f = 1, f = 3
     def test_answers_with_smith_form_disabled(self, monkeypatch, capsys,
                                               ell, p):
         def refuse(*args):
-            raise RuntimeError("integer Smith form")
+            raise RuntimeError("general kernel")
 
-        monkeypatch.setattr(intlinalg, "kernel_mod", refuse)
-        monkeypatch.setattr(intlinalg, "smith_with_transforms", refuse)
+        monkeypatch.setattr(padic, "_kernel_pass", refuse)
         argv = ["gamma-rank", "--ell", str(ell), "--p", str(p)]
         digest = next(row["stdout_sha256"]
                       for row in json.loads(CORPUS.read_text())

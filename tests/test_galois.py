@@ -76,9 +76,9 @@ class TestBuildRep:
         assert rep.sigma.rows == (
             (1, 6, 0, 0), (0, 1, 0, 0), (0, 0, 1, 6), (0, 0, 0, 1))
         # off-block corners of tau vanish
-        assert all(rep.tau.entry(i, j) == 0
+        assert all(rep.tau.rows[i][j] == 0
                    for i in (0, 1) for j in (2, 3))
-        assert rep.tau.entry(0, 1) == (-rep.omega) % m
+        assert rep.tau.rows[0][1] == (-rep.omega) % m
 
     def test_tau_satisfies_its_quadratic(self):
         for ell in (2, 3, 5):

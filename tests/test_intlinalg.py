@@ -1,5 +1,7 @@
-"""Tests for the exact integer matrix routines: the Smith form with
-transforms, whose diagonal is checked against sympy."""
+"""Tests for the integer Smith form with transforms that the oracle
+routes of tests/oracles.py build on (the kernels modulo any modulus behind
+the Smith-route meets, complements and congruence-unit kernels, and the
+Smith diagonal), its diagonal checked against sympy."""
 
 import random
 
@@ -7,7 +9,7 @@ import pytest
 import sympy
 
 import oracles
-from semistable_lab.intlinalg import smith_with_transforms
+from oracles import smith_with_transforms
 
 
 def _product(a, b):

@@ -11,7 +11,6 @@ import pytest
 
 import oracles
 from oracles import column_reduce
-from semistable_lab import intlinalg
 from semistable_lab.arith import ord_at
 from semistable_lab.padic import (
     Lattice,
@@ -139,7 +138,7 @@ class TestPadicMatrix:
         m = PadicMatrix.from_rows(ctx, [[1, 2], [0, 1]])
         b = m.block_diag(2)
         assert b.nrows == 4 and b.ncols == 4
-        assert b.entry(2, 3) == 2 and b.entry(0, 2) == 0
+        assert b.rows[2][3] == 2 and b.rows[0][2] == 0
 
     def test_det_matches_bareiss_on_random(self):
         rng = random.Random(5)
@@ -611,18 +610,18 @@ class TestOrthogonal:
 
 
 class TestDeferredDivisors:
-    """Elementary divisors are read off the echelon pivots: no Smith form
-    is computed when a lattice is built or its divisors are read."""
+    """Elementary divisors are read off the echelon pivots: no kernel is
+    computed when a lattice is built or its divisors are read."""
 
     @staticmethod
-    def refuse_smith_form(monkeypatch):
-        def refuse(mat):
-            raise AssertionError("a Smith form was computed")
+    def refuse_kernel(monkeypatch):
+        def refuse(ctx, top, cols):
+            raise AssertionError("a kernel was computed")
 
-        monkeypatch.setattr(intlinalg, "smith_with_transforms", refuse)
+        monkeypatch.setattr(padic, "_kernel_pass", refuse)
 
     def test_no_smith_form_when_divisors_are_read(self, monkeypatch):
-        self.refuse_smith_form(monkeypatch)
+        self.refuse_kernel(monkeypatch)
         ctx = make_context(3, 3)
         lat = Lattice.from_generators(ctx, 3, [(1, 2, 0), (0, 3, 0)])
         assert lat.contains((1, 5, 0))
@@ -672,8 +671,8 @@ class TestDeferredDivisors:
         ctx = make_context(2, 4)
         x = Lattice.from_generators(ctx, 2, [(1, 0), (2, 2)])
         y = Lattice.from_generators(ctx, 2, [(1, 1)])
-        meet = intersect(x, y)  # its kernel needs a Smith form
-        self.refuse_smith_form(monkeypatch)
+        meet = intersect(x, y)  # its meet comes from the kernel pass
+        self.refuse_kernel(monkeypatch)
         assert meet.elementary_divisors == tuple(v for v, _row in meet.pivots)
         assert meet.elementary_divisors == (1,)
         assert not is_pure(meet)
@@ -770,3 +769,78 @@ class TestStoredPivots:
         assert ctx.modulus == 243
         assert ctx == PadicContext(3, 5)
         assert repr(ctx) == "PadicContext(ell=3, precision=5)"
+
+
+def _random_perfect_pairing(rng, ctx, r):
+    while True:
+        gram = PadicMatrix.from_rows(
+            ctx, [[rng.randrange(ctx.modulus) for _ in range(r)]
+                  for _ in range(r)])
+        pairing = Pairing(ctx, gram)
+        if pairing.is_perfect():
+            return pairing
+
+
+def _read(lat):
+    return lat.basis, lat.pivots, lat.elementary_divisors
+
+
+class TestKernelPass:
+    """Meets, sums and complements read off one engine pass with its
+    pivots kept to the top rows, against the integer Smith-form route."""
+
+    PRECISIONS = (1, 2, 3, 4, 5, 6, 17)
+
+    def test_meet_sum_and_complement_match_the_smith_route(self):
+        rng = random.Random(307)
+        zero_sides = meets = 0
+        for t in range(1_400):
+            ell = (2, 3, 5, 7)[t % 4]
+            precision = self.PRECISIONS[t // 4 % len(self.PRECISIONS)]
+            ctx = PadicContext(ell, precision)
+            r = rng.randint(0, 6)
+            x, y = (Lattice.from_generators(
+                ctx, r, _engine_input(rng, ell, precision, r,
+                                      rng.randint(0, 5)))
+                    for _ in range(2))
+            zero_sides += x.is_zero() or y.is_zero()
+            meet = intersect(x, y)
+            meets += not meet.is_zero()
+            assert _read(meet) == _read(oracles.smith_route_intersect(x, y))
+            total, direct, _pure = lattice_sum(x, y)
+            want, want_direct = oracles.smith_route_sum(x, y)
+            assert (_read(total), direct) == (_read(want), want_direct)
+            pairing = _random_perfect_pairing(rng, ctx, r)
+            assert _read(orthogonal(x, pairing)) == _read(
+                oracles.smith_route_orthogonal(x, pairing))
+        assert zero_sides > 200 and meets > 300
+
+    def test_zero_sides(self):
+        ctx = make_context(3, 2)
+        zero = Lattice.zero(ctx, 3)
+        x = Lattice.from_generators(ctx, 3, [(1, 3, 0), (0, 3, 6)])
+        for a, b in ((zero, zero), (x, zero), (zero, x)):
+            assert _read(intersect(a, b)) == _read(zero)
+            total, direct, _pure = lattice_sum(a, b)
+            assert direct and total == (a if b.is_zero() else b)
+        pairing = _random_perfect_pairing(random.Random(5), ctx, 3)
+        assert _read(orthogonal(zero, pairing)) == _read(Lattice.full(ctx, 3))
+        assert padic._echelon_columns(ctx, [(0, 0, 0)] * 2) == ((), ())
+        assert padic._echelon_columns(ctx, [(0, 0, 0)] * 2, 1) == ((), (), ())
+        assert padic._echelon_columns(ctx, [], 0) == ((), (), ())
+
+    def test_whole_column_limit_is_the_default_pass(self):
+        """On the corpus of TestStagedEngine, a limit at the column length
+        gives the default basis and pivots and no leftover column."""
+        rng = random.Random(211)
+        for t in range(3_000):
+            ell = (2, 3, 5, 7)[t % 4]
+            precision = TestStagedEngine.PRECISIONS[
+                t // 4 % len(TestStagedEngine.PRECISIONS)]
+            ctx = PadicContext(ell, precision)
+            cols = _engine_input(rng, ell, precision, rng.randint(0, 8),
+                                 rng.randint(0, 12))
+            rank = len(cols[0]) if cols else 0
+            basis, pivots = padic._echelon_columns(ctx, cols)
+            assert padic._echelon_columns(ctx, cols, rank) == (
+                basis, pivots, ())
