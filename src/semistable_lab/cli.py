@@ -557,8 +557,7 @@ def run(argv: list[str] | None = None) -> tuple[dict, int]:
     parser = _build_parser(named if named in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
-        # one request computes each point count and one-step isogeny
-        # quotient once, and keeps none of them afterwards
+        # one request's memo (see curves); nothing in it outlives the request
         with request_memo():
             results, checks = args.handler(args)
     except ValueError as exc:

@@ -21,11 +21,18 @@ itself.  A torsion point's order, and the multiples Velu's formulas sum
 over, come from one chain P, 2P, ... on E' that stops about halfway
 round.
 
-Inside a `request_memo` block (the CLI opens one per request), each point
-count, each torsion point's chain, each division-polynomial torsion
-verdict and each curve's list of one-step isogeny quotients is computed
-once; outside one nothing is cached.  A count #E(F_q) is kept under the
-coefficients mod q, so curves congruent mod q share it.
+Inside a `request_memo` block (the CLI opens one per request), each of
+these is computed once, under the key shown; outside one nothing is
+cached, and nothing outlives the block:
+  - #E(F_q), under (coefficients mod q, q), so curves congruent mod q
+    share it;
+  - the division polynomial's rational points of order ell, under
+    (coefficients, "torsion", ell);
+  - a torsion point's chain, under (coefficients, "chain", (4x, 8y));
+  - a curve's one-step isogeny quotients, under (coefficients,
+    "quotients");
+  - families' ell-independent Miyawaki box filter, under (coeff_bound,
+    "box").
 
 Minimality is the caller's contract.  The only model surgery provided is
 the standard (u, r, s, t) change of coordinates with scale u in {1, 2},
@@ -136,21 +143,14 @@ def local_data(e: WeierstrassCurve, p: int) -> LocalData:
 # ---------------------------------------------------------------------------
 # request memo
 
-# Facts that one request may need more than once: #E(F_q) under
-# (coefficients mod q, q), the rational points of order ell that the
-# division polynomial gives under (coefficients, "torsion", ell), a torsion
-# point's chain under (coefficients, "chain", (4x, 8y)), and the one-step
-# quotient list under (coefficients, "quotients").  The memo is
-# set only inside a `request_memo` block, so a library call outside one
-# caches nothing and nothing outlives the request.
+# Set only inside a `request_memo` block; see the module docstring.
 _MEMO: ContextVar[dict | None] = ContextVar("curves_request_memo",
                                             default=None)
 
 
 class request_memo:
-    """Context manager: within it, point counts (once per residue class of
-    the coefficients), torsion verdicts, chains and one-step quotients
-    are computed once; on leaving, the memo is dropped."""
+    """Context manager: within it, each fact the module docstring lists
+    is computed once."""
 
     def __enter__(self):
         self._token = _MEMO.set({})

@@ -13,7 +13,6 @@ valuation at p carries the largest power of ell.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from math import isqrt
 from os import path
@@ -23,6 +22,7 @@ from .arith import is_prime, ord_at, prime_power_table, sqrt_mod
 from .curves import (
     WeierstrassCurve,
     _disc_from_b,
+    _memoized,
     has_rational_ell_torsion,
     invariants,
     is_ordinary,
@@ -36,7 +36,7 @@ EXCEPTIONAL_SEED = WeierstrassCurve(1, -1, 1, -1, -14)
 
 # Desk-scale limits, checked before any work: ns_enumerate costs about
 # bound^(1/2)/10 prime tests (about 0.3 s at the limit); miyawaki_search
-# filters 12 (2 coeff_bound + 1)^2 models once per process and bound, one
+# filters 12 (2 coeff_bound + 1)^2 models once per request and bound, one
 # table lookup each (about 0.03 s at the limit, the 3 MB table included),
 # then tests the survivors for ell-torsion (under 0.02 s per ell there).
 _NS_BOUND_LIMIT = 10**10
@@ -139,12 +139,11 @@ def _a6_quadratic(a1: int, a2: int, a3: int, a4: int) -> tuple[int, int, int]:
             36 * b2 * b4 - b2**3 - 216 * a3_sq)
 
 
-@cache
 def _prime_power_models(coeff_bound: int) -> tuple[tuple[WeierstrassCurve, int, Fraction], ...]:
     """(curve, p, j) for every model of the box with |disc| = p^k and
     multiplicative reduction at p, in enumeration order.
 
-    Nothing here depends on ell, so the box is filtered once per process
+    Nothing here depends on ell, so the box is filtered once per request
     and bound.  One prime-power table up to _box_disc_bound, sieved here
     and dropped on return, answers each model's discriminant by a lookup.
     c4 and the a6-quadratic of the discriminant (_a6_quadratic) are
@@ -174,7 +173,7 @@ def miyawaki_search(ell: int, coeff_bound: int = 8) -> dict[int, list[Weierstras
 
     Models run over a1, a3 in {0, 1}, a2 in {-1, 0, 1} and |a4|, |a6| up to
     coeff_bound; a hit must have |disc| = p^k with multiplicative reduction
-    at p.  That filter does not depend on ell and runs once per process and
+    at p.  That filter does not depend on ell and runs once per request and
     coeff_bound; each call then tests only its survivors for ell-torsion.
     A survivor's |disc| is a power of its p, so p is all the torsion test
     needs to tell the good point-count primes apart.  Hits are grouped by
@@ -192,7 +191,8 @@ def miyawaki_search(ell: int, coeff_bound: int = 8) -> dict[int, list[Weierstras
             f"coefficient box exceeds the desk-scale limit {_BOX_LIMIT}, "
             f"got {coeff_bound}")
     hits: dict[int, dict] = {}
-    for e, p, j in _prime_power_models(coeff_bound):
+    for e, p, j in _memoized((coeff_bound, "box"), _prime_power_models,
+                             coeff_bound):
         if has_rational_ell_torsion(e, ell, p)[0]:
             hits.setdefault(p, {})[j] = e
     return {p: sorted(by_j.values(), key=lambda c: c.coefficients()) for p, by_j in sorted(hits.items())}

@@ -3,9 +3,12 @@
 import argparse
 import copy
 import hashlib
+import importlib
 import itertools
 import json
 import os
+import pkgutil
+import random
 import re
 import subprocess
 import sys
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+import semistable_lab
 from make_golden import CORPUS
 from semistable_lab import cli, cyclotomic, families, galois, padic, quadratic
 from semistable_lab.arith import PRIMALITY_BOUND, is_prime
@@ -231,10 +235,11 @@ class TestUsageErrors:
 class TestRequestBudget:
     """Inputs past a desk-scale limit exit 2 before any work, naming it."""
 
-    def test_negative_box_bound_refused(self, capsys):
-        families._prime_power_models.cache_clear()
-        families._prime_power_models(2)
-        size = families._prime_power_models.cache_info().currsize
+    def test_negative_box_bound_refused(self, capsys, monkeypatch):
+        def refuse(bound):
+            raise RuntimeError("box filtered before the refusal")
+
+        monkeypatch.setattr(families, "_prime_power_models", refuse)
         for bound in ("-3", "-4"):
             with pytest.raises(SystemExit) as exc:
                 cli.main(["miyawaki-search", "--ell", "3", "--bound", bound])
@@ -242,7 +247,6 @@ class TestRequestBudget:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"got {bound}" in captured.err
-        assert families._prime_power_models.cache_info().currsize == size
 
     @pytest.mark.parametrize("flag, value, limit", [
         ("--precision", galois._PRECISION_LIMIT + 1, galois._PRECISION_LIMIT),
@@ -523,28 +527,32 @@ class TestIdentitiesWork:
         assert len(written) > len(big) > 0
         assert sorted(map(Decimal, rendered)) == sorted(big)
 
-    def test_requests_share_no_state(self, capsys):
+    @pytest.mark.parametrize("lines", [
+        [["verify-identities", "--ell", "5", "--s", "5",
+          "--precision", "6200", "--d", "1"],
+         ["verify-identities", "--ell", "5", "--s", "10",
+          "--precision", "6200", "--d", "2"]],
+        [["miyawaki-search", "--ell", "3"], ["miyawaki-search", "--ell", "5"]],
+    ], ids=["verify-identities", "miyawaki-search"])
+    def test_requests_share_no_state(self, capsys, lines):
         """Two requests in one process print what each prints alone, and
-        leave no memo in cli."""
-        lines = [
-            ["verify-identities", "--ell", "5", "--s", "5",
-             "--precision", "6200", "--d", "1"],
-            ["verify-identities", "--ell", "5", "--s", "10",
-             "--precision", "6200", "--d", "2"],
-        ]
+        leave no memo in any module of the package."""
         alone = []
         for argv in lines:
             proc = run_proc(argv)
             assert proc.returncode == 0, proc.stderr
             alone.append(proc.stdout)
-        before = _module_containers(cli)
+        modules = [importlib.import_module(f"semistable_lab.{info.name}")
+                   for info in pkgutil.iter_modules(semistable_lab.__path__)]
+        before = [_module_containers(module) for module in modules]
         together = []
         for argv in lines:
             assert cli.main(argv) == 0
             together.append(capsys.readouterr().out)
         assert together == alone
-        assert _module_containers(cli) == before
-        assert not [name for name, value in vars(cli).items()
+        assert [_module_containers(module) for module in modules] == before
+        assert not [f"{module.__name__}.{name}" for module in modules
+                    for name, value in vars(module).items()
                     if hasattr(value, "cache_info")]
 
 
@@ -958,6 +966,93 @@ class TestCommandTable:
                                   f"{choices} ...")
         # argparse names the subcommand argument by its dest, not its usage
         assert "error: argument command: invalid choice: 'frobnicate'" in err
+
+
+_LIMITS_ARGV = [row["argv"] for row in json.loads(
+    Path(__file__).with_name("golden_limits.json").read_text())]
+# 0, +-1, +-2, psi_12, psi_13, 10^11 +- 3 and a 40-digit value, each signed
+_EDGES = sorted({sign * n for sign in (1, -1) for n in (
+    0, 1, 2, 318665857834031151167461, PRIMALITY_BOUND,
+    10**11 - 3, 10**11 + 3, 10**39 + 7)})
+# (cap, limit): an admitted value above the cap is replaced by the cap, so
+# a heavy request runs at desk size; one past the limit is kept, since it
+# is refused before any work
+_FUZZ_CAPS = {
+    ("ns-enumerate", "--bound"): (10**6, families._NS_BOUND_LIMIT),
+    ("miyawaki-search", "--bound"): (12, families._BOX_LIMIT),
+    ("verify-identities", "--precision"): (200, galois._PRECISION_LIMIT),
+}
+
+
+def _integer_slots(argv) -> dict[int, list[int]]:
+    """token index -> indices of its comma-separated integers, those too
+    long for int() left out."""
+    slots = {}
+    for i, token in enumerate(argv):
+        found = [j for j, part in enumerate(token.split(","))
+                 if re.fullmatch(r"-?\d{1,%d}" % cli._DIGITS_LIMIT, part)]
+        if found:
+            slots[i] = found
+    return slots
+
+
+def _replaced(argv, i, j, value) -> list[str]:
+    """argv with entry j of token i set to value, every heavy value then
+    capped."""
+    parts = argv[i].split(",")
+    parts[j] = str(value)
+    argv = argv[:i] + [",".join(parts)] + argv[i + 1:]
+    command = next(token for token in argv if token != "--meta")
+    for k in range(1, len(argv)):
+        cap, limit = _FUZZ_CAPS.get((command, argv[k - 1]), (None, None))
+        if cap is not None and cap < int(argv[k]) <= limit:
+            argv[k] = str(cap)
+    return argv
+
+
+def _fuzz_lines(rng) -> list[list[str]]:
+    """From each limits-table argv and up to four named argv of each
+    command: one integer moved by +1 and by -1, and each integer token set
+    to four edge values in turn.  An argv without an integer gets four edge
+    values appended instead."""
+    named = {}
+    for argv in _NAMED_LINES:
+        named.setdefault(next(t for t in argv if t != "--meta"), []).append(
+            list(argv))
+    lines = []
+    for argv in _LIMITS_ARGV + [argv for group in named.values()
+                                for argv in rng.sample(group,
+                                                       min(4, len(group)))]:
+        slots = _integer_slots(argv)
+        if not slots:
+            lines += [argv + [str(edge)] for edge in rng.sample(_EDGES, 4)]
+            continue
+        i = rng.choice(sorted(slots))
+        j = rng.choice(slots[i])
+        n = int(argv[i].split(",")[j])
+        lines += [_replaced(argv, i, j, n + 1), _replaced(argv, i, j, n - 1)]
+        for i, found in slots.items():
+            j = rng.choice(found)
+            lines += [_replaced(argv, i, j, edge)
+                      for edge in rng.sample(_EDGES, 4)]
+    return lines
+
+
+class TestExitCodeFuzz:
+    """Argv drawn around the named and limits-table requests exit 0, 1 or
+    2, print no report on 2, and print the same bytes when run twice in
+    one process."""
+
+    def test_drawn_argv_keep_the_exit_contract(self, capsys):
+        drawn = _fuzz_lines(random.Random(33))
+        lines = sorted({tuple(argv) for argv in drawn})
+        assert {next(t for t in argv if t != "--meta")
+                for argv in lines} == set(cli._COMMANDS)
+        for argv in lines:
+            first = _outcome(capsys, argv)
+            assert first[0] in (0, 1, 2), argv
+            assert first[0] != 2 or first[1] == "", argv
+            assert _outcome(capsys, argv) == first, argv
 
 
 class TestImportWeight:

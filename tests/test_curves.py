@@ -912,7 +912,6 @@ class TestTorsionFactsDerivedOnce:
                              (curves, "count_points")):
             monkeypatch.setattr(module, name,
                                 counted(name, getattr(module, name)))
-        families._prime_power_models.cache_clear()  # filter inside the run
         _, status = cli.run(list(argv))
         assert status == 0
         assert tuple(calls.values()) == self.PINNED[argv]

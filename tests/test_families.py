@@ -18,6 +18,7 @@ from semistable_lab.curves import (
     has_rational_ell_torsion,
     invariants,
     local_data,
+    request_memo,
     trace_of_frobenius,
 )
 from semistable_lab.families import (
@@ -202,13 +203,26 @@ class TestBoxFilter:
                                            (last, 19, Fraction(1))))
         assert miyawaki_search(3) == {19: [last]}
 
-    def test_filtered_once_per_process_and_bound(self):
-        families._prime_power_models.cache_clear()
+    def test_filtered_once_per_request_and_bound(self, monkeypatch):
+        calls = []
+        inner = families._prime_power_models
+
+        def counted(bound):
+            calls.append(bound)
+            return inner(bound)
+
+        monkeypatch.setattr(families, "_prime_power_models", counted)
         _, status = cli.run(["paper-suite"])
         assert status == 0
-        assert families._prime_power_models.cache_info().misses == 1
-        miyawaki_search(3, 4)
-        assert families._prime_power_models.cache_info().misses == 2
+        assert len(calls) == 1  # paper-suite's three searches share one
+        calls.clear()
+        assert miyawaki_search(3, 4) == miyawaki_search(3, 4)
+        assert calls == [4, 4]  # outside a request nothing is kept
+        calls.clear()
+        with request_memo():
+            miyawaki_search(3, 4)
+            miyawaki_search(3, 4)
+        assert calls == [4]
 
 
 class TestBoxDiscBound:

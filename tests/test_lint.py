@@ -335,15 +335,13 @@ def _process_caches(path: Path) -> list[str]:
     return found
 
 
-def test_no_process_lifetime_cache_but_the_named_one():
-    """Nothing a request computes outlives it, except the box filter of
-    `miyawaki-search`, which the README names: `curves.request_memo` holds
-    the rest for one request only.  A prime-power table, say, is built per
-    call and dropped."""
+def test_no_process_lifetime_cache():
+    """Nothing a request computes outlives it: `curves.request_memo` holds
+    what a request reuses, the box filter of `miyawaki-search` included,
+    for that request only.  A prime-power table, say, is built per call
+    and dropped."""
     found = sorted(set(sum((_process_caches(path) for path in SOURCES), [])))
-    assert found == ["families._prime_power_models"]
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    assert "`families._prime_power_models`" in readme.read_text()
+    assert found == []
 
 
 def test_process_cache_rule_sees_each_form(tmp_path):
