@@ -25,6 +25,7 @@ from fractions import Fraction
 from . import cyclotomic, families, galois, quadratic, ramification
 from .arith import PRIMALITY_BOUND, factorize, ord_at
 from .curves import (
+    SingularCurveError,
     WeierstrassCurve,
     has_rational_ell_torsion,
     hyperelliptic_odd_disc,
@@ -125,7 +126,10 @@ def _parse_curve(text: str) -> WeierstrassCurve:
     if len(coeffs) != 5:
         raise argparse.ArgumentTypeError(
             "curve must be five comma-separated integers a1,a2,a3,a4,a6")
-    return WeierstrassCurve(*coeffs)
+    try:
+        return WeierstrassCurve(*coeffs)
+    except SingularCurveError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # ---------------------------------------------------------------- subcommands
@@ -241,12 +245,15 @@ def _cmd_isogeny_maximal(args) -> tuple[dict, list[dict]]:
     ell, s, n = args.ell, args.s, args.n
     galois.require_searchable(ell, n, 2)
     galois.require_ell(ell)  # the v_l(s) test below divides by l^2
-    if n >= 2 and s and s % (ell * ell) == 0:
-        # past level 1 the search would end in a transfer that is not
-        # integral, or sooner in "s vanishes at this precision"
+    if s and s % (ell * ell) == 0:
+        # at level 1 sigma is then trivial on every kernel, outside the
+        # hypothesis of sigma-trivial-exactly-on-maximal; past it the search
+        # would end in a transfer that is not integral, or sooner in "s
+        # vanishes at this precision"
+        then = ("sigma is trivial on every level-1 kernel" if n == 1 else
+                "a transfer past level 1 is not integral")
         raise ValueError(
-            f"--n {n} needs v_l(s) = 1: l^2 divides s = {s}, and then a "
-            f"transfer past level 1 is not integral")
+            f"--n {n} needs v_l(s) = 1: l^2 divides s = {s}, and then {then}")
     precision = max(4, n + 2)
     rep1 = galois.build_rep(ell, 1, s, precision)
     rep2 = galois.build_rep(ell, 2, s, precision)

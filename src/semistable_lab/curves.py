@@ -366,13 +366,6 @@ def _scaled_multiples(e: WeierstrassCurve,
     raise ValueError("point is not torsion of small order")
 
 
-def _multiples(e: WeierstrassCurve, pt: Point) -> tuple[list, int]:
-    """([P, 2P, ..., mP], n) for a finite point P of e: _chain in e's own
-    coordinates, x = X/4 and y = Y/8."""
-    chain, n = _chain(e, _scaled_point(e, pt, "point not on curve"))
-    return [(Fraction(x, 4), Fraction(y, 8)) for x, y in chain], n
-
-
 def point_order(e: WeierstrassCurve, pt: Point) -> int:
     """Order of a torsion point of order at most _TORSION_ORDER_BOUND."""
     if pt is None:

@@ -4,8 +4,8 @@ Three sources of curves live here: the two-parameter family attached to
 primes p = u^2 + 64, an exhaustive small-coefficient box search for curves
 of prime-power discriminant with a rational odd-torsion point (each
 discriminant one quadratic in a6, read off one sieved prime-power table,
-and each survivor's p handed on to the torsion test), and a short
-packaged table of seed curves.  On top of the enumeration sits the "dagger"
+and each survivor's p handed on to the torsion test), and the `SEEDS`
+table of seed curves.  On top of the enumeration sits the "dagger"
 selection: inside each isogeny class, the member whose discriminant
 valuation at p carries the largest power of ell.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from os import path
 from typing import NamedTuple
 
 from .arith import is_prime, ord_at, prime_power_table, sqrt_mod
@@ -34,6 +33,15 @@ from .polynomials import discriminant, fp_divmod, roots_mod
 EXCEPTIONAL_PRIME = 17
 EXCEPTIONAL_SEED = WeierstrassCurve(1, -1, 1, -1, -14)
 
+# Seed curves of prime conductor p, keyed by (ell, p); the isogeny class
+# of each carries a rational point of order ell.
+SEEDS = {
+    (2, EXCEPTIONAL_PRIME): EXCEPTIONAL_SEED,
+    (3, 19): WeierstrassCurve(0, 1, 1, 1, 0),
+    (3, 37): WeierstrassCurve(0, 1, 1, -3, 1),
+    (5, 11): WeierstrassCurve(0, -1, 1, 0, 0),
+}
+
 # Desk-scale limits, checked before any work: ns_enumerate costs about
 # bound^(1/2)/10 prime tests (about 0.3 s at the limit); miyawaki_search
 # filters 12 (2 coeff_bound + 1)^2 models once per request and bound, one
@@ -50,12 +58,6 @@ class SquarePlus64Pair(NamedTuple):
     u: int
     disc_p: WeierstrassCurve
     disc_p_squared: WeierstrassCurve
-
-
-class SeedRow(NamedTuple):
-    ell: int
-    p: int
-    curve: WeierstrassCurve
 
 
 class DaggerReport(NamedTuple):
@@ -251,37 +253,14 @@ def two_torsion_field_unramified_at(e: WeierstrassCurve, p: int) -> bool:
     return linear_count == 3
 
 
-def load_seed_rows() -> list[SeedRow]:
-    """Rows of the packaged seed table: `ell p a1 a2 a3 a4 a6` per line,
-    `#` comments allowed."""
-    table = path.join(path.dirname(__file__), "data",
-                      "prime_conductor_curves.txt")
-    with open(table, encoding="utf-8") as f:
-        text = f.read()
-    rows = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 7:
-            raise ValueError(f"malformed seed row: {line!r}")
-        ell, p, a1, a2, a3, a4, a6 = map(int, parts)
-        rows.append(SeedRow(ell=ell, p=p, curve=WeierstrassCurve(a1, a2, a3, a4, a6)))
-    return rows
-
-
 def _seed_for(ell: int, p: int) -> WeierstrassCurve:
+    if (ell, p) in SEEDS:
+        return SEEDS[ell, p]
     if ell == 2:
-        if p == EXCEPTIONAL_PRIME:
-            return EXCEPTIONAL_SEED
         for pair in ns_enumerate(p):
             if pair.p == p:
                 return pair.disc_p
         raise ValueError(f"{p} is not 17 and not of the form u^2 + 64")
-    for row in load_seed_rows():
-        if row.ell == ell and row.p == p:
-            return row.curve
     raise ValueError(f"no seed recorded for ell = {ell}, p = {p}")
 
 

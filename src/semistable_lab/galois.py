@@ -198,12 +198,6 @@ def _ring_blocks(rep: GaloisRep):
     return c, s, image, sg, tu, sg_inv, tu_inv
 
 
-def _block_inverses(rep: GaloisRep) -> tuple[PadicMatrix, PadicMatrix, int]:
-    """The inverses of the sigma block, the tau block and omega in Z/l^N."""
-    c, _s, image, _sg, _tu, sg_inv, tu_inv = _ring_blocks(rep)
-    return image(sg_inv), image(tu_inv), c * rep.omega % rep.ctx.modulus
-
-
 def verify_identities(rep: GaloisRep) -> tuple[IdentityCheck, ...]:
     """Exact operator identities satisfied by the pair, per residue l.
 

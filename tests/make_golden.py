@@ -56,7 +56,7 @@ LIMIT_REQUESTS = {
         ("isogeny-maximal", "--ell", "3", "--s", "3", "--n", "3"),
         ("isogeny-maximal", "--ell", "5", "--s", "5", "--n", "2"),
     ),
-    "v_l(s) = 1 past level 1": (
+    "v_l(s) = 1": (
         ("isogeny-maximal", "--ell", "2", "--s", "6", "--n", "2"),
         ("isogeny-maximal", "--ell", "2", "--s", "4", "--n", "1"),
         ("isogeny-maximal", "--ell", "2", "--s", "4", "--n", "2"),

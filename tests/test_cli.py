@@ -164,6 +164,13 @@ class TestUsageErrors:
         r = run_proc(["curve-info", "--curve", "1,2,3"])
         assert r.returncode == 2
 
+    def test_singular_curve_refusal_names_the_reason(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["curve-info", "--curve", "0,0,0,0,0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "argument --curve: singular model (0, 0, 0, 0, 0)\n")
+
     def test_non_squarefree_sextic_rejected(self):
         r = run_proc(["genus2-disc", "--p-coeffs", "0,0,0,0,0,1",
                       "--q-coeffs", "0,1"])
@@ -348,8 +355,6 @@ _STABLE_REPORTS = [
      "4167b1def01469f5f15f4dfb00026c27c91d58eabb3001be78c31b55d900e549", 0),
     ("isogeny-maximal --ell 2 --s 2 --n 1",
      "38b69b356d09eaae07855362ae72d5cf650943129641d565aca92287f2983fd6", 0),
-    ("isogeny-maximal --ell 2 --s 4 --n 1",
-     "6ff2c9db06c047df06162736c988230d75e8b8d90e4daab88259eef98114c3bf", 1),
     ("isogeny-maximal --ell 3 --s 3 --n 1",
      "f660c52a4021e757e17afb226a378ee3fb69f0bf861997afc48a58548cbba1d9", 0),
     ("isogeny-maximal --ell 3 --s 6 --n 1",
@@ -410,12 +415,12 @@ class TestStableBytes:
 
 
 class TestSquareShearRefusal:
-    """isogeny-maximal past level 1 needs v_l(s) = 1; with l^2 | s it is
+    """isogeny-maximal needs v_l(s) = 1 at every level; with l^2 | s it is
     refused before any lattice is built."""
 
     @pytest.mark.parametrize("ell, s, n", [
-        (2, 4, 2), (2, 4, 3), (2, -8, 2), (2, 16, 2), (2, 16, 3),
-        (2, 120, 3), (3, 9, 2), (3, -27, 2), (3, 81, 2), (3, 270, 2)])
+        (2, 4, 1), (3, 9, 1), (2, 4, 2), (2, 4, 3), (2, -8, 2), (2, 16, 2),
+        (2, 16, 3), (2, 120, 3), (3, 9, 2), (3, -27, 2), (3, 81, 2), (3, 270, 2)])
     def test_refused_before_any_work(self, monkeypatch, capsys, ell, s, n):
         def no_work(*args):
             raise AssertionError("build_rep reached")

@@ -24,11 +24,10 @@ from semistable_lab.curves import (
 from semistable_lab.families import (
     EXCEPTIONAL_PRIME,
     EXCEPTIONAL_SEED,
-    SeedRow,
+    SEEDS,
     conductor_congruence,
     dagger_report,
     identify_dagger,
-    load_seed_rows,
     miyawaki_search,
     ns_enumerate,
     ord_at,
@@ -254,18 +253,19 @@ class TestBoxDiscBound:
             assert q**k <= limit < q**(k + 1) and powers[q**k] == q
 
 
-class TestSeedRows:
-    def test_packaged_table(self):
-        rows = load_seed_rows()
-        assert rows == [
-            SeedRow(3, 19, WeierstrassCurve(0, 1, 1, 1, 0)),
-            SeedRow(3, 37, WeierstrassCurve(0, 1, 1, -3, 1)),
-            SeedRow(5, 11, WeierstrassCurve(0, -1, 1, 0, 0)),
-        ]
+class TestSeeds:
+    def test_seed_table(self):
+        assert SEEDS == {
+            (2, 17): EXCEPTIONAL_SEED,
+            (3, 19): WeierstrassCurve(0, 1, 1, 1, 0),
+            (3, 37): WeierstrassCurve(0, 1, 1, -3, 1),
+            (5, 11): WeierstrassCurve(0, -1, 1, 0, 0),
+        }
 
-    def test_rows_agree_with_the_box_search(self):
-        for row in load_seed_rows():
-            assert row.curve in miyawaki_search(row.ell)[row.p]
+    def test_odd_seeds_agree_with_the_box_search(self):
+        for (ell, p), seed in SEEDS.items():
+            if ell > 2:
+                assert seed in miyawaki_search(ell)[p]
 
 
 class TestDaggerReports:

@@ -8,10 +8,10 @@ import oracles
 from semistable_lab.galois import (
     FiltrationData,
     _atom,
-    _block_inverses,
     _check_tau_block,
     _ell_multiple,
     _orbit_representatives,
+    _ring_blocks,
     _unit_normal,
     _word_algebra,
     build_rep,
@@ -442,9 +442,10 @@ class TestBlockInverses:
         rep = build_rep(ell, d, ell, 20)
         assert rep.sigma == rep.sigma_block.block_diag(d)
         assert rep.tau == rep.tau_block.block_diag(d)
-        sg_inv, tu_inv, w_inv = _block_inverses(rep)
-        assert sg_inv.block_diag(d) == oracles.matrix_inverse(rep.sigma)
-        assert tu_inv.block_diag(d) == oracles.matrix_inverse(rep.tau)
+        c, _s, image, _sg, _tu, sg_inv, tu_inv = _ring_blocks(rep)
+        assert image(sg_inv).block_diag(d) == oracles.matrix_inverse(rep.sigma)
+        assert image(tu_inv).block_diag(d) == oracles.matrix_inverse(rep.tau)
+        w_inv = c * rep.omega % rep.ctx.modulus  # omega^-1 = c omega
         assert w_inv == rep.ctx.invert_unit(rep.omega)
 
     @pytest.mark.parametrize("ell", [2, 3, 5])
@@ -526,7 +527,7 @@ class TestIdentitiesOverZOmega:
             with pytest.raises(ArithmeticError, match="closed-form inverse"):
                 verify_identities(bad)
             with pytest.raises(ArithmeticError, match="closed-form inverse"):
-                _block_inverses(bad)
+                _ring_blocks(bad)
 
 
 class TestTauBlockCheck:

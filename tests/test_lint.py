@@ -369,3 +369,50 @@ def test_process_cache_rule_sees_each_form(tmp_path):
         "    _LATE = 1\n"
         "def g(x): return _TABLE[x] + len({x: x})\n")
     assert _process_caches(source) == [f"sample.{n}" for n in "abcdef"]
+
+
+_FILE_MODULES = {"os", "io", "pathlib", "shutil", "tempfile"}
+
+
+def _file_access(path: Path) -> list[str]:
+    """`module:line` for each call of `open` and each import of a module
+    that reaches the file system in one module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            names = ["open"] if "open" in (
+                getattr(func, "id", None), getattr(func, "attr", None)) else []
+        else:
+            continue
+        found += [f"{path.stem}:{node.lineno}" for name in names
+                  if name == "open" or name.split(".")[0] in _FILE_MODULES]
+    return found
+
+
+def test_package_opens_no_file():
+    """The package reads and writes no file: its tables are Python values
+    (the `dagger` seeds are `families.SEEDS`), and a report goes to
+    stdout."""
+    found = sum((_file_access(path) for path in SOURCES), [])
+    assert found == []
+
+
+def test_file_access_rule_sees_each_form(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "import os.path\n"
+        "import io, json\n"
+        "from pathlib import Path\n"
+        "from shutil import copy\n"
+        "import tempfile as t\n"
+        "from . import os\n"
+        "def f(p): return open(p).read() + Path(p).open().read()\n"
+        "def g(opener): return opener(1)\n")
+    assert _file_access(source) == [
+        f"sample:{n}" for n in (1, 2, 3, 4, 5, 7, 7)]

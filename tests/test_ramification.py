@@ -349,6 +349,9 @@ class TestTowerValidation:
     def test_nondividing_sub_rejected(self):
         with pytest.raises(ValueError, match="does not divide"):
             TowerData(RamFiltration((6, 3, 1)), RamFiltration((2, 2, 1)))
+        # the sub outlasts the ambient group: n(2) = 2 against h(2) = 1
+        with pytest.raises(ValueError, match="does not divide"):
+            TowerData(RamFiltration((2, 2)), RamFiltration((2, 2, 2)))
 
     def test_overlarge_sub_rejected(self):
         with pytest.raises(ValueError):
