@@ -257,17 +257,17 @@ def _cmd_isogeny_maximal(args) -> tuple[dict, list[dict]]:
     precision = max(4, n + 2)
     rep1 = galois.build_rep(ell, 1, s, precision)
     rep2 = galois.build_rep(ell, 2, s, precision)
-    single = galois.find_ell_maximal(rep1, ell, n)
-    product = galois.find_ell_maximal(rep2, ell * ell, n)
-    filt1, filt2 = galois.filtration(rep1, 1), galois.filtration(rep2, 1)
-    multiplicative = True
-    subs = single.level_one
-    own = [galois.component_transfer(k, ell, filt1) for k in subs]
-    for k1, t1 in zip(subs, own):
-        for k2, t2 in zip(subs, own):
-            combined = galois.component_transfer(
-                galois.product_kernel(k1, k2), ell * ell, filt2)
-            multiplicative &= combined == t1 * t2
+    # one search: the d = 1 lists and the lower levels are read off it
+    levels = galois.stable_levels(rep2, n)
+    single = galois.find_ell_maximal(rep1, ell, n,
+                                     galois.first_block_levels(levels))
+    product = galois.find_ell_maximal(rep2, ell * ell, n, levels)
+    # a block sum of stable kernels is stable, so the product search has
+    # transferred it; a missing one is a fault of the search (exit 3)
+    combined = {k.basis: t for k, t in product.level_one}
+    multiplicative = all(
+        combined[galois.product_kernel(k1, k2).basis] == t1 * t2
+        for k1, t1 in single.level_one for k2, t2 in single.level_one)
     results = {
         "nodes": [_node_payload(nd) for nd in single.nodes],
         "maximal_part": single.maximal_part,

@@ -141,9 +141,9 @@ def _a6_quadratic(a1: int, a2: int, a3: int, a4: int) -> tuple[int, int, int]:
             36 * b2 * b4 - b2**3 - 216 * a3_sq)
 
 
-def _prime_power_models(coeff_bound: int) -> tuple[tuple[WeierstrassCurve, int, Fraction], ...]:
-    """(curve, p, j) for every model of the box with |disc| = p^k and
-    multiplicative reduction at p, in enumeration order.
+def _prime_power_models(coeff_bound: int) -> tuple[tuple[WeierstrassCurve, int, int, int], ...]:
+    """(curve, p, c4, disc) for every model of the box with |disc| = p^k
+    and multiplicative reduction at p, in enumeration order.
 
     Nothing here depends on ell, so the box is filtered once per request
     and bound.  One prime-power table up to _box_disc_bound, sieved here
@@ -151,7 +151,8 @@ def _prime_power_models(coeff_bound: int) -> tuple[tuple[WeierstrassCurve, int, 
     c4 and the a6-quadratic of the discriminant (_a6_quadratic) are
     computed once per (a1, a2, a3, a4), so each model costs one quadratic
     evaluation; c4 = b2^2 - 24 b4 rejects additive models, and only
-    survivors become curves, with j = c4^3/disc.
+    survivors become curves.  j = c4^3/disc is left to the caller, which
+    needs it for its hits only.
     """
     sieve, powers = prime_power_table(_box_disc_bound(coeff_bound))
     out = []
@@ -164,8 +165,7 @@ def _prime_power_models(coeff_bound: int) -> tuple[tuple[WeierstrassCurve, int, 
             p = n if sieve[n] else powers.get(n)  # None at disc = 0 too
             if p is None or c4 % p == 0:  # additive: p divides disc and c4
                 continue
-            out.append((WeierstrassCurve(a1, a2, a3, a4, a6), p,
-                        Fraction(c4**3, disc)))
+            out.append((WeierstrassCurve(a1, a2, a3, a4, a6), p, c4, disc))
     return tuple(out)
 
 
@@ -193,10 +193,10 @@ def miyawaki_search(ell: int, coeff_bound: int = 8) -> dict[int, list[Weierstras
             f"coefficient box exceeds the desk-scale limit {_BOX_LIMIT}, "
             f"got {coeff_bound}")
     hits: dict[int, dict] = {}
-    for e, p, j in _memoized((coeff_bound, "box"), _prime_power_models,
-                             coeff_bound):
+    for e, p, c4, disc in _memoized((coeff_bound, "box"),
+                                    _prime_power_models, coeff_bound):
         if has_rational_ell_torsion(e, ell, p)[0]:
-            hits.setdefault(p, {})[j] = e
+            hits.setdefault(p, {})[Fraction(c4**3, disc)] = e
     return {p: sorted(by_j.values(), key=lambda c: c.coefficients()) for p, by_j in sorted(hits.items())}
 
 

@@ -13,14 +13,19 @@ whose entries stay small, and each side is mapped to Z/l^N once per entry.
 The stable submodules of (Z/l^n)^(2d) are found from their atoms, the
 stable closures of single vectors: one vector per orbit of <sigma, tau>
 times the unit group is closed in one echelon pass, as the span of its
-images under a basis of the word algebra in sigma and tau, and the rest
-of its orbit is walked in unit-normal form and skipped.  The atoms are
+images under a basis of the word algebra of the 2x2 blocks, applied to
+each 2-coordinate block, and the rest of its orbit is walked in
+unit-normal form, under the blocks too, and skipped.  The atoms are
 then summed smallest first, each module keeping the set of atoms inside
 it.  Those sets give M ∩ a and so the size |M| |a| / |M ∩ a| of a sum
 M + a, which tells a sum found already from a new one: every echelon
-pass makes a new module.  A node lattice is written down from its
-kernel's canonical basis, with no echelon pass, and sigma's action on it
-mod l is read off that basis, with no matrix product.
+pass makes a new module.  isogeny-maximal runs that search once, at
+d = 2 and level n: the lower levels and the d = 1 lists are read off it
+(stable_levels, first_block_levels), and the level-1 product kernels
+are written down from sorted bases, their transfers looked up in the
+product search's.  A node lattice is written down from its kernel's
+canonical basis, with no echelon pass, and sigma's action on it mod l is
+read off that basis, with no matrix product.
 """
 
 from __future__ import annotations
@@ -67,8 +72,8 @@ class GaloisRep(NamedTuple):
     d copies of [[0, -omega], [1, 1 + omega]], where omega is -1 for
     l = 2, 3 and the Teichmuller lift of 2 for l = 5.  Each tau block has
     determinant omega and quadratic relation (tau - 1)(tau - omega) = 0.
-    The 2x2 blocks are kept: the identities are computed on them once, and
-    sigma and tau are their block-diagonal copies.
+    The 2x2 blocks are kept: the identities and the stable-submodule search
+    are computed on them, and sigma and tau are their block-diagonal copies.
     """
 
     ctx: PadicContext
@@ -288,20 +293,35 @@ def _unit_normal(ctx: PadicContext,
     raise AssertionError("the zero vector has no unit-normal form")
 
 
+def _on_blocks(block: tuple[tuple[int, ...], ...], q: int,
+               vec: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of vec under d block-diagonal copies of the 2x2 block,
+    mod q: the block applied to each 2-coordinate block of vec."""
+    (a, b), (c, e) = block
+    out = []
+    for i in range(0, len(vec), 2):
+        x, y = vec[i], vec[i + 1]
+        out += ((a * x + b * y) % q, (c * x + e * y) % q)
+    return tuple(out)
+
+
 def _level_generators(rep: GaloisRep,
                       ctx: PadicContext) -> tuple[PadicMatrix, ...]:
-    """sigma and tau over ctx's ring, leaving out one that is the identity
-    there: sigma at level 1, since l | s.  tau never is."""
-    ident = PadicMatrix.identity(ctx, rep.rank).rows
-    return tuple(g for g in (PadicMatrix.from_rows(ctx, rep.sigma.rows),
-                             PadicMatrix.from_rows(ctx, rep.tau.rows))
+    """The sigma and tau blocks over ctx's ring, leaving out one that is
+    the identity there: sigma at level 1, since l | s.  tau never is."""
+    ident = PadicMatrix.identity(ctx, 2).rows
+    return tuple(g for g in (PadicMatrix.from_rows(ctx, rep.sigma_block.rows),
+                             PadicMatrix.from_rows(ctx, rep.tau_block.rows))
                  if g.rows != ident)
 
 
 def _word_algebra(rep: GaloisRep,
                   ctx: PadicContext) -> tuple[PadicMatrix, ...]:
-    """Echelon basis of A, the span over ctx's ring of all words in sigma
-    and tau.
+    """Echelon basis of A, the span over ctx's ring of all words in the
+    sigma and tau blocks, as 2x2 matrices.  sigma and tau are d
+    block-diagonal copies of their blocks, so every word in them is d
+    copies of the same word in the blocks, and A acts on each 2-coordinate
+    block.
 
     Grown from the identity by the right products X g, g in {sigma, tau},
     that fall outside the span so far (an identity g adds none); every X
@@ -310,31 +330,28 @@ def _word_algebra(rep: GaloisRep,
     words.  sigma and tau have finite order, so their inverses are
     positive words: A is the span of all words and is closed on both sides.
     """
-    rank = rep.rank
     gens = _level_generators(rep, ctx)
     flat = lambda mat: tuple(x for row in mat.rows for x in row)
-    ident = PadicMatrix.identity(ctx, rank)
-    span = Lattice.from_generators(ctx, rank * rank, [flat(ident)])
+    ident = PadicMatrix.identity(ctx, 2)
+    span = Lattice.from_generators(ctx, 4, [flat(ident)])
     todo = [ident]
     while todo:
         x = todo.pop()
         for g in gens:
             y = x @ g
             if not span.contains(flat(y)):
-                span = Lattice.from_generators(
-                    ctx, rank * rank, span.basis + (flat(y),))
+                span = Lattice.from_generators(ctx, 4, span.basis + (flat(y),))
                 todo.append(y)
-    return tuple(PadicMatrix(ctx, tuple(b[i * rank:(i + 1) * rank]
-                                        for i in range(rank)))
-                 for b in span.basis)
+    return tuple(PadicMatrix(ctx, (b[:2], b[2:])) for b in span.basis)
 
 
 def _atom(algebra: tuple[PadicMatrix, ...], vec: tuple[int, ...]) -> Lattice:
-    """The stable closure A vec of vec: one echelon pass over its images,
-    which apply() returns reduced."""
-    ctx, rank = algebra[0].ctx, algebra[0].nrows
-    return Lattice._from_reduced(ctx, rank,
-                                 tuple(a.apply(vec) for a in algebra))
+    """The stable closure A vec of vec: one echelon pass over its images
+    under the algebra's blocks, which _on_blocks returns reduced."""
+    ctx = algebra[0].ctx
+    q = ctx.modulus
+    return Lattice._from_reduced(ctx, len(vec), tuple(
+        _on_blocks(a.rows, q, vec) for a in algebra))
 
 
 def stable_submodules(rep: GaloisRep, n: int) -> list[Lattice]:
@@ -344,22 +361,24 @@ def stable_submodules(rep: GaloisRep, n: int) -> list[Lattice]:
     A stable module is the sum of the stable closures of its elements, its
     atoms.  The closure of x is A x for the word algebra A, so it is one
     echelon pass over the images of x under a basis of A, which is
-    computed once per call.  A x = A (u g x) for g in <sigma, tau> and a
-    unit u, so the unit-orbit representatives are taken in order, and one
-    not visited yet is closed and its orbit walked in unit-normal form:
-    each atom is kept with the same first generator, in the same order,
-    as by closing every representative.  Since an atom is A x, it lies in
-    a stable module exactly when x does, and every containment test is one
-    membership test of a generator.  The distinct atoms are summed by
-    _sums_of_atoms.  Modules come rebased (divisors read off their echelon
-    basis), ordered by size then basis.
+    computed once per call on 2x2 blocks and, like sigma and tau in the
+    orbit walk, applied to each 2-coordinate block of x.  A x = A (u g x)
+    for g in <sigma, tau> and a unit u, so the unit-orbit representatives
+    are taken in order, and one not visited yet is closed and its orbit
+    walked in unit-normal form: each atom is kept with the same first
+    generator, in the same order, as by closing every representative.
+    Since an atom is A x, it lies in a stable module exactly when x does,
+    and every containment test is one membership test of a generator.
+    The distinct atoms are summed by _sums_of_atoms.  Modules come rebased
+    (divisors read off their echelon basis), ordered by size then basis.
     """
     ell = rep.ell
     require_searchable(ell, n, rep.d)
     ctx = PadicContext(ell, n)
     rank = rep.rank
     algebra = _word_algebra(rep, ctx)
-    gens = _level_generators(rep, ctx)
+    gens = [g.rows for g in _level_generators(rep, ctx)]
+    q = ctx.modulus
     # atom basis -> (atom, a vector that generates it)
     atoms: dict[tuple, tuple[Lattice, tuple[int, ...]]] = {}
     visited: set[tuple[int, ...]] = set()
@@ -373,7 +392,7 @@ def stable_submodules(rep: GaloisRep, n: int) -> list[Lattice]:
         while todo:
             x = todo.pop()
             for g in gens:
-                y = _unit_normal(ctx, g.apply(x))
+                y = _unit_normal(ctx, _on_blocks(g, q, x))
                 if y not in visited:
                     visited.add(y)
                     todo.append(y)
@@ -459,6 +478,55 @@ def _sums_of_atoms(ctx: PadicContext, rank: int, atoms) -> list[Lattice]:
             holders.setdefault(total_count, []).append(s | bit)
         found = grown
     return [module for module, _count in found.values()]
+
+
+def stable_levels(rep: GaloisRep, n: int) -> tuple[list[Lattice], ...]:
+    """stable_submodules(rep, k) for k = 1..n, read off the one search at
+    level n.
+
+    Multiplication by l^j, j = n - k, maps (Z/l^k)^(2d) onto
+    l^j (Z/l^n)^(2d) and commutes with sigma and tau, so the stable
+    submodules of level k are the level-n ones inside l^j (Z/l^n)^(2d),
+    divided by l^j.  Every entry of a canonical basis column has valuation
+    at least its pivot's, so those are the modules whose pivot valuations
+    are all at least j.  Dividing the basis and its pivot valuations by l^j
+    keeps it canonical, by the argument in node_lattice's docstring, and
+    keeps sizes and the order of bases: each level comes as
+    stable_submodules gives it, rebased.
+    """
+    top = stable_submodules(rep, n)
+    levels = []
+    for k in range(1, n):
+        j = n - k
+        div = rep.ell ** j
+        ctx = PadicContext(rep.ell, k)
+        levels.append([
+            Lattice(ctx, rep.rank, tuple(tuple(x // div for x in b)
+                                         for b in lat.basis),
+                    tuple((v - j, row) for v, row in lat.pivots),
+                    len(lat.basis))
+            for lat in top if all(v >= j for v, _row in lat.pivots)])
+    levels.append(top)
+    return tuple(levels)
+
+
+def first_block_levels(
+        levels: tuple[list[Lattice], ...]) -> tuple[list[Lattice], ...]:
+    """The d = 1 lists of stable_levels, read off its d = 2 lists.
+
+    sigma and tau act on V + V, V = (Z/l^k)^2, by the same blocks on both
+    summands, so the stable submodules of V are the W with W + 0 stable,
+    and the canonical basis of W + 0 is W's with two zero rows below.  The
+    d = 2 modules inside V + 0, cut to rows 0 and 1, are therefore the
+    d = 1 ones, in the same order.
+    """
+    if any(kernels[-1].ambient_rank != 4 for kernels in levels):
+        raise ValueError("block lists are read off a d = 2 search")
+    return tuple(
+        [Lattice(lat.ctx, 2, tuple(b[:2] for b in lat.basis), lat.pivots,
+                 len(lat.basis))
+         for lat in kernels if not any(b[2] or b[3] for b in lat.basis)]
+        for kernels in levels)
 
 
 class FiltrationData(NamedTuple):
@@ -635,18 +703,22 @@ class MaximalSearchReport(NamedTuple):
     maximal_part: int
     maximal_count: int
     sigma_trivial_exactly_on_maximal: bool
-    level_one: tuple[Lattice, ...]  # stable_submodules(rep, 1), in order
+    # (kernel, transfer) at level 1, in stable_submodules order
+    level_one: tuple[tuple[Lattice, int], ...]
 
 
-def find_ell_maximal(rep: GaloisRep, phi_ell_start: int,
-                     n_max: int) -> MaximalSearchReport:
+def find_ell_maximal(rep: GaloisRep, phi_ell_start: int, n_max: int,
+                     levels: tuple[list[Lattice], ...] | None = None,
+                     ) -> MaximalSearchReport:
     """Search the stable-kernel graph for the largest transferred l-part.
 
     Nodes are homothety classes of quotient lattices.  Every stable kernel
     of level <= n_max feeds the node it lands on; two kernels with the same
     node must transfer to the same value, and that is asserted.  On each
     node the first-layer action of sigma is classified trivial or not, in
-    the node's own basis.
+    the node's own basis.  `levels` holds stable_submodules(rep, k) for
+    k = 1..n_max, as stable_levels or first_block_levels read them off one
+    search; without it, stable_levels(rep, n_max) runs that search.
     """
     if phi_ell_start < 1:
         raise ValueError("phi_ell_start must be positive")
@@ -655,14 +727,18 @@ def find_ell_maximal(rep: GaloisRep, phi_ell_start: int,
     require_searchable(rep.ell, n_max, rep.d)
     if rep.ctx.precision < n_max + 2:
         raise ValueError("precision too small for the requested depth")
+    if levels is None:
+        levels = stable_levels(rep, n_max)
+    elif len(levels) != n_max:
+        raise ValueError("one kernel list per level 1..n_max is needed")
     nodes: dict[tuple, list] = {}
-    for n in range(1, n_max + 1):
+    for n, kernels in enumerate(levels, 1):
         filt = filtration(rep, n)
-        kernels = stable_submodules(rep, n)
+        parts = [component_transfer(kernel, phi_ell_start, filt)
+                 for kernel in kernels]
         if n == 1:
-            level_one = tuple(kernels)
-        for kernel in kernels:
-            part = component_transfer(kernel, phi_ell_start, filt)
+            level_one = tuple(zip(kernels, parts))
+        for kernel, part in zip(kernels, parts):
             lat = node_lattice(rep, kernel, n)
             rec = nodes.get(lat.basis)
             if rec is None:
@@ -688,10 +764,21 @@ def find_ell_maximal(rep: GaloisRep, phi_ell_start: int,
 
 
 def product_kernel(k1: Lattice, k2: Lattice) -> Lattice:
-    """Block sum of two kernels inside the product module."""
+    """Block sum of two kernels inside the product module, in canonical
+    form without an echelon pass.
+
+    The columns of k1, zero below, and of k2, zero above, sorted by pivot
+    (valuation, row), are canonical: each keeps its pivot as its first
+    entry of least valuation, is zero in the other kernel's rows, and keeps
+    the zeros and reductions of its own kernel's basis in that kernel's
+    pivot rows, which the sort leaves in their order.
+    """
     if k1.ctx != k2.ctx:
         raise ValueError("kernels live over different work rings")
-    rank = k1.ambient_rank + k2.ambient_rank
-    cols = tuple(b + (0,) * k2.ambient_rank for b in k1.basis)
-    cols += tuple((0,) * k1.ambient_rank + b for b in k2.basis)
-    return Lattice._from_reduced(k1.ctx, rank, cols)
+    r1, r2 = k1.ambient_rank, k2.ambient_rank
+    cols = [(p, b + (0,) * r2) for b, p in zip(k1.basis, k1.pivots)]
+    cols += [((v, row + r1), (0,) * r1 + b)
+             for b, (v, row) in zip(k2.basis, k2.pivots)]
+    cols.sort(key=lambda pb: pb[0])
+    return Lattice(k1.ctx, r1 + r2, tuple(b for _p, b in cols),
+                   tuple(p for p, _b in cols), len(cols))

@@ -376,7 +376,21 @@ class Lattice(Frozen):
                        len(self.basis))
 
     def contains(self, vec) -> bool:
-        return self.coordinates(vec) is not None
+        """Membership by the greedy pass of coordinates(), keeping no
+        coefficients."""
+        m, ell = self.ctx.modulus, self.ctx.ell
+        v = [int(x) % m for x in vec]
+        if len(v) != self.ambient_rank:
+            raise ValueError("vector length mismatch")
+        for col, (val, row) in zip(self.basis, self.pivots):
+            q = v[row]
+            if val:
+                q, rem = divmod(q, ell**val)
+                if rem:
+                    return False
+            if q:
+                v = [(x - q * y) % m for x, y in zip(v, col)]
+        return not any(v)
 
     def coordinates(self, vec) -> list[int] | None:
         """Coefficients expressing vec in the basis, or None if outside.

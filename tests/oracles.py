@@ -796,23 +796,20 @@ def close_by_images(sigma, tau, vec):
 def atoms_by_every_representative(rep, n):
     """The (atom, generator) pairs that galois.stable_submodules sums, as
     found before the orbit walk: every unit-orbit representative closed
-    by an echelon pass over its images under the word algebra, each atom
-    kept with the first vector that closes to it, in that order."""
-    from semistable_lab.galois import (
-        _orbit_representatives,
-        _word_algebra,
-        require_searchable,
-    )
-    from semistable_lab.padic import Lattice, PadicContext
+    by close_by_images under the full sigma and tau (no word algebra of
+    the package), each atom kept with the first vector that closes to it,
+    in that order."""
+    from semistable_lab.galois import _orbit_representatives, require_searchable
+    from semistable_lab.padic import PadicContext, PadicMatrix
 
     ell, rank = rep.ell, rep.rank
     require_searchable(ell, n, rep.d)
     ctx = PadicContext(ell, n)
-    algebra = _word_algebra(rep, ctx)
+    sigma, tau = (PadicMatrix.from_rows(ctx, mat.rows)
+                  for mat in (rep.sigma, rep.tau))
     atoms = {}
     for vec in _orbit_representatives(ell, n, rank):
-        lat = Lattice.from_generators(ctx, rank,
-                                      [a.apply(vec) for a in algebra])
+        lat = close_by_images(sigma, tau, vec)
         atoms.setdefault(lat.basis, (lat, vec))
     return list(atoms.values())
 
@@ -1323,7 +1320,7 @@ def box_models_by_coefficient_tuples(coeff_bound):
         inv = invariants(e)
         if inv.c4 % pk[0] == 0:
             continue
-        out.append((e, pk[0], inv.j))
+        out.append((e, pk[0], inv.c4, inv.disc))
     return tuple(out)
 
 

@@ -1,6 +1,5 @@
 """Curve families: square-plus-64 pairs, box search, dagger selection."""
 
-from fractions import Fraction
 from itertools import product
 from math import isqrt
 
@@ -129,7 +128,8 @@ class TestMiyawakiSearch:
 
 def per_model_survivors(coeff_bound):
     """The box filter done model by model: build every nonsingular curve,
-    take its invariants, keep |disc| = p^k with p not dividing c4."""
+    take its invariants, keep (curve, p, c4, disc) when |disc| = p^k with p
+    not dividing c4."""
     out = []
     span = range(-coeff_bound, coeff_bound + 1)
     for a1 in (0, 1):
@@ -145,7 +145,7 @@ def per_model_survivors(coeff_bound):
                         pk = prime_power(abs(inv.disc))
                         if pk is None or inv.c4 % pk[0] == 0:
                             continue
-                        out.append((e, pk[0], inv.j))
+                        out.append((e, pk[0], inv.c4, inv.disc))
     return out
 
 
@@ -157,8 +157,9 @@ def box_12():
 class TestBoxFilter:
     def test_survivors_match_the_per_model_route(self, box_12):
         for bound in range(11):
-            expected = [(e, p, j) for e, p, j in box_12
-                        if abs(e.a4) <= bound and abs(e.a6) <= bound]
+            expected = [model for model in box_12
+                        if abs(model[0].a4) <= bound
+                        and abs(model[0].a6) <= bound]
             assert families._prime_power_models(bound) == tuple(expected)
         assert len(families._prime_power_models(8)) == 400
 
@@ -185,9 +186,9 @@ class TestBoxFilter:
     @pytest.mark.parametrize("ell", [3, 5, 7])
     def test_hits_match_the_per_model_loop(self, box_12, ell):
         by_j = {}
-        for e, p, j in box_12:
+        for e, p, _c4, _disc in box_12:
             if has_rational_ell_torsion(e, ell)[0]:
-                by_j.setdefault(p, {})[j] = e
+                by_j.setdefault(p, {})[invariants(e).j] = e
         hits = miyawaki_search(ell, 12)
         assert list(hits) == sorted(by_j)
         assert {p: {invariants(e).j: e for e in cs}
@@ -198,8 +199,8 @@ class TestBoxFilter:
         first = WeierstrassCurve(0, 1, 1, -3, 1)
         last = WeierstrassCurve(0, 1, 1, 1, 0)
         monkeypatch.setattr(families, "_prime_power_models",
-                            lambda bound: ((first, 19, Fraction(1)),
-                                           (last, 19, Fraction(1))))
+                            lambda bound: ((first, 19, 1, 1),
+                                           (last, 19, 1, 1)))
         assert miyawaki_search(3) == {19: [last]}
 
     def test_filtered_once_per_request_and_bound(self, monkeypatch):
