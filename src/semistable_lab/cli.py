@@ -7,7 +7,8 @@ All subcommands print one JSON report of the same shape:
 
 and exit 1 when some check fails, 0 when all pass.  A usage error exits 2;
 any other exception exits 3 after printing {"schema": 1, "error":
-{"type", "message"}} in place of a report.  Output is deterministic
+{"type", "message"}} in place of a report, and so does a stdout closed
+before the report is written.  Output is deterministic
 byte for byte for fixed inputs; --meta appends a "meta" object with a
 timestamp after the stable region, so consumers hashing reports must
 strip that key first.  Integers beyond 2^53 - 1 are serialized as
@@ -259,9 +260,9 @@ def _cmd_isogeny_maximal(args) -> tuple[dict, list[dict]]:
     rep2 = galois.build_rep(ell, 2, s, precision)
     # one search: the d = 1 lists and the lower levels are read off it
     levels = galois.stable_levels(rep2, n)
-    single = galois.find_ell_maximal(rep1, ell, n,
+    single = galois.find_ell_maximal(rep1, ell,
                                      galois.first_block_levels(levels))
-    product = galois.find_ell_maximal(rep2, ell * ell, n, levels)
+    product = galois.find_ell_maximal(rep2, ell * ell, levels)
     # a block sum of stable kernels is stable, so the product search has
     # transferred it; a missing one is a fault of the search (exit 3)
     combined = {k.basis: t for k, t in product.level_one}
@@ -591,7 +592,8 @@ def run(argv: list[str] | None = None) -> tuple[dict, int]:
 
 def main(argv: list[str] | None = None) -> int:
     """Print the report; exit 0 if every check passes, 1 if one fails, 2 on
-    a usage error, 3 with a JSON error object if anything else is raised."""
+    a usage error, 3 with a JSON error object if anything else is raised,
+    and 3 with one line on stderr if stdout is closed before it is written."""
     try:
         report, status = run(argv)
     except Exception as exc:
@@ -599,9 +601,20 @@ def main(argv: list[str] | None = None) -> int:
 
         traceback.print_exc()
         error = {"type": type(exc).__name__, "message": str(exc)}
-        print(json.dumps({"schema": 1, "error": error}, indent=2))
+        report, status = {"schema": 1, "error": error}, 3
+    try:
+        print(json.dumps(report, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # close drops the unwritten buffer even as its flush raises again,
+        # so the interpreter's flush at exit has nothing left to write
+        try:
+            sys.stdout.close()
+        except BrokenPipeError:
+            pass
+        print("semistable-lab: stdout closed before the report was written",
+              file=sys.stderr)
         return 3
-    print(json.dumps(report, indent=2))
     return status
 
 

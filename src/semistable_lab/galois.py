@@ -23,9 +23,12 @@ pass makes a new module.  isogeny-maximal runs that search once, at
 d = 2 and level n: the lower levels and the d = 1 lists are read off it
 (stable_levels, first_block_levels), and the level-1 product kernels
 are written down from sorted bases, their transfers looked up in the
-product search's.  A node lattice is written down from its kernel's
-canonical basis, with no echelon pass, and sigma's action on it mod l is
-read off that basis, with no matrix product.
+product search's.  The toric step of every transfer is fixed: the first
+coordinate of each block, rows 0, 2, ..., so a kernel's meet with it is
+counted from the kernel's projection onto rows 1, 3, ....  A node lattice
+is written down from its kernel's canonical basis, with no echelon pass,
+and sigma's action on it mod l is read off that basis, with no matrix
+product.
 """
 
 from __future__ import annotations
@@ -529,74 +532,31 @@ def first_block_levels(
         for kernels in levels)
 
 
-class FiltrationData(NamedTuple):
-    """Toric step of the weight filtration at a fixed level.
+def component_transfer(kernel: Lattice, phi_ell: int) -> int:
+    """Push an l-part of a component-group order through the quotient by
+    a kernel K.
 
-    Both steps coincide here (one toric line per block), so M1 = M2 = the
-    span of the first basis vector of every block, reduced mod l^level.
-    Each step is a coordinate sublattice, the span of e_i for i in a set of
-    toric positions; component_transfer counts meets through that and
-    refuses a step of any other shape.
-    """
-
-    level: int
-    M1: Lattice
-    M2: Lattice
-
-
-def filtration(rep: GaloisRep, level: int) -> FiltrationData:
-    ctx = PadicContext(rep.ell, level)
-    gens = [tuple(1 if i == 2 * j else 0 for i in range(rep.rank))
-            for j in range(rep.d)]
-    m2 = Lattice.from_generators(ctx, rep.rank, gens)
-    return FiltrationData(level, m2, m2)
-
-
-def _coordinate_meet_count(kernel: Lattice, step: Lattice) -> int:
-    """|kernel meet step| for a coordinate sublattice step of kernel's module.
-
-    The projection pi that drops step's coordinates has kernel exactly
-    step, so restricted to kernel its kernel is kernel meet step, and
-    |kernel meet step| = |kernel| / |pi(kernel)|: one echelon pass on
-    shorter vectors instead of a general intersection.
-    """
-    rank = kernel.ambient_rank
-    coordinate = step.ctx == kernel.ctx and step.ambient_rank == rank and all(
-        v == 0 and not any(x for i, x in enumerate(b) if i != row)
-        for b, (v, row) in zip(step.basis, step.pivots))
-    if not coordinate:
-        raise ValueError("filtration step is not a coordinate sublattice "
-                         "of the kernel's module")
-    toric = {row for _v, row in step.pivots}
-    keep = [i for i in range(rank) if i not in toric]
-    image = Lattice._from_reduced(
-        kernel.ctx, len(keep),
-        tuple(tuple(b[i] for i in keep) for b in kernel.basis))
-    return kernel.member_count() // image.member_count()
-
-
-def component_transfer(kernel: Lattice, phi_ell: int,
-                       filt: FiltrationData) -> int:
-    """Push an l-part of a component-group order through a quotient.
-
-    Result is phi * |kernel meet M2| / |kernel / (kernel meet M1)| and must
-    come out a positive integer; anything else means the kernel is not
-    compatible with the filtration.  Each meet is counted as |kernel| over
-    the size of kernel's projection away from the toric coordinates, once
-    when M1 = M2; a step that is not a coordinate sublattice is refused.
+    The toric step M is fixed in this model: the first coordinate of every
+    2x2 block, the span of e_0, e_2, ....  The result is
+    phi |K meet M| / |K / (K meet M)| = phi |K meet M|^2 / |K| and must come
+    out a positive integer; anything else means K is not compatible with
+    the toric step.  Dropping the toric coordinates has kernel exactly M, so
+    |K meet M| is |K| over the size of K projected onto rows 1, 3, ...: one
+    echelon pass on half-length vectors, no general intersection.
     """
     if phi_ell < 1:
         raise ValueError("phi_ell must be a positive integer")
-    if kernel.ctx != filt.M2.ctx or kernel.ambient_rank != filt.M2.ambient_rank:
-        raise ValueError("kernel and filtration live in different modules")
-    meet2 = _coordinate_meet_count(kernel, filt.M2)
-    meet1 = (meet2 if filt.M1 == filt.M2
-             else _coordinate_meet_count(kernel, filt.M1))
-    num = phi_ell * meet2
-    den = kernel.member_count() // meet1
-    if num % den:
+    rank = kernel.ambient_rank
+    if rank % 2:
+        raise ValueError(f"the toric rows need 2x2 blocks, got rank {rank}")
+    size = kernel.member_count()
+    image = Lattice._from_reduced(kernel.ctx, rank // 2,
+                                  tuple(b[1::2] for b in kernel.basis))
+    meet = size // image.member_count()
+    num = phi_ell * meet * meet
+    if num % size:
         raise ValueError("transfer is not integral for this kernel")
-    return num // den
+    return num // size
 
 
 def node_lattice(rep: GaloisRep, kernel: Lattice, n: int) -> Lattice:
@@ -694,11 +654,6 @@ class MaximalNode(NamedTuple):
 
 
 class MaximalSearchReport(NamedTuple):
-    ell: int
-    d: int
-    s: int
-    n_max: int
-    phi_start: int
     nodes: tuple[MaximalNode, ...]
     maximal_part: int
     maximal_count: int
@@ -707,34 +662,23 @@ class MaximalSearchReport(NamedTuple):
     level_one: tuple[tuple[Lattice, int], ...]
 
 
-def find_ell_maximal(rep: GaloisRep, phi_ell_start: int, n_max: int,
-                     levels: tuple[list[Lattice], ...] | None = None,
-                     ) -> MaximalSearchReport:
+def find_ell_maximal(rep: GaloisRep, phi_ell_start: int,
+                     levels: tuple[list[Lattice], ...]) -> MaximalSearchReport:
     """Search the stable-kernel graph for the largest transferred l-part.
 
-    Nodes are homothety classes of quotient lattices.  Every stable kernel
-    of level <= n_max feeds the node it lands on; two kernels with the same
-    node must transfer to the same value, and that is asserted.  On each
-    node the first-layer action of sigma is classified trivial or not, in
-    the node's own basis.  `levels` holds stable_submodules(rep, k) for
-    k = 1..n_max, as stable_levels or first_block_levels read them off one
-    search; without it, stable_levels(rep, n_max) runs that search.
+    `levels` holds stable_submodules(rep, k) for k = 1, 2, ..., as
+    stable_levels or first_block_levels read them off one search.  Nodes
+    are homothety classes of quotient lattices.  Every kernel feeds the node
+    it lands on, with its component_transfer through the fixed toric rows
+    0, 2, ...; two kernels with the same node must transfer to the same
+    value, and that is asserted.  On each node the first-layer action of
+    sigma is classified trivial or not, in the node's own basis.
     """
-    if phi_ell_start < 1:
-        raise ValueError("phi_ell_start must be positive")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    require_searchable(rep.ell, n_max, rep.d)
-    if rep.ctx.precision < n_max + 2:
-        raise ValueError("precision too small for the requested depth")
-    if levels is None:
-        levels = stable_levels(rep, n_max)
-    elif len(levels) != n_max:
-        raise ValueError("one kernel list per level 1..n_max is needed")
+    if not levels:
+        raise ValueError("levels must hold at least the level-1 kernels")
     nodes: dict[tuple, list] = {}
     for n, kernels in enumerate(levels, 1):
-        filt = filtration(rep, n)
-        parts = [component_transfer(kernel, phi_ell_start, filt)
+        parts = [component_transfer(kernel, phi_ell_start)
                  for kernel in kernels]
         if n == 1:
             level_one = tuple(zip(kernels, parts))
@@ -757,7 +701,6 @@ def find_ell_maximal(rep: GaloisRep, phi_ell_start: int, n_max: int,
     top = built[0].ell_part
     exact = all(nd.sigma_trivial == (nd.ell_part == top) for nd in built)
     return MaximalSearchReport(
-        ell=rep.ell, d=rep.d, s=rep.s, n_max=n_max, phi_start=phi_ell_start,
         nodes=tuple(built), maximal_part=top,
         maximal_count=sum(1 for nd in built if nd.ell_part == top),
         sigma_trivial_exactly_on_maximal=exact, level_one=level_one)

@@ -400,6 +400,28 @@ def reduced_forms_brute(disc):
     return out
 
 
+def reduced_forms_by_disc(bound):
+    """Reduced forms (a, b, c) of every discriminant -|D|, |D| <= bound,
+    as a dict |D| -> list, from one sweep over the forms.
+
+    Walks a >= 1, b in (-a, a] and c >= a (c > a when b < 0) with
+    4ac - b^2 <= bound, as reduced_form_census does, and appends each form
+    to its discriminant's list.  a and b ascend, so each list is ordered
+    by a, then b, like reduced_forms_brute's.
+    """
+    out = {}
+    for a in range(1, math.isqrt(bound // 3) + 1):
+        four_a = 4 * a
+        for b in range(-a + 1, a + 1):
+            c = a + 1 if b < 0 else a
+            absd = four_a * c - b * b
+            while absd <= bound:
+                out.setdefault(absd, []).append((a, b, c))
+                c += 1
+                absd += four_a
+    return out
+
+
 def is_reduced(form):
     """The reduction condition on a QuadForm: |b| <= a <= c, with b >= 0
     when |b| = a or a = c."""

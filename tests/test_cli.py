@@ -676,6 +676,27 @@ class TestInternalErrors:
         assert "Traceback" in captured.err
 
 
+class TestClosedStdout:
+    def test_closed_stdout_exits_3_without_traceback(self):
+        """A reader that closes the pipe early (`... | head -1`) is not a
+        failed check: exit 3, one line on stderr, and no traceback from the
+        interpreter's flush at exit."""
+        import os
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "semistable_lab.cli", "class-number",
+                 "--disc", "-164"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert proc.stderr.count("\n") == 1
+        assert "stdout closed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestKnownValues:
     def test_controlled_degree_41(self):
         report, status = run_cli(["controlled-degree", "--p", "41"])

@@ -6,7 +6,6 @@ import pytest
 
 import oracles
 from semistable_lab.galois import (
-    FiltrationData,
     _atom,
     _check_tau_block,
     _ell_multiple,
@@ -16,7 +15,6 @@ from semistable_lab.galois import (
     _word_algebra,
     build_rep,
     component_transfer,
-    filtration,
     find_ell_maximal,
     first_block_levels,
     node_lattice,
@@ -254,48 +252,47 @@ class TestStableSubmodules:
         with pytest.raises(ValueError, match="l\\^n <= 9"):
             require_searchable(3, 300000, 1)
         with pytest.raises(ValueError, match="l\\^n <= 9"):
-            find_ell_maximal(build_rep(2, 1, 2, 6), 2, 4)
+            stable_levels(build_rep(2, 1, 2, 6), 4)
         require_searchable(3, 2, 2)
         require_searchable(2, 3, 1)
 
 
 class TestComponentTransfer:
     def setup_method(self):
-        self.rep = build_rep(2, 1, 2, 5)
-        self.filt = filtration(self.rep, 1)
         self.ctx = PadicContext(2, 1)
+        self.toric = Lattice.from_generators(self.ctx, 2, [(1, 0)])
 
     def test_diagonal_kernel_halves_the_order(self):
         diag = Lattice.from_generators(self.ctx, 2, [(1, 1)])
-        assert component_transfer(diag, 2, self.filt) == 1
+        assert component_transfer(diag, 2) == 1
 
     def test_toric_kernel_multiplies_by_ell(self):
-        assert component_transfer(self.filt.M2, 1, self.filt) == 2
+        assert component_transfer(self.toric, 1) == 2
 
     def test_zero_kernel_is_the_identity_isogeny(self):
         zero = Lattice.zero(self.ctx, 2)
-        assert component_transfer(zero, 7, self.filt) == 7
+        assert component_transfer(zero, 7) == 7
 
     def test_full_kernel_is_multiplication_by_ell(self):
-        assert component_transfer(Lattice.full(self.ctx, 2), 6, self.filt) == 6
+        assert component_transfer(Lattice.full(self.ctx, 2), 6) == 6
 
     def test_non_integral_transfer_rejected(self):
         diag = Lattice.from_generators(self.ctx, 2, [(1, 1)])
         with pytest.raises(ValueError, match="not integral"):
-            component_transfer(diag, 1, self.filt)
+            component_transfer(diag, 1)
 
-    def test_mismatched_modules_rejected(self):
-        kernel = Lattice.from_generators(PadicContext(2, 2), 2, [(1, 1)])
-        with pytest.raises(ValueError, match="different modules"):
-            component_transfer(kernel, 2, self.filt)
+    def test_odd_rank_and_nonpositive_phi_rejected(self):
+        kernel = Lattice.from_generators(self.ctx, 3, [(1, 0, 0)])
+        with pytest.raises(ValueError, match="2x2 blocks, got rank 3"):
+            component_transfer(kernel, 2)
         with pytest.raises(ValueError, match="positive"):
-            component_transfer(self.filt.M2, 0, self.filt)
+            component_transfer(self.toric, 0)
 
 
 class TestMaximalSearch:
     def test_two_node_graph_frozen(self):
         rep = build_rep(2, 1, 2, 5)
-        report = find_ell_maximal(rep, 2, 1)
+        report = find_ell_maximal(rep, 2, stable_levels(rep, 1))
         assert [(n.lattice.basis, n.ell_part, n.sigma_trivial)
                 for n in report.nodes] == [
             (((1, 0), (0, 1)), 2, True),
@@ -307,8 +304,8 @@ class TestMaximalSearch:
 
     def test_deeper_levels_add_no_new_nodes(self):
         rep = build_rep(2, 1, 2, 6)
-        one = find_ell_maximal(rep, 2, 1)
-        three = find_ell_maximal(rep, 2, 3)
+        one = find_ell_maximal(rep, 2, stable_levels(rep, 1))
+        three = find_ell_maximal(rep, 2, stable_levels(rep, 3))
         assert [n.lattice.basis for n in one.nodes] == \
             [n.lattice.basis for n in three.nodes]
         # level-2 and level-3 kernels pile extra witnesses onto the same nodes
@@ -317,8 +314,9 @@ class TestMaximalSearch:
         assert three.maximal_part == 2 and three.maximal_count == 1
 
     def test_product_graph_is_multiplicatively_maximal(self):
-        single = find_ell_maximal(build_rep(2, 1, 2, 5), 2, 1)
-        product = find_ell_maximal(build_rep(2, 2, 2, 5), 4, 1)
+        rep1, rep2 = build_rep(2, 1, 2, 5), build_rep(2, 2, 2, 5)
+        single = find_ell_maximal(rep1, 2, stable_levels(rep1, 1))
+        product = find_ell_maximal(rep2, 4, stable_levels(rep2, 1))
         assert product.maximal_part == single.maximal_part ** 2
         assert product.sigma_trivial_exactly_on_maximal
         bases = {n.lattice.basis: n for n in product.nodes}
@@ -329,15 +327,12 @@ class TestMaximalSearch:
         assert len(product.nodes) == 14
 
     def test_transfer_is_multiplicative_on_product_kernels(self):
-        rep1 = build_rep(2, 1, 2, 5)
-        rep2 = build_rep(2, 2, 2, 5)
-        filt1, filt2 = filtration(rep1, 1), filtration(rep2, 1)
-        subs = stable_submodules(rep1, 1)
+        subs = stable_submodules(build_rep(2, 1, 2, 5), 1)
         for k1 in subs:
             for k2 in subs:
-                combined = component_transfer(product_kernel(k1, k2), 4, filt2)
-                assert combined == (component_transfer(k1, 2, filt1)
-                                    * component_transfer(k2, 2, filt1))
+                combined = component_transfer(product_kernel(k1, k2), 4)
+                assert combined == (component_transfer(k1, 2)
+                                    * component_transfer(k2, 2))
 
     def test_sigma_triviality_is_checked_in_the_node_basis(self):
         rep = build_rep(2, 1, 2, 5)
@@ -351,11 +346,11 @@ class TestMaximalSearch:
     def test_input_guards(self):
         rep = build_rep(2, 1, 2, 4)
         with pytest.raises(ValueError, match="positive"):
-            find_ell_maximal(rep, 0, 1)
-        with pytest.raises(ValueError, match="at least 1"):
-            find_ell_maximal(rep, 2, 0)
+            find_ell_maximal(rep, 0, stable_levels(rep, 1))
+        with pytest.raises(ValueError, match="at least the level-1"):
+            find_ell_maximal(rep, 2, ())
         with pytest.raises(ValueError, match="precision too small"):
-            find_ell_maximal(rep, 2, 3)
+            find_ell_maximal(rep, 2, stable_levels(rep, 3))
 
 
 # every searchable (l, n) with l^n <= 9, at d = 1 and d = 2
@@ -404,37 +399,27 @@ class TestWordAlgebraSearch:
     @pytest.mark.parametrize("shear", [1, 2])
     def test_transfer_matches_two_intersections(self, ell, n, d, shear):
         rep = build_rep(ell, d, shear * ell, max(4, n + 2))
-        filt = filtration(rep, n)
+        ctx = PadicContext(ell, n)
+        # the toric step: e_0, e_2, ..., the first coordinate of each block
+        toric = Lattice.from_generators(
+            ctx, rep.rank, [tuple(int(i == j) for i in range(rep.rank))
+                            for j in range(0, rep.rank, 2)])
         # cyclic modules too (at d = 1, where they are few): tau swaps the
         # toric and etale lines, so on a stable kernel the two meets have
         # one size and a projection onto the wrong coordinates goes unseen
-        cyclic = [Lattice.from_generators(filt.M2.ctx, rep.rank, [vec])
+        cyclic = [Lattice.from_generators(ctx, rep.rank, [vec])
                   for vec in _orbit_representatives(ell, n, rep.rank)
                   if d == 1]
         for kernel in stable_submodules(rep, n) + cyclic:
-            meet2 = intersect(kernel, filt.M2).member_count()
-            den = (kernel.member_count()
-                   // intersect(kernel, filt.M1).member_count())
+            meet = intersect(kernel, toric).member_count()
+            den = kernel.member_count() // meet
             for phi in (ell ** d, ell ** (2 * d * n)):
-                num = phi * meet2
+                num = phi * meet
                 if num % den:
                     with pytest.raises(ValueError, match="not integral"):
-                        component_transfer(kernel, phi, filt)
+                        component_transfer(kernel, phi)
                 else:
-                    assert component_transfer(kernel, phi, filt) == num // den
-
-    def test_non_coordinate_filtration_refused(self):
-        ctx = PadicContext(2, 2)
-        kernel = Lattice.full(ctx, 2)
-        toric = filtration(build_rep(2, 1, 2, 5), 2).M2
-        filt = FiltrationData(2, toric, toric)
-        assert component_transfer(kernel, 2, filt) == 2
-        for gens in ([(1, 1)], [(2, 0)], [(1, 0), (0, 2)]):
-            step = Lattice.from_generators(ctx, 2, gens)
-            for filt in (FiltrationData(2, step, step),
-                         FiltrationData(2, step, toric)):
-                with pytest.raises(ValueError, match="coordinate sublattice"):
-                    component_transfer(kernel, 2, filt)
+                    assert component_transfer(kernel, phi) == num // den
 
 
 class TestBlockInverses:
@@ -665,11 +650,6 @@ class TestLevelsFromOneSearch:
         levels = stable_levels(build_rep(2, 1, 2, 4), 1)
         with pytest.raises(ValueError, match="d = 2 search"):
             first_block_levels(levels)
-
-    def test_one_list_per_level(self):
-        rep = build_rep(2, 1, 2, 5)
-        with pytest.raises(ValueError, match="one kernel list per level"):
-            find_ell_maximal(rep, 2, 2, stable_levels(rep, 1))
 
 
 class TestJoinCounts:

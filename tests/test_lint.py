@@ -220,6 +220,51 @@ def test_unreferenced_definitions_are_named_in_readme():
     assert found == []
 
 
+def _unread_fields(defining, reading) -> list[str]:
+    """`Class.field` for each field of a NamedTuple class in the `defining`
+    files that no file of `reading` reads as an attribute."""
+    reads = set()
+    for path in reading:
+        reads |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)}
+    found = []
+    for path in defining:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(base, "id", getattr(base, "attr", None))
+                    == "NamedTuple" for base in node.bases):
+                found += [f"{node.name}.{sub.target.id}" for sub in node.body
+                          if isinstance(sub, ast.AnnAssign)
+                          and sub.target.id not in reads]
+    return found
+
+
+def test_record_fields_are_read():
+    """Every field of a NamedTuple record in the package is read as an
+    attribute somewhere in the package or its tests: a field that only
+    echoes an input is not kept."""
+    tests = sorted(Path(__file__).resolve().parent.glob("*.py"))
+    assert _unread_fields(SOURCES, SOURCES + tests) == []
+
+
+def test_record_field_rule_sees_an_unread_field(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "import typing\n"
+        "from typing import NamedTuple\n"
+        "class A(NamedTuple):\n"
+        "    read: int\n"
+        "    unread: int\n"
+        "class B(typing.NamedTuple):\n"
+        "    stored: int\n"
+        "class C:\n"
+        "    plain: int\n"
+        "def f(a, b):\n"
+        "    b.stored = a.read\n")
+    assert _unread_fields([source], [source]) == ["A.unread", "B.stored"]
+
+
 def test_readme_tests_names_resolve():
     """Each module-qualified name in the README "Tests" section is an
     attribute of the package, so a routine that moves or goes leaves no

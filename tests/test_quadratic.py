@@ -14,7 +14,12 @@ from semistable_lab.quadratic import (
     reduced_forms,
 )
 
-from oracles import is_reduced, reduced_form_census, reduced_forms_brute
+from oracles import (
+    is_reduced,
+    reduced_form_census,
+    reduced_forms_brute,
+    reduced_forms_by_disc,
+)
 
 
 class TestQuadForm:
@@ -123,13 +128,15 @@ def form_triples(disc):
 
 
 class TestRootEnumeration:
-    """reduced_forms (square roots of D mod 4a) against the scan over b."""
+    """reduced_forms (square roots of D mod 4a) against the scan over b,
+    or, up to |D| = 20000, against one sweep over the forms."""
 
     def test_every_fundamental_disc_to_20000(self):
+        swept = reduced_forms_by_disc(20000)
         checked = 0
         for absd in range(3, 20001):
             if is_fundamental_discriminant(-absd):
-                assert form_triples(-absd) == reduced_forms_brute(-absd), absd
+                assert form_triples(-absd) == swept[absd], absd
                 checked += 1
         assert checked == 6079
 
