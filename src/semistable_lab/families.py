@@ -165,7 +165,9 @@ def _prime_power_models(coeff_bound: int) -> tuple[tuple[WeierstrassCurve, int, 
             p = n if sieve[n] else powers.get(n)  # None at disc = 0 too
             if p is None or c4 % p == 0:  # additive: p divides disc and c4
                 continue
-            out.append((WeierstrassCurve(a1, a2, a3, a4, a6), p, c4, disc))
+            # int coefficients and |disc| = p^k >= 2: no check to repeat
+            e = tuple.__new__(WeierstrassCurve, (a1, a2, a3, a4, a6))
+            out.append((e, p, c4, disc))
     return tuple(out)
 
 

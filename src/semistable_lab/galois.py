@@ -27,8 +27,8 @@ product search's.  The toric step of every transfer is fixed: the first
 coordinate of each block, rows 0, 2, ..., so a kernel's meet with it is
 counted from the kernel's projection onto rows 1, 3, ....  A node lattice
 is written down from its kernel's canonical basis, with no echelon pass,
-and sigma's action on it mod l is read off that basis, with no matrix
-product.
+and sigma's action on it mod l is one membership test in the node itself
+per basis column, with no matrix product.
 """
 
 from __future__ import annotations
@@ -137,13 +137,13 @@ def build_rep(ell: int, d: int, s: int, precision: int) -> GaloisRep:
 
 
 def _check_tau_block(tau_block: PadicMatrix, omega: int) -> None:
-    """Raise unless the 2x2 tau block has determinant omega and trace
-    1 + omega.  By Cayley-Hamilton, tau^2 - tr(tau) tau + det(tau) I = 0,
-    so the two checks say that tau satisfies (tau - 1)(tau - omega) = 0."""
+    """Raise unless the 2x2 tau block [[a, b], [c, d]] has ad - bc = omega
+    and a + d = 1 + omega: by Cayley-Hamilton, tau^2 - tr(tau) tau +
+    det(tau) I = 0, so then tau satisfies (tau - 1)(tau - omega) = 0."""
     m = tau_block.ctx.modulus
-    if tau_block.det() != omega % m:
+    (a, b), (c, d) = tau_block.rows
+    if (a * d - b * c - omega) % m:
         raise AssertionError("tau block determinant is not omega")
-    (a, _b), (_c, d) = tau_block.rows
     if (a + d - 1 - omega) % m:
         raise AssertionError("tau block trace is not 1 + omega")
 
@@ -611,37 +611,21 @@ def node_lattice(rep: GaloisRep, kernel: Lattice, n: int) -> Lattice:
 def sigma_trivial_mod_ell(rep: GaloisRep, lat: Lattice) -> bool:
     """Does sigma act as the identity on lat / (l * lat)?
 
-    sigma is I + s E_12 on each block, so (sigma - 1) b, which must lie in
-    l * lat for each basis column b, is read off b with no matrix product:
-    s (b_1, 0, b_3, 0, ...), 0-based.
+    sigma is I + s E_12 on each block and build_rep makes l divide s, so
+    (sigma - 1) b is l z, z = (s/l) (b_1, 0, b_3, 0, ...), 0-based, for a
+    basis column b.  l z lies in l * lat exactly when z lies in lat: l z =
+    l y puts z - y in l^(N-1) T, which lat contains when it has full rank,
+    and only then is lat accepted.
     """
-    m, s = rep.ctx.modulus, rep.s
-    scaled = _ell_multiple(lat)
+    if len(lat.pivots) != lat.ambient_rank:
+        raise ValueError("sigma mod l is read only on a lattice of full rank")
+    m, t = rep.ctx.modulus, rep.s // rep.ell
     for b in lat.basis:
-        diff = [0] * rep.rank
-        diff[::2] = [s * x % m for x in b[1::2]]
-        if not scaled.contains(diff):
+        z = [0] * rep.rank
+        z[::2] = [t * x % m for x in b[1::2]]
+        if not lat.contains(z):
             return False
     return True
-
-
-def _ell_multiple(lat: Lattice) -> Lattice:
-    """l * lat in canonical form, without an echelon pass.
-
-    l times the canonical basis is canonical: each column keeps its pivot
-    row as its first entry of least valuation, now l^(v+1), later columns
-    stay zero in earlier pivot rows, and an entry reduced below l^v in a
-    pivot row is now below l^(v+1).  A column with v + 1 >= N vanishes and
-    is dropped.  Like rebased(), it is presented by its own basis.
-    """
-    ctx = lat.ctx
-    m, ell = ctx.modulus, ctx.ell
-    kept = [(b, (v + 1, row)) for b, (v, row) in zip(lat.basis, lat.pivots)
-            if v + 1 < ctx.precision]
-    pivots = tuple(p for _b, p in kept)
-    return Lattice(ctx, lat.ambient_rank,
-                   tuple(tuple(ell * x % m for x in b) for b, _p in kept),
-                   pivots, len(pivots))
 
 
 class MaximalNode(NamedTuple):

@@ -45,10 +45,9 @@ the mod-l projection of X has dimension equal to the number of basis columns.
 A divisor that reaches the precision N is indistinguishable from an exact
 relation and is reported as a precision loss rather than silently dropped.
 
-All objects are immutable and every operation returns fresh values, so the
-module is safe to drive from concurrent workers.  PadicContext, PadicMatrix
-and Lattice are slotted `arith.Frozen` classes, whose attributes cannot be
-assigned once built; Pairing is a NamedTuple.
+All objects are immutable and every operation returns fresh values.
+PadicContext, PadicMatrix and Lattice are slotted `arith.Frozen` classes,
+whose attributes cannot be assigned once built; Pairing is a NamedTuple.
 """
 
 from __future__ import annotations
@@ -158,17 +157,6 @@ class PadicMatrix(Frozen):
             raise ValueError("vector length mismatch")
         return tuple(sum(map(mul, r, vec)) % m for r in self.rows)
 
-    def det(self) -> int:
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
-        # Exact integer determinant of the canonical lift, then reduce.
-        mat = [list(r) for r in self.rows]
-        det = _int_det(mat)
-        return det % self.ctx.modulus
-
     def block_diag(self, copies: int) -> "PadicMatrix":
         n, k = self.nrows, self.ncols
         out = [[0] * (k * copies) for _ in range(n * copies)]
@@ -183,26 +171,6 @@ class PadicMatrix(Frozen):
             raise ValueError("mixed work rings")
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
-
-
-def _int_det(mat: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of a small integer matrix."""
-    n = len(mat)
-    m = [list(r) for r in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def _echelon_columns(ctx: PadicContext, cols, top: int | None = None):
@@ -572,9 +540,9 @@ class Pairing(NamedTuple("Pairing", [("ctx", PadicContext), ("gram", PadicMatrix
         return tuple.__new__(cls, (ctx, gram))
 
     def is_perfect(self) -> bool:
-        if self.gram.nrows != self.gram.ncols:
-            return False
-        return self.gram.det() % self.ctx.ell != 0
+        """The gram matrix is square of full rank over F_l: its det is a unit."""
+        r = self.gram.nrows
+        return r == self.gram.ncols and len(fl_echelon(self.gram.rows, self.ctx.ell)) == r
 
     @staticmethod
     def standard(ctx: PadicContext, r: int) -> "Pairing":

@@ -881,15 +881,15 @@ class TestRequestMemo:
 
 class TestTorsionFactsDerivedOnce:
     """Per request: the box filter evaluates each discriminant as a
-    quadratic in a6, a survivor's p spares the count filter its
-    discriminant, one chain per torsion point, kept in the request memo,
+    quadratic in a6 and builds each survivor without deriving it again, a
+    survivor's p spares the count filter its discriminant, one chain per torsion point, kept in the request memo,
     gives its order, the handler's re-check and Velu's multiples, and a
     division polynomial squarefree mod a small prime takes no integer gcd.  Without these the counts were 5,594, 96, 21
     and 157 for paper-suite, and 4,375, 8, 8 and 101 for the search."""
 
     PINNED = {  # argv -> (_disc_from_b, add_points, pgcd, count_points)
-        ("paper-suite",): (1076, 12, 0, 157),
-        ("miyawaki-search", "--ell", "3"): (711, 2, 0, 101),
+        ("paper-suite",): (676, 12, 0, 157),
+        ("miyawaki-search", "--ell", "3"): (311, 2, 0, 101),
     }
 
     @pytest.mark.parametrize("argv", list(PINNED))

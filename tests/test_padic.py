@@ -140,8 +140,11 @@ class TestPadicMatrix:
         assert b.nrows == 4 and b.ncols == 4
         assert b.rows[2][3] == 2 and b.rows[0][2] == 0
 
-    def test_det_matches_bareiss_on_random(self):
+    def test_is_perfect_matches_cofactor_det_on_random(self):
+        """A gram matrix is perfect exactly when its determinant, here by
+        cofactor expansion, is a unit mod l."""
         rng = random.Random(5)
+        seen = set()
         for _ in range(30):
             ctx = PadicContext(rng.choice([2, 3, 5]), rng.randint(2, 4))
             n = rng.randint(1, 3)
@@ -157,7 +160,13 @@ class TestPadicMatrix:
                     total += (-1) ** j * mat[0][j] * cof(minor)
                 return total
 
-            assert m.det() == cof([list(r) for r in rows]) % ctx.modulus
+            want = cof([list(r) for r in rows]) % ctx.ell != 0
+            assert Pairing(ctx, m).is_perfect() == want
+            seen.add(want)
+        assert seen == {True, False}
+        ctx = PadicContext(3, 2)
+        wide = PadicMatrix.from_rows(ctx, [[1, 0, 0], [0, 1, 0]])
+        assert not Pairing(ctx, wide).is_perfect()
 
 
 class TestColumnReduce:
