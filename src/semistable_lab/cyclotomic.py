@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .arith import is_prime
 from .padic import fl_echelon
-from .polynomials import GF, equal_degree_factor, fp_trim, pneg
+from .polynomials import QuotientRing, equal_degree_factor, fp_trim, padd, pneg
 
 _ELL_LIMIT = 19
 
@@ -134,8 +134,8 @@ def _local_places(ell: int, p: int):
     """Residue field, a root eta of Phi_m at y, and one exponent per place."""
     m = _root_order(ell)
     f = _mult_order(p, m)
-    field = GF(p, equal_degree_factor(fp_trim(_cyclo_poly(ell), p), f, p))
-    eta = field.element((0, 1))
+    ring = QuotientRing(equal_degree_factor(fp_trim(_cyclo_poly(ell), p), f, p), p)
+    eta = ring.pack((0, 1))
     reps, seen = [], set()
     for j in range(1, m):
         if gcd(j, m) == 1 and j not in seen:
@@ -144,22 +144,22 @@ def _local_places(ell: int, p: int):
             while t not in seen:  # the Frobenius orbit of j
                 seen.add(t)
                 t = t * p % m
-    return field, eta, reps
+    return ring, eta, reps
 
 
-def _character_table(field: GF, ell: int) -> dict:
+def _character_table(ring: QuotientRing, ell: int) -> dict:
     """zeta^k -> k for the ell-th roots of unity zeta^k of the residue field.
 
     zeta = eta^(m/ell), for the root eta of Phi_m that `_local_places` puts
     at y; then u -> table[u^e], e = (q - 1)/ell, maps F_q^x onto Z/ell with
     kernel the ell-th powers.
     """
-    zeta = field.pow(field.element((0, 1)), _root_order(ell) // ell)
+    zeta = ring.pow(ring.pack((0, 1)), _root_order(ell) // ell)
     table = {}
-    acc = field.one
+    acc = 1
     for k in range(ell):
         table[acc] = k
-        acc = field.mul(acc, zeta)
+        acc = ring.mul(acc, zeta)
     return table
 
 
@@ -174,11 +174,11 @@ def unit_images(ell: int, p: int) -> list[tuple[int, ...]]:
     F_{p^f} each.
     """
     _validate(ell, p)
-    field, eta, reps = _local_places(ell, p)
-    table = _character_table(field, ell)
+    ring, eta, reps = _local_places(ell, p)
+    table = _character_table(ring, ell)
     m = _root_order(ell)
-    e = (field.order - 1) // ell
-    mu = table[field.pow(eta, e % m)]
+    e = (p**ring.f - 1) // ell
+    mu = table[ring.pow(eta, e % m)]
     # -1 is an ell-th power in every residue field here: (-1)^ell at odd
     # ell, eta^2 at ell = 2
     images = [(0,) * len(reps), tuple(j * mu % ell for j in reps)]
@@ -187,8 +187,8 @@ def unit_images(ell: int, p: int) -> list[tuple[int, ...]]:
     if cyclotomic_units:
         c = {}
         for j in reps:
-            root = field.pow(eta, j)
-            value = table[field.pow(field.add(field.one, pneg(root)), e)]
+            root = ring.unpack(ring.pow(eta, j))
+            value = table[ring.pow(ring.pack(padd((1,), pneg(root))), e)]
             t = j
             while t not in c:
                 c[t] = value

@@ -1,24 +1,21 @@
-"""Dense polynomial arithmetic over Z and F_p, plus tiny extension fields.
+"""Dense polynomial arithmetic over Z and F_p, and quotient rings F_p[y]/(m).
 
 Polynomials are coefficient tuples in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple.  Integer resultants
 use the subresultant remainder sequence, so no rationals appear even for
 non-monic inputs; rational roots need no integer gcd at all when a
-reduction mod a small prime proves the input squarefree.  The GF class
-models F_{p^f} just far enough for the root-of-unity work of `cyclotomic`:
-elements are coefficient tuples reduced modulo a fixed monic irreducible.
+reduction mod a small prime proves the input squarefree.
 
-Products in a quotient ring F_p[y]/(m) of degree f run on packed integers
-(Kronecker substitution; von zur Gathen & Gerhard, Modern Computer Algebra,
-8.4).  An element is the int sum of c_i 2^(k i) with 0 <= c_i < p, and the
-slot width k = bit_length((2f - 1)(p - 1)^2) + 1 leaves room for every sum
-a product and its fold can make, so one int multiply forms all 2f - 1
-product coefficients without carries.  The f - 1 high slots fold back
-through a table of packed y^j mod m (j = f .. 2f - 2), built once per
-modulus, and the f low slots are then reduced mod p.  `fp_mulmod`,
-`fp_powmod` and `GF.mul`/`GF.pow` all go through `QuotientRing`;
-`fp_divmod` stays the long division behind gcds and exact division.
-"""
+`QuotientRing` is the one type for F_p[y]/(m) of degree f, the residue
+fields F_{p^f} of `cyclotomic` included.  Its products run on packed
+integers (Kronecker substitution; von zur Gathen & Gerhard, Modern Computer
+Algebra, 8.4).  An element is the int sum of c_i 2^(k i) with 0 <= c_i < p,
+and the slot width k = bit_length((2f - 1)(p - 1)^2) + 1 leaves room for
+every sum a product and its fold can make, so one int multiply forms all
+2f - 1 product coefficients without carries.  The f - 1 high slots fold
+back through a table of packed y^j mod m (j = f .. 2f - 2), built once per
+ring, and the f low slots are then reduced mod p.  `fp_divmod` stays the
+long division behind gcds and exact division."""
 
 from __future__ import annotations
 
@@ -330,17 +327,20 @@ def fp_gcd(a, b, p):
     return a
 
 
-class QuotientRing:
+class QuotientRing(Frozen):
     """F_p[y]/(m) for a modulus m nonzero mod p, on packed integers.
 
     A non-monic m is scaled by the inverse of its leading coefficient, which
     changes no remainder.  `pack` and `unpack` convert coefficient tuples;
     `mul` and `pow` take and return packed elements.  A constant m gives the
-    zero ring, where every element, one included, packs to 0.
+    zero ring, where every element, one included, packs to 0.  A ring is
+    equal, hashed and pickled by its monic modulus and p; `fold` and the
+    other slots are derived from them.
     """
 
     __slots__ = ("p", "modulus", "f", "k", "mask", "top", "low", "shifts",
                  "fold")
+    _fields = ("modulus", "p")
 
     def __init__(self, modulus, p):
         m = fp_trim(modulus, p)
@@ -350,18 +350,21 @@ class QuotientRing:
         m = tuple(c * inv % p for c in m)
         f = len(m) - 1
         k = ((2 * f - 1) * (p - 1) ** 2).bit_length() + 1
-        self.p, self.modulus, self.f, self.k = p, m, f, k
-        self.mask = (1 << k) - 1
-        self.top = k * f
-        self.low = (1 << self.top) - 1
-        self.shifts = range(k * (f - 1), -1, -k)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "modulus", m)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "mask", (1 << k) - 1)
+        object.__setattr__(self, "top", k * f)
+        object.__setattr__(self, "low", (1 << k * f) - 1)
+        object.__setattr__(self, "shifts", range(k * (f - 1), -1, -k))
         fold = []
         r = [-c % p for c in m[:-1]]  # y^f mod m
         for _ in range(f - 1):
             fold.append(self.pack(r))
             lead = r[-1]
             r = [(c - lead * mc) % p for c, mc in zip([0] + r[:-1], m)]
-        self.fold = fold
+        object.__setattr__(self, "fold", fold)
 
     def pack(self, a) -> int:
         """The packed residue of a coefficient tuple of any length."""
@@ -400,8 +403,11 @@ class QuotientRing:
         return self._reduce(x * y)
 
     def pow(self, x, e) -> int:
-        """x^e for e >= 0, left to right; x^0 is the reduced one.  At f = 1
-        a packed element is the residue itself, so the built-in pow serves."""
+        """x^e for e >= 0, left to right; x^0 is the reduced one.  A
+        negative e raises ValueError at every f.  At f = 1 a packed element
+        is the residue itself, so the built-in pow serves."""
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
         if self.f == 1:
             return pow(x, e, self.p)
         if e == 0:
@@ -412,16 +418,6 @@ class QuotientRing:
             if bit == "1":
                 r = self._reduce(r * x)
         return r
-
-
-def fp_mulmod(a, b, modulus, p):
-    ring = QuotientRing(modulus, p)
-    return ring.unpack(ring.mul(ring.pack(a), ring.pack(b)))
-
-
-def fp_powmod(a, e, modulus, p):
-    ring = QuotientRing(modulus, p)
-    return ring.unpack(ring.pow(ring.pack(a), e))
 
 
 def equal_degree_factor(poly, f, p):
@@ -442,13 +438,18 @@ def equal_degree_factor(poly, f, p):
         if degree(fp_trim(a, p)) < 1 and f > 1:
             continue
         if p == 2:
-            t, b = a, a
-            for _ in range(f - 1):
-                b = fp_mulmod(b, b, work, p)
-                t = fp_trim(padd(t, b), p)
+            t = a
+            if f > 1:
+                ring = QuotientRing(work, p)
+                b = x = ring.pack(a)
+                for _ in range(f - 1):
+                    b = ring.mul(b, b)
+                    x ^= b  # packed slots are bits: xor is the sum mod 2
+                t = ring.unpack(x)
             d = fp_gcd(t, work, p)
         else:
-            b = fp_powmod(a, (p**f - 1) // 2, work, p)
+            ring = QuotientRing(work, p)
+            b = ring.unpack(ring.pow(ring.pack(a), (p**f - 1) // 2))
             d = fp_gcd(psub(b, (1,)), work, p)
         if 0 < degree(d) < degree(work):
             other = fp_divmod(work, d, p)[0]
@@ -472,7 +473,8 @@ def roots_mod(a, p) -> list[int]:
     if degree(f) < 1:
         return []
     # gcd with x^p - x keeps exactly the distinct linear factors
-    xp = fp_powmod((0, 1), p, f, p)
+    ring = QuotientRing(f, p)
+    xp = ring.unpack(ring.pow(ring.pack((0, 1)), p))
     g = fp_gcd(fp_trim(padd(xp, (0, -1)), p), f, p)
     roots = []
     while degree(g) > 0:
@@ -482,54 +484,3 @@ def roots_mod(a, p) -> list[int]:
         if rem:
             raise AssertionError("split-off linear factor does not divide")
     return sorted(roots)
-
-
-class GF(Frozen):
-    """F_{p^f} as F_p[y] modulo a fixed monic irreducible of degree f.
-
-    `ring`, the packed arithmetic of F_p[y]/(modulus), is built once with
-    the field and takes no part in equality, hashing or repr.
-    """
-
-    __slots__ = ("p", "modulus", "ring")
-    _fields = ("p", "modulus")
-
-    def __init__(self, p: int, modulus: tuple[int, ...]) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "ring", QuotientRing(modulus, p))
-
-    @property
-    def f(self) -> int:
-        return degree(self.modulus)
-
-    @property
-    def order(self) -> int:
-        return self.p**self.f
-
-    def element(self, coeffs):
-        return self.ring.unpack(self.ring.pack(coeffs))
-
-    @property
-    def zero(self):
-        return ()
-
-    @property
-    def one(self):
-        return (1,)
-
-    def add(self, u, v):
-        return fp_trim(padd(u, v), self.p)
-
-    def mul(self, u, v):
-        ring = self.ring
-        return ring.unpack(ring.mul(ring.pack(u), ring.pack(v)))
-
-    def pow(self, u, e):
-        ring = self.ring
-        x = ring.pack(u)
-        if e < 0:
-            if not x:
-                raise ZeroDivisionError("zero has no inverse")
-            e %= self.order - 1  # the multiplicative group has order q - 1
-        return ring.unpack(ring.pow(x, e))

@@ -17,7 +17,7 @@ import sympy
 from sympy.matrices.normalforms import invariant_factors
 
 from semistable_lab.polynomials import (degree, fp_divmod, fp_gcd, fp_trim,
-                                        pmul, pscale, psub, trim)
+                                        padd, pmul, pscale, psub, trim)
 
 
 def closure_members(generators, modulus, ambient_rank, cap=200000):
@@ -929,26 +929,15 @@ def fp_powmod(a, e, modulus, p):
     return result
 
 
-def gf_mul(field, u, v):
-    return fp_mulmod(u, v, field.modulus, field.p)
-
-
-def gf_pow(field, u, e):
-    """u^e in a GF field; a negative e inverts a nonzero u first."""
-    if e < 0:
-        u = gf_pow(field, u, field.order - 2)
-        e = -e
-    return fp_powmod(u, e, field.modulus, field.p)
-
-
-def gf_elements(field):
-    """All p^f elements of a GF field; only sensible for tiny fields."""
+def gf_elements(p, k):
+    """All p^k residues mod a modulus of degree k over F_p, as reduced
+    coefficient tuples; only sensible for tiny fields."""
     span = [()]
-    for i in range(field.f):
+    for i in range(k):
         span = [
-            field.add(v, pscale((0,) * i + (1,), c))
+            fp_trim(padd(v, pscale((0,) * i + (1,), c)), p)
             for v in span
-            for c in range(field.p)
+            for c in range(p)
         ]
     return span
 
@@ -971,7 +960,7 @@ def is_irreducible(m, p) -> bool:
 
 def find_irreducible(p, k):
     """Some monic irreducible of degree k over F_p, deterministically: the
-    modulus of every GF field the tests build."""
+    modulus of every extension field the tests build."""
     if k == 1:
         return (0, 1)
     rng = random.Random(f"irr:{p}:{k}:0")
@@ -981,18 +970,18 @@ def find_irreducible(p, k):
             return trim(coeffs)
 
 
-def _horner_values(field, eta, reps, polys):
+def _horner_values(m, p, eta, reps, polys):
     """Each polynomial at the root eta^j of each place, by a Horner loop in
-    the field: each step is a field product and a field sum of coefficient
+    F_p[y]/(m): each step is a schoolbook product and a sum of coefficient
     tuples."""
     values = []
     for poly in polys:
         coords = []
         for j in reps:
-            root = field.pow(eta, j)
-            acc = field.zero
+            root = fp_powmod(eta, j, m, p)
+            acc = ()
             for c in reversed(poly):
-                acc = field.add(field.mul(acc, root), field.element((c,)))
+                acc = fp_trim(padd(fp_mulmod(acc, root, m, p), (c,)), p)
             coords.append(acc)
         values.append(tuple(coords))
     return values
@@ -1005,17 +994,21 @@ def unit_images_horner(ell, p, extra_units=()):
     This is how cyclotomic.unit_images read every image before it took
     one character power per place: one power per unit and place.  The
     character's table is the package's, so a comparison pins the values
-    and the orbit bookkeeping, not the choice of the root of unity w.
+    and the orbit bookkeeping, not the choice of the root of unity w.  The
+    package's eta and table are read only through `unpack`; the field
+    arithmetic is the schoolbook one above.
     """
     from semistable_lab import cyclotomic
 
     cyclotomic._validate(ell, p)
-    field, eta, reps = cyclotomic._local_places(ell, p)
-    e = (field.order - 1) // ell
-    table = cyclotomic._character_table(field, ell)
+    ring, eta, reps = cyclotomic._local_places(ell, p)
+    m = ring.modulus
+    e = (p ** degree(m) - 1) // ell
+    table = {ring.unpack(zeta): k for zeta, k
+             in cyclotomic._character_table(ring, ell).items()}
     polys = cyclotomic.unit_generators(ell) + list(extra_units)
-    return [tuple(table[field.pow(u, e)] for u in values)
-            for values in _horner_values(field, eta, reps, polys)]
+    return [tuple(table[fp_powmod(u, e, m, p)] for u in values)
+            for values in _horner_values(m, p, ring.unpack(eta), reps, polys)]
 
 
 def congruence_kernel(ell, extra_units=()):
@@ -1379,29 +1372,29 @@ def scale_down_by_fractions(e):
 def count_points_by_enumeration(e, q):
     """curves.count_points over F_q, q = p^k with k > 1, as it was computed
     before the count came from #E(F_p) by the trace recurrence: every x of
-    F_q enumerated as a GF coefficient tuple.  For odd p it counts square
-    roots of 4g + h^2 from a table of squares; for p = 2 an x with h(x) != 0
-    has two points when the absolute trace of g(x)/h(x)^2 is 0, none else."""
+    F_q enumerated as a coefficient tuple, with schoolbook products.  For
+    odd p it counts square roots of 4g + h^2 from a table of squares; for
+    p = 2 an x with h(x) != 0 has two points when the absolute trace of
+    g(x)/h(x)^2 = g(x) h(x)^(q - 3) is 0, none else."""
     from semistable_lab.arith import prime_power
-    from semistable_lab.polynomials import GF, padd
 
     p, k = prime_power(q)
-    field = GF(p, find_irreducible(p, k))
+    m = find_irreducible(p, k)
 
     def horner(poly, x):
-        acc = field.zero
+        acc = ()
         for c in reversed(poly):
-            acc = field.add(field.mul(acc, x), field.element((c,)))
+            acc = fp_trim(padd(fp_mulmod(acc, x, m, p), (c,)), p)
         return acc
 
     h = (e.a3, e.a1)  # y-linear part
     g = (e.a6, e.a4, e.a2, 1)
-    elems = gf_elements(field)
+    elems = gf_elements(p, k)
     count = 1
     if p > 2:
         squares = {}
         for z in elems:
-            key = field.mul(z, z)
+            key = fp_mulmod(z, z, m, p)
             squares[key] = squares.get(key, 0) + 1
         f = trim(padd(pscale(g, 4), pmul(h, h)))
         for x in elems:
@@ -1409,15 +1402,15 @@ def count_points_by_enumeration(e, q):
         return count
     for x in elems:
         hx, gx = horner(h, x), horner(g, x)
-        if hx == field.zero:
+        if hx == ():
             count += 1  # squaring is a bijection in characteristic 2
             continue
-        u = field.mul(gx, field.pow(hx, -2))
-        tr, sq = field.zero, u
+        u = fp_mulmod(gx, fp_powmod(hx, q - 3, m, p), m, p)
+        tr, sq = (), u
         for _ in range(k):
-            tr = field.add(tr, sq)
-            sq = field.mul(sq, sq)
-        count += 2 if tr == field.zero else 0
+            tr = fp_trim(padd(tr, sq), p)
+            sq = fp_mulmod(sq, sq, m, p)
+        count += 2 if tr == () else 0
     return count
 
 

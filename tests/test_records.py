@@ -12,7 +12,7 @@ from semistable_lab.curves import (SingularCurveError, WeierstrassCurve,
                                    local_data)
 from semistable_lab.galois import build_rep
 from semistable_lab.padic import Lattice, PadicContext, PadicMatrix
-from semistable_lab.polynomials import GF
+from semistable_lab.polynomials import QuotientRing
 from semistable_lab.quadratic import QuadForm, controlled_two_extension
 from semistable_lab.ramification import RamFiltration
 
@@ -32,7 +32,7 @@ BUILDERS = {
     "PadicContext": lambda: PadicContext(3, 5),
     "PadicMatrix": _matrix,
     "Lattice": _lattice,
-    "GF": lambda: GF(5, (2, 0, 1)),
+    "QuotientRing": lambda: QuotientRing((2, 0, 1), 5),
     "QuadForm": lambda: QuadForm(2, 1, 3),
     "RamFiltration": lambda: RamFiltration((12, 6, 2, 1, 1), "tag"),
     "GaloisRep": lambda: build_rep(3, 2, 3, 5),
@@ -44,7 +44,7 @@ ATTRIBUTES = {
     "PadicContext": ("ell", "modulus"),
     "PadicMatrix": ("ctx", "rows"),
     "Lattice": ("basis", "pivots"),
-    "GF": ("p", "ring"),
+    "QuotientRing": ("p", "fold"),
     "QuadForm": ("a", "c"),
     "RamFiltration": ("orders", "sums"),
     "GaloisRep": ("omega", "tau"),
